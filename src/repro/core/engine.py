@@ -76,8 +76,6 @@ class SpeculationEngine(SpeculationHooks):
         self._protocol_of: Dict[str, ProtocolKind] = {}
         self._shared_decl: Dict[str, ArrayDecl] = {}
         self._priv_copies: Dict[str, List[ArrayDecl]] = {}
-        #: arrays using the per-line access-bit mode (§4.1 ablation)
-        self._line_bits_arrays: Set[str] = set()
         #: synchronous written-element knowledge per (array, proc) for
         #: PRIV_SIMPLE read routing: the hardware's local WriteAny view
         #: is available at access time, while the directory tables are
@@ -104,21 +102,20 @@ class SpeculationEngine(SpeculationHooks):
         spuriously.  Provided so the trade-off can be measured.
         """
         self._check_not_armed()
-        entry = RangeEntry(decl, ProtocolKind.NONPRIV)
-        self.table.load(entry)
+        bits_decl = decl
         if per_line_bits:
-            self._line_bits_arrays.add(decl.name)
-            # The protocol-side table has one entry per cache line; its
-            # "elements" are whole lines, so addr_of(meta_index) is the
-            # actual line address.
+            # The comparator maps a whole line to one access-bit
+            # "element", so the tags, the directory table and the
+            # protocol messages are all line-granular.
             epl = self.params.elems_per_line(decl.elem_bytes)
-            meta_len = -(-decl.length // epl)
-            meta_decl = dataclasses.replace(
-                decl, length=meta_len, elem_bytes=self.params.line_bytes
+            bits_decl = dataclasses.replace(
+                decl,
+                length=-(-decl.length // epl),
+                elem_bytes=epl * decl.elem_bytes,
             )
-            self.nonpriv.register(RangeEntry(meta_decl, ProtocolKind.NONPRIV))
-        else:
-            self.nonpriv.register(entry)
+        entry = RangeEntry(bits_decl, ProtocolKind.NONPRIV)
+        self.table.load(entry)
+        self.nonpriv.register(entry)
         self._protocol_of[decl.name] = ProtocolKind.NONPRIV
         self._shared_decl[decl.name] = decl
 
@@ -261,16 +258,6 @@ class SpeculationEngine(SpeculationHooks):
     # ------------------------------------------------------------------
     # SpeculationHooks implementation (called by the memory system)
     # ------------------------------------------------------------------
-    def _line_mode(self, entry) -> bool:
-        return entry.decl.name in self._line_bits_arrays
-
-    def _meta_index(self, entry, index: int) -> int:
-        """Element index -> access-bit index (identity, or line number
-        in the per-line-bit mode)."""
-        if self._line_mode(entry):
-            return index // self.params.elems_per_line(entry.decl.elem_bytes)
-        return index
-
     def on_cache_hit(self, proc, line, addr, kind, now):
         if not self.controller.armed:
             return
@@ -284,18 +271,7 @@ class SpeculationEngine(SpeculationHooks):
             return
         entry, index = found
         if entry.protocol is ProtocolKind.NONPRIV:
-            if self._line_bits_arrays and self._line_mode(entry):
-                index = self._meta_index(entry, index)
-                # The per-line-bit ablation always uses the scalar
-                # per-word object path (one bits object per line at
-                # offset 0), even under the batch engine.
-                NonPrivProtocol.on_cache_hit(
-                    self.nonpriv, proc, line, entry, index, 0, kind, now
-                )
-                return
-            self.nonpriv.on_cache_hit(
-                proc, line, entry, index, addr - line.line_addr, kind, now
-            )
+            self.nonpriv.on_cache_hit(proc, line, entry, index, kind, now)
         elif entry.protocol is ProtocolKind.PRIV:
             self.priv.on_cache_hit(
                 proc, line, entry, index, addr - line.line_addr, kind,
@@ -317,8 +293,6 @@ class SpeculationEngine(SpeculationHooks):
             return 0
         entry, index = found
         if entry.protocol is ProtocolKind.NONPRIV:
-            if self._line_bits_arrays and self._line_mode(entry):
-                index = self._meta_index(entry, index)
             return self.nonpriv.on_dir_access(proc, entry, index, kind, now)
         line_first, line_count = self._line_span(entry, line_addr)
         if entry.protocol is ProtocolKind.PRIV:
@@ -341,10 +315,6 @@ class SpeculationEngine(SpeculationHooks):
             return
         entry, first, count = found
         if entry.protocol is ProtocolKind.NONPRIV:
-            if self._line_bits_arrays and self._line_mode(entry):
-                meta = self._meta_index(entry, first)
-                line.set_bits(0, self.nonpriv.tag_fill(proc, entry, meta))
-                return
             self.nonpriv.fill_line(proc, line, entry, first, count)
         elif entry.protocol is ProtocolKind.PRIV:
             self.priv.fill_line(
@@ -367,12 +337,6 @@ class SpeculationEngine(SpeculationHooks):
         if entry.protocol is not ProtocolKind.NONPRIV:
             # Privatization state is authoritative in the directories;
             # tag bits are a per-iteration summary and need no merge.
-            return
-        if self._line_mode(entry):
-            bits = line.get_bits(0)
-            if bits is not None:
-                meta = self._meta_index(entry, first)
-                self.nonpriv.merge_writeback(proc, entry, meta, bits, now)
             return
         self.nonpriv.merge_line(proc, line, entry, first, count, now)
 

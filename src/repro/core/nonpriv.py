@@ -104,11 +104,14 @@ class NonPrivProtocol:
         line,  # memsys CacheLine
         entry: RangeEntry,
         index: int,
-        offset: int,
         kind: AccessKind,
         now: float,
     ) -> None:
         self.ctx.stats.tag_checks += 1
+        # Tags are keyed by the access-bit element's offset in the line
+        # (one slot per line in the per-line-bit mode), as in fill_line.
+        decl = entry.decl
+        offset = decl.base + index * decl.elem_bytes - line.line_addr
         bits = line.get_bits(offset)
         if not isinstance(bits, NonPrivTagBits):
             bits = NonPrivTagBits()
@@ -265,9 +268,6 @@ class NonPrivProtocol:
     # ------------------------------------------------------------------
     # Tag fill (directory -> cache copy on a fetch)
     # ------------------------------------------------------------------
-    def tag_fill(self, proc: int, entry: RangeEntry, index: int) -> NonPrivTagBits:
-        return self._tables[entry.decl.name].tag_view(index, proc)
-
     def fill_line(
         self, proc: int, line, entry: RangeEntry, first: int, count: int
     ) -> None:
@@ -442,7 +442,7 @@ class BatchNonPrivProtocol(NonPrivProtocol):
     stay observably identical.  The block stores the directory's raw
     First ids; a processor reads its 2-bit summary out of them (NONE iff
     ``NO_PROC``, OWN iff its own id, OTHER otherwise), exactly matching
-    what :meth:`NonPrivProtocol.tag_fill` would have materialized.
+    what :meth:`NonPrivProtocol.fill_line` would have materialized.
     """
 
     def _default_block(self, entry: RangeEntry, line_addr: int) -> NonPrivTagBlock:
@@ -481,7 +481,6 @@ class BatchNonPrivProtocol(NonPrivProtocol):
         line,
         entry: RangeEntry,
         index: int,
-        offset: int,
         kind: AccessKind,
         now: float,
     ) -> None:

@@ -30,14 +30,14 @@ equally, and the result is a machine-readable JSON document::
       "provenance": {"config_hash": ..., "code_version": ...}
     }
 
-Beyond the matrix, two *scenario* rows pin the vector tier's widened
-fast path against batch on the cases that used to delegate: ``fail``
-(the same workload with one injected cross-processor flow dependence,
-so every run aborts and re-executes serially) and ``dynamic``
-(dynamic self-scheduling on a contention-free machine, decided through
-the scratch-machine grab replay).  Scenario rows are bare-level only
-and keyed as pseudo-engines (``vector-fail`` etc.) so ``benchdiff``
-picks them up without a schema change.
+Beyond the matrix, two *scenario* rows time the vector tier against
+batch off its static PASS path: ``fail`` (the same workload with one
+injected cross-processor flow dependence, so every run aborts and
+re-executes serially; the vector tier localizes the FAIL natively) and
+``dynamic`` (dynamic self-scheduling on a contention-free machine,
+which the vector tier delegates to batch).  Scenario rows are
+bare-level only and keyed as pseudo-engines (``vector-fail`` etc.) so
+``benchdiff`` picks them up without a schema change.
 
 The top-level ``bare``/``telemetry``/``monitors`` keys mirror the
 scalar engine for continuity with the PR3-era document shape.  The CI
@@ -73,8 +73,9 @@ BENCH_ELEMENTS = 1024
 BENCH_PROCESSORS = 4
 ENGINES = ("scalar", "batch", "vector")
 LEVELS = ("bare", "telemetry", "monitors")
-#: Scenario rows: batch vs vector on the cases the vector tier used to
-#: delegate wholesale — every-run-FAILs and dynamic self-scheduling.
+#: Scenario rows: batch vs vector off the static PASS path —
+#: every-run-FAILs (localized natively) and dynamic self-scheduling
+#: (delegated to batch).
 SCENARIOS = ("fail", "dynamic")
 SCENARIO_ENGINES = ("batch", "vector")
 
@@ -150,8 +151,8 @@ def _make_scenario_workload(scenario: str):
             "bench-dynamic", elements=BENCH_ELEMENTS,
             iterations=BENCH_ITERATIONS,
         )
-        # Contention off: the one machine shape whose emergent grab
-        # order the vector tier's scratch replay reproduces exactly.
+        # Contention off keeps the row comparable with the committed
+        # baseline document.
         params = dataclasses.replace(
             small_test_params(BENCH_PROCESSORS),
             contention=ContentionModel(enabled=False),

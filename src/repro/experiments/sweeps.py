@@ -12,13 +12,7 @@ functions accept ``jobs`` and fan the runs out through
 are bit-identical to a ``jobs=1`` run.  The serial reference runs are
 memoized by their *effective* serial parameters — sweeping a field the
 serial scenario cannot see (e.g. ``num_processors``) runs the baseline
-exactly once instead of once per point.  The vector tier adds its own
-cross-point reuse underneath: extractions and dynamic-schedule replays
-are memoized by loop fingerprint x schedule x geometry inside
-``repro.runtime.vector``, so sweep points that only vary a knob the
-extraction cannot see skip the op-stream walk entirely (the
-``vector.extract_memo_hits`` / ``vector.replay_memo_hits`` span
-counters show the reuse).
+exactly once instead of once per point.
 
 Example::
 

@@ -81,10 +81,7 @@ class RunConfig:
     #: failure-attribution conformant with scalar, but free to relax
     #: internal trace ordering and timing.  Static schedules are decided
     #: natively (PASS and FAIL — failing runs are localized and replayed
-    #: on a batch machine for exact attribution); deterministic dynamic
-    #: schedules are replayed on a scratch machine to recover the
-    #: emergent assignment; only cost-model features the replay cannot
-    #: reproduce (contention, multi-way caches, epoched time stamps)
+    #: on a batch machine for exact attribution); dynamic schedules
     #: delegate the whole run to the batch engine.  Pinned by
     #: ``repro.testing.diffcheck`` in its ``verdict`` signature mode.
     engine: str = "scalar"
@@ -611,12 +608,7 @@ def _hw_setup(
     private copies) and register everything under test with the
     speculation engine.  Shared by the op-by-op and vector tiers.
     Returns whether any privatization protocol is in play (it adds the
-    per-iteration tag-clear overhead).
-
-    On a speculation-less machine (the vector tier's dynamic-schedule
-    replay scratch) the allocation order stays identical — so the
-    address layout matches a real run exactly — and only the engine
-    registration is skipped."""
+    per-iteration tag-clear overhead)."""
     _allocate_loop_arrays(machine, loop, local=False)
     for spec in loop.modified_arrays():
         machine.space.allocate(
@@ -628,10 +620,9 @@ def _hw_setup(
     for spec in loop.arrays_under_test():
         decl = machine.space.array(spec.name)
         if spec.protocol is ProtocolKind.NONPRIV:
-            if machine.spec is not None:
-                machine.spec.register_nonpriv(
-                    decl, per_line_bits=config.per_line_bits
-                )
+            machine.spec.register_nonpriv(
+                decl, per_line_bits=config.per_line_bits
+            )
         else:
             has_priv = True
             privs = [
@@ -643,10 +634,9 @@ def _hw_setup(
                 )
                 for p in range(params.num_processors)
             ]
-            if machine.spec is not None:
-                machine.spec.register_priv(
-                    decl, privs, simple=(spec.protocol is ProtocolKind.PRIV_SIMPLE)
-                )
+            machine.spec.register_priv(
+                decl, privs, simple=(spec.protocol is ProtocolKind.PRIV_SIMPLE)
+            )
     return has_priv
 
 

@@ -216,7 +216,7 @@ def loop_streams(
 
         return {p: dynamic_stream(p) for p in range(num_procs)}
 
-    per_proc_blocks = plan_static(spec, loop.num_iterations, num_procs)
+    plan = plan_static(spec, loop.num_iterations, num_procs)
 
     def static_stream(proc: int, blocks: Sequence[Block]) -> Iterator[object]:
         if setup_cycles:
@@ -230,7 +230,7 @@ def loop_streams(
 
     return {
         p: static_stream(p, blocks)
-        for p, blocks in enumerate(per_proc_blocks)
+        for p, blocks in enumerate(plan)
     }
 
 
@@ -257,9 +257,9 @@ def _epoch_streams(
     capacity = 2 ** timestamp_bits - 1
     if capacity < 1:
         raise SchedulingError("timestamp_bits must be >= 1")
-    per_proc_blocks = plan_static(spec, loop.num_iterations, num_procs)
+    plan = plan_static(spec, loop.num_iterations, num_procs)
     max_ordinal = max(
-        (b.ordinal for blocks in per_proc_blocks for b in blocks), default=1
+        (b.ordinal for blocks in plan for b in blocks), default=1
     )
     num_epochs = -(-max_ordinal // capacity)  # ceil
     barriers = [
@@ -288,7 +288,7 @@ def _epoch_streams(
                 yield BarrierOp(barriers[epoch])
                 yield EpochSyncOp(epoch + 1)
 
-    return {p: stream(p, blocks) for p, blocks in enumerate(per_proc_blocks)}
+    return {p: stream(p, blocks) for p, blocks in enumerate(plan)}
 
 
 def serial_stream(loop: Loop, cost: CostModel) -> Iterator[object]:

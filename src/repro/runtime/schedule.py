@@ -140,14 +140,6 @@ class ChunkQueue:
             per_proc[proc].extend(by_ordinal[ordinal].iterations())
         return per_proc
 
-    def per_proc_blocks(self, num_procs: int) -> List[List[Block]]:
-        """The realized per-processor block lists, in grab order."""
-        by_ordinal = {b.ordinal: b for b in self._blocks}
-        per_proc: List[List[Block]] = [[] for _ in range(num_procs)]
-        for ordinal, proc in self.grab_log:
-            per_proc[proc].append(by_ordinal[ordinal])
-        return per_proc
-
 
 def virtual_of(block: Block, iteration: int, mode: VirtualMode, proc: int) -> int:
     """The virtual iteration number the dependence test sees."""
@@ -184,244 +176,3 @@ def static_assignment(
         for blocks in plan_static(spec, num_iterations, num_procs)
     ]
 
-
-# ----------------------------------------------------------------------
-# Dynamic-schedule assignment replay (the vector tier's fast path)
-# ----------------------------------------------------------------------
-class _ReplayController:
-    """Always-armed, never-failed controller stand-in: the replay only
-    resolves addresses, it never runs the dependence test."""
-
-    armed = True
-    failed = False
-    failure = None
-
-
-class _ReplayResolver:
-    """Duck-typed stand-in for the :class:`SpeculationEngine` on the
-    replay scratch machine.
-
-    Implements exactly the surface the batch-fast processor loop
-    touches — ``controller``, ``static_address_map``, ``resolve`` and
-    ``set_iteration`` — reproducing the armed comparator's address
-    redirections (privatized accesses to per-processor copies,
-    PRIV_SIMPLE reads routed private only after this processor wrote
-    the element) without any protocol state or messages.
-    """
-
-    def __init__(self, space, loop, params) -> None:
-        from ..types import ProtocolKind
-
-        self.controller = _ReplayController()
-        self._space = space
-        self._priv: dict = {}
-        self._priv_simple: dict = {}
-        self._shared: dict = {}
-        self._written: dict = {}
-        num = params.num_processors
-        for spec in loop.arrays_under_test():
-            if spec.protocol is ProtocolKind.NONPRIV:
-                continue
-            from .executor import private_copy_name
-
-            privs = [
-                space.array(private_copy_name(spec.name, p)) for p in range(num)
-            ]
-            self._shared[spec.name] = space.array(spec.name)
-            if spec.protocol is ProtocolKind.PRIV_SIMPLE:
-                self._priv_simple[spec.name] = privs
-            else:
-                self._priv[spec.name] = privs
-
-    def static_address_map(self) -> dict:
-        redirected = self._priv.keys() | self._priv_simple.keys()
-        return {
-            d.name: (d.base, d.elem_bytes, d.length)
-            for d in self._space.decls()
-            if d.name not in redirected
-        }
-
-    def resolve(self, proc: int, name: str, index: int, kind) -> int:
-        from ..types import AccessKind
-
-        privs = self._priv.get(name)
-        if privs is not None:
-            return privs[proc].addr_of(index)
-        privs = self._priv_simple.get(name)
-        if privs is not None:
-            # The engine's resolve also consults the message-updated
-            # write_any bits, but any element they mark was written
-            # earlier by this same processor in program order — so the
-            # synchronous written set alone decides identically.
-            written = self._written.setdefault((name, proc), set())
-            if kind is AccessKind.WRITE:
-                written.add(index)
-                return privs[proc].addr_of(index)
-            if index in written:
-                return privs[proc].addr_of(index)
-            return self._shared[name].addr_of(index)
-        return self._space.array(name).addr_of(index)
-
-    def set_iteration(self, proc: int, virtual_iteration: int) -> None:
-        pass
-
-
-def _make_replay_priv_hooks(space, priv_specs, params):
-    """Memory-system hooks mirroring the full-privatization protocol's
-    only timing contribution: the blocking read-in of Figs 8-(e)/9-(j).
-
-    The real protocol charges a read-in on a private-directory access to
-    an untouched line.  "Untouched" is decided by the private table's
-    ``pmax`` stamps, which are set synchronously on directory accesses
-    and at ``local_msg_delay`` after tag-side cache hits — so the mirror
-    tracks, per element, the *earliest effective time* either stamp gets
-    set and compares it against the access time.  Recording a hit whose
-    real signal was suppressed (tag bits already set) is harmless: the
-    suppression implies an earlier stamp already holds an effective time
-    at or before it.
-    """
-    from ..memsys.system import SpeculationHooks
-    from ..params import elems_per_line
-    from ..types import AccessKind
-    from .executor import private_copy_name
-
-    class _ReplayPrivHooks(SpeculationHooks):
-        def __init__(self) -> None:
-            self._delay = max(1, params.latency.local_mem // 4)
-            self._ranges: list = []
-            inf = float("inf")
-            for spec in priv_specs:
-                shared = space.array(spec.name)
-                for p in range(params.num_processors):
-                    decl = space.array(private_copy_name(spec.name, p))
-                    self._ranges.append(
-                        [
-                            decl.base, decl.end, decl.elem_bytes, decl.length,
-                            shared, p,
-                            [inf] * decl.length,  # earliest read-first stamp
-                            [inf] * decl.length,  # earliest write stamp
-                        ]
-                    )
-
-        def _locate(self, addr: int):
-            for rng in self._ranges:
-                if rng[0] <= addr < rng[1]:
-                    index = (addr - rng[0]) // rng[2]
-                    if index < rng[3]:
-                        return rng, index
-            return None, 0
-
-        def _read_in_latency(self, shared, index: int, proc: int) -> int:
-            lat = params.latency
-            home = space.home_node(shared.addr_of(index))
-            if home == params.node_of_processor(proc):
-                return lat.local_mem
-            return lat.remote_2hop
-
-        def _line_untouched(self, rng, line_addr: int, now: float) -> bool:
-            base, _, eb, length = rng[0], rng[1], rng[2], rng[3]
-            first = max(0, (line_addr - base) // eb)
-            span = elems_per_line(params.line_bytes, eb)
-            count = max(0, min(span, length - first))
-            r_eff, w_eff = rng[6], rng[7]
-            for k in range(first, first + count):
-                if r_eff[k] <= now or w_eff[k] <= now:
-                    return False
-            return True
-
-        def on_cache_hit(self, proc, line, addr, kind, now):
-            rng, index = self._locate(addr)
-            if rng is None:
-                return
-            eff = now + self._delay
-            stamps = rng[6] if kind is AccessKind.READ else rng[7]
-            if eff < stamps[index]:
-                stamps[index] = eff
-
-        def on_dir_access(self, proc, line_addr, addr, kind, now):
-            rng, index = self._locate(addr)
-            if rng is None:
-                return 0
-            extra = 0
-            if kind is AccessKind.READ:
-                if self._line_untouched(rng, line_addr, now):
-                    extra = self._read_in_latency(rng[4], index, rng[5])
-                if now < rng[6][index]:
-                    rng[6][index] = now
-            else:
-                w_eff = rng[7]
-                if w_eff[index] > now:  # first effective write
-                    if self._line_untouched(rng, line_addr, now):
-                        extra = self._read_in_latency(rng[4], index, rng[5])
-                    w_eff[index] = now
-            return extra
-
-    return _ReplayPrivHooks()
-
-
-def replay_dynamic_assignment(
-    loop, params, config, iter_overhead: int
-) -> Optional[Tuple[List[List[Block]], List[List[int]]]]:
-    """Compute the emergent iteration→processor map of a dynamic
-    self-scheduled HW run without running the speculation protocols.
-
-    The dispatcher's grab order is fully determined by the cost model:
-    a scratch batch machine executes the real op streams through the
-    real mutex/queue, with a speculation stand-in that reproduces the
-    armed comparator's address redirections and (for full-PRIV arrays)
-    the protocol's read-in latencies.  Returns ``(per_proc_blocks,
-    assignment)``, or ``None`` when a cost-model feature the replay
-    cannot reproduce exactly is enabled (directory/L2 contention — the
-    protocol's messages then perturb timing — or multi-way caches,
-    whose LRU state messages also perturb; time-stamp epochs, which the
-    op-by-op engines reject for dynamic schedules anyway), in which
-    case the caller must delegate.
-    """
-    if config.schedule.policy is not SchedulePolicy.DYNAMIC:
-        return None
-    if config.timestamp_bits is not None:
-        return None
-    if params.contention.enabled:
-        return None
-    if params.l1.ways != 1 or params.l2.ways != 1:
-        return None
-
-    from ..sim.machine import Machine
-    from ..types import ProtocolKind
-    from .driver import _backup_streams, _hw_setup
-    from .executor import loop_streams
-    from ..sim.processor import Mutex
-
-    scratch = Machine(params, with_speculation=False, engine="batch")
-    _hw_setup(scratch, loop, params, config)
-    if loop.modified_arrays():
-        result = scratch.engine.run_phase(
-            _backup_streams(scratch, loop, config.sparse_backup),
-            start_time=scratch.engine.now,
-        )
-        scratch.engine.now = result.finish
-
-    scratch.engine.spec = _ReplayResolver(scratch.space, loop, params)
-    priv_specs = [
-        s for s in loop.arrays_under_test() if s.protocol is ProtocolKind.PRIV
-    ]
-    if priv_specs:
-        scratch.memsys.set_hooks(
-            _make_replay_priv_hooks(scratch.space, priv_specs, params)
-        )
-
-    queue = ChunkQueue(
-        cyclic_blocks(loop.num_iterations, config.schedule.chunk_iterations)
-    )
-    streams = loop_streams(
-        loop, config.schedule, params.num_processors, params.cost,
-        iter_overhead=iter_overhead,
-        setup_cycles=params.cost.hw_loop_setup_cycles,
-        mutex=Mutex(),
-        queue=queue,
-    )
-    scratch.engine.run_phase(
-        streams, start_time=scratch.engine.now, abort_on_failure=True
-    )
-    num = params.num_processors
-    return queue.per_proc_blocks(num), queue.assignment(num)

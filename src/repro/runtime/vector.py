@@ -26,35 +26,24 @@ internal trace ordering and timing (wall clock, per-phase times, memory
 counters, directory end-state), which the full scalar-vs-batch
 signature still pins.
 
-Safety is by *delegation*, never by guessing, but the fast path is
-wide.  Dynamic self-scheduling is decided natively: the dispatcher's
-grab order is deterministic given the cost model, so
-:func:`replay_dynamic_assignment` computes the emergent
-iteration→processor map on a speculation-less scratch machine and the
-kernels run on the resulting trace.  A kernel FAIL is decided natively
-too: the FAIL-localizing kernels name the candidate elements, and one
-op-by-op batch attempt (aborted at the first FAIL, exactly like
-scalar) supplies the exact attribution — reason, element, iteration,
-processor, detection cycle — which is cross-checked against the
-candidate set.  Wholesale batch delegation remains only for cost-model
-features the replay cannot reproduce exactly (directory/L2 contention,
-multi-way caches, time-stamp epochs under dynamic scheduling) and as
-the fallback when a localized replay disagrees with the kernels.
+Safety is by *delegation*, never by guessing.  Every static-schedule
+run is decided natively.  A kernel FAIL is decided natively too: the
+FAIL-localizing kernels name the candidate elements, and one op-by-op
+batch attempt (aborted at the first FAIL, exactly like scalar) supplies
+the exact attribution — reason, element, iteration, processor,
+detection cycle — which is cross-checked against the candidate set.
+Wholesale batch delegation covers dynamic self-scheduling, whose
+emergent grab order only the op-by-op engines reproduce (the paper's
+machine models contention, so the protocol's messages steer it), and
+is the fallback when a localized replay disagrees with the kernels.
 Kernel PASS implies scalar PASS (the kernels are conservative), so a
 vector PASS is always decided by the kernels alone.
-
-Extractions are memoized across sweep points: runs sharing the loop
-fingerprint, schedule, and machine geometry reuse the flat trace (and,
-for dynamic schedules, the replayed assignment), counted by the
-``vector.extract_memo_hits`` / ``vector.replay_memo_hits`` span
-counters.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -85,20 +74,9 @@ from ..sim.stats import TimeBreakdown
 from ..trace.loop import Loop
 from ..trace.ops import AccessOp, ComputeOp, LocalOp
 from ..types import ProtocolKind, Scenario
-from .executor import (
-    block_ops,
-    identity_instrument,
-    loop_streams,
-    private_copy_name,
-    serial_stream,
-)
+from .executor import loop_streams, private_copy_name, serial_stream
 from .phases import chain, sparse_copy_ops
-from .schedule import (
-    Block,
-    SchedulePolicy,
-    replay_dynamic_assignment,
-    static_assignment,
-)
+from .schedule import SchedulePolicy, static_assignment
 
 
 @dataclasses.dataclass
@@ -127,59 +105,24 @@ class _Extraction:
         return self.aids == aid
 
 
-def _dynamic_streams(
-    loop: Loop, config, num: int, cost, iter_overhead: int,
-    dynamic_blocks: List[List[Block]],
-) -> Dict[int, Iterator[object]]:
-    """The op streams a dynamic run emits once its grab order is known.
-
-    Mirrors :func:`loop_streams`'s dynamic stream exactly, with the
-    mutex-guarded queue pops replaced by their known outcomes: the
-    setup burst, one ``sched_dynamic_per_grab`` busy charge before each
-    grabbed block, and one final charge for the grab that finds the
-    queue empty.  (The mutex hold counts as busy time in the op-by-op
-    engines too, so the cost accounting matches.)
-    """
-
-    def stream(proc: int) -> Iterator[object]:
-        yield BusyCostOp(cost.hw_loop_setup_cycles)
-        for block in dynamic_blocks[proc]:
-            yield BusyCostOp(cost.sched_dynamic_per_grab)
-            yield from block_ops(
-                proc, loop, block, config.schedule, iter_overhead,
-                identity_instrument, 0,
-            )
-        yield BusyCostOp(cost.sched_dynamic_per_grab)
-
-    return {p: stream(p) for p in range(num)}
-
-
 def _extract(
-    loop: Loop, params: MachineParams, config, iter_overhead: int,
-    dynamic_blocks: Optional[List[List[Block]]] = None,
+    loop: Loop, params: MachineParams, config, iter_overhead: int
 ) -> _Extraction:
     """Walk the real per-processor op streams and record every access.
 
     Uses the same :func:`loop_streams` the scalar/batch engines execute,
     so static planning, chunk virtualization and the §3.3 epoch
     partitioning (including its ``SchedulingError`` rejections) are
-    byte-for-byte shared.  For dynamic schedules the caller supplies the
-    replayed per-processor block lists and the streams are rebuilt from
-    them (the grab order is already settled, so no mutex is needed).
+    byte-for-byte shared.
     """
     cost = params.cost
     num = params.num_processors
-    if dynamic_blocks is not None:
-        streams = _dynamic_streams(
-            loop, config, num, cost, iter_overhead, dynamic_blocks
-        )
-    else:
-        streams = loop_streams(
-            loop, config.schedule, num, cost,
-            iter_overhead=iter_overhead,
-            setup_cycles=cost.hw_loop_setup_cycles,
-            timestamp_bits=config.timestamp_bits,
-        )
+    streams = loop_streams(
+        loop, config.schedule, num, cost,
+        iter_overhead=iter_overhead,
+        setup_cycles=cost.hw_loop_setup_cycles,
+        timestamp_bits=config.timestamp_bits,
+    )
     bits = config.timestamp_bits
     capacity = (2 ** bits - 1) if bits is not None else None
     aid_of = {spec.name: i for i, spec in enumerate(loop.arrays)}
@@ -246,66 +189,6 @@ def _extract(
         busy_segs=busy_segs,
         num_epochs=num_epochs,
     )
-
-
-# ----------------------------------------------------------------------
-# Cross-sweep extraction reuse
-# ----------------------------------------------------------------------
-#: (key -> _Extraction) and (key -> (blocks, assignment)).  Bounded LRU:
-#: sweep grids revisit the same loop × schedule × geometry many times
-#: (one run per telemetry level, per engine cell, per repeat), and the
-#: extraction walk is the vector tier's dominant cost on small loops.
-#: Consumers never mutate a cached extraction's arrays.
-_EXTRACT_MEMO: "OrderedDict[tuple, _Extraction]" = OrderedDict()
-_REPLAY_MEMO: "OrderedDict[tuple, Tuple[list, list]]" = OrderedDict()
-_MEMO_CAP = 64
-
-
-def _memo_get(memo: OrderedDict, key: tuple, counter: str):
-    hit = memo.get(key)
-    if hit is not None:
-        memo.move_to_end(key)
-        prof = obs_spans.current()
-        if prof is not None:
-            prof.count(counter)
-    return hit
-
-
-def _memo_put(memo: OrderedDict, key: tuple, value) -> None:
-    memo[key] = value
-    if len(memo) > _MEMO_CAP:
-        memo.popitem(last=False)
-
-
-def clear_extraction_memos() -> None:
-    """Drop the cross-sweep extraction/replay caches.
-
-    For test isolation and for benchmarks that want to measure the
-    cold path; production sweeps never need to call this."""
-    _EXTRACT_MEMO.clear()
-    _REPLAY_MEMO.clear()
-
-
-def _memo_keys(loop: Loop, params: MachineParams, config, iter_overhead: int):
-    """(replay key, extraction key) for this run.
-
-    The static extraction depends only on the loop shape, the schedule
-    plan, the processor count and the per-iteration costs; the dynamic
-    replay (and therefore the dynamic extraction) additionally depends
-    on the full machine geometry — cache shapes and latencies steer the
-    grab order — and on the backup phase that warms the caches.
-    """
-    from ..obs.ledger import loop_fingerprint
-
-    fp = loop_fingerprint(loop)
-    if config.schedule.policy is SchedulePolicy.DYNAMIC:
-        tail = (fp, params, config.schedule, config.sparse_backup, iter_overhead)
-        return ("replay",) + tail, ("dynamic",) + tail
-    static_key = (
-        "static", fp, config.schedule, config.timestamp_bits,
-        params.num_processors, iter_overhead, params.cost,
-    )
-    return None, static_key
 
 
 @dataclasses.dataclass
@@ -685,7 +568,7 @@ def _fail_path(
     return _finish_run(machine, config, params, result, loop)
 
 
-def _delegate(loop, params, config, serial_result, reason="unreproducible-cost-model"):
+def _delegate(loop, params, config, serial_result, reason):
     """Re-run the whole case on the batch engine (observably identical
     to scalar), re-stamping provenance so the result still names the
     configuration the caller asked for.
@@ -752,6 +635,11 @@ def run_hw_vector(
     )
 
     config = config or RunConfig()
+    if config.schedule.policy is SchedulePolicy.DYNAMIC:
+        # The emergent grab order depends on the whole cost model; only
+        # the op-by-op engines know it.
+        return _delegate(loop, params, config, serial_result,
+                         reason="dynamic-schedule")
     has_priv = any(
         spec.protocol is not ProtocolKind.NONPRIV
         for spec in loop.arrays_under_test()
@@ -761,45 +649,13 @@ def run_hw_vector(
         cost.hw_iter_tag_clear_cycles if has_priv else 0
     )
     prof = obs_spans.current()
-    replay_key, ext_key = _memo_keys(loop, params, config, iter_overhead)
-
-    dyn_blocks = None
-    dyn_assignment = None
-    if replay_key is not None:  # dynamic self-scheduling
-        replayed = _memo_get(_REPLAY_MEMO, replay_key, "vector.replay_memo_hits")
-        if replayed is None:
-            if prof is not None:
-                with prof.span("vector.schedule_replay", cat="vector"):
-                    replayed = replay_dynamic_assignment(
-                        loop, params, config, iter_overhead
-                    )
-            else:
-                replayed = replay_dynamic_assignment(
-                    loop, params, config, iter_overhead
-                )
-            if replayed is None:
-                # A cost-model feature the scratch replay cannot
-                # reproduce exactly is enabled; only the op-by-op
-                # engines know the emergent grab order.
-                return _delegate(loop, params, config, serial_result,
-                                 reason="dynamic-schedule")
-            _memo_put(_REPLAY_MEMO, replay_key, replayed)
-        dyn_blocks, dyn_assignment = replayed
-
-    ext = _memo_get(_EXTRACT_MEMO, ext_key, "vector.extract_memo_hits")
-    if ext is None:
-        if prof is not None:
-            with prof.span("vector.extract", cat="vector"):
-                ext = _extract(loop, params, config, iter_overhead,
-                               dynamic_blocks=dyn_blocks)
-        else:
-            ext = _extract(loop, params, config, iter_overhead,
-                           dynamic_blocks=dyn_blocks)
-        _memo_put(_EXTRACT_MEMO, ext_key, ext)
     if prof is not None:
+        with prof.span("vector.extract", cat="vector"):
+            ext = _extract(loop, params, config, iter_overhead)
         with prof.span("vector.kernels", cat="vector"):
             verdicts = _kernel_verdicts(loop, params, config, ext)
     else:
+        ext = _extract(loop, params, config, iter_overhead)
         verdicts = _kernel_verdicts(loop, params, config, ext)
 
     failing = {name: v for name, v in verdicts.items() if not v.passed}
@@ -834,15 +690,9 @@ def run_hw_vector(
             abort_on_failure=True,
         )
     )
-    if dyn_assignment is not None:
-        # The replayed emergent grab order (cached copies are shared
-        # across runs; hand each result its own lists).
-        assignment = [list(a) for a in dyn_assignment]
-    else:
-        assignment = static_assignment(
-            config.schedule, loop.num_iterations, params.num_processors
-        )
-
+    assignment = static_assignment(
+        config.schedule, loop.num_iterations, params.num_processors
+    )
     if prof is not None:
         with prof.span("vector.fill+commit", cat="vector"):
             _fill_tables(machine, loop, params, config, ext, verdicts)

@@ -157,9 +157,8 @@ def _random_body(
 #: 0..N cases are byte-identical across releases — baselines depend on
 #: that).  ``dynamic-nocontention`` reshapes every case, *after* all
 #: RNG draws, into a dynamically self-scheduled run on a contention-free
-#: machine: the corpus the vector tier's dynamic-schedule replay must
-#: decide natively (zero delegations), since the grab order is then
-#: deterministic given the cost model.
+#: machine: a corpus on which the vector tier delegates every case to
+#: batch (one ``dynamic-schedule`` delegation each).
 VARIANTS = ("baseline", "dynamic-nocontention")
 
 
@@ -475,7 +474,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="corpus variant: baseline keeps each seed's generated "
         "schedule/machine; dynamic-nocontention reshapes every case "
         "into dynamic self-scheduling on a contention-free machine "
-        "(the vector tier's replayed fast path)",
+        "(which the vector tier delegates to batch)",
     )
     parser.add_argument(
         "--count", type=int, default=50,

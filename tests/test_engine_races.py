@@ -42,27 +42,35 @@ ELEMS_PER_LINE = 8
 L2_CONFLICT_STRIDE = 64 * ELEMS_PER_LINE
 
 
-def _run(loop: Loop, engine: str, procs: int = 2):
+STATIC_ONE = ScheduleSpec(
+    policy=SchedulePolicy.STATIC_CHUNK,
+    chunk_iterations=1,
+    virtual_mode=VirtualMode.ITERATION,
+)
+
+
+def _run(
+    loop: Loop, engine: str, procs: int = 2,
+    schedule: ScheduleSpec = STATIC_ONE, per_line_bits: bool = False,
+):
     captured = []
     config = RunConfig(
         engine=engine,
-        schedule=ScheduleSpec(
-            policy=SchedulePolicy.STATIC_CHUNK,
-            chunk_iterations=1,
-            virtual_mode=VirtualMode.ITERATION,
-        ),
+        schedule=schedule,
+        per_line_bits=per_line_bits,
         machine_hook=captured.append,
     )
     result = run_hw(loop, small_test_params(procs), config)
     return result, captured[0]
 
 
-def _all_engines(loop: Loop):
-    """Run on all three engines and assert agreement: batch must match
-    scalar bit-for-bit, vector must match on the verdict projection."""
-    (scalar_result, scalar_machine) = _run(loop, "scalar")
-    (batch_result, batch_machine) = _run(loop, "batch")
-    (vector_result, vector_machine) = _run(loop, "vector")
+def _all_engines(loop: Loop, *args, **kwargs):
+    """Run on all three engines (``_run``'s arguments) and assert
+    agreement: batch must match scalar bit-for-bit, vector must match
+    on the verdict projection."""
+    (scalar_result, scalar_machine) = _run(loop, "scalar", *args, **kwargs)
+    (batch_result, batch_machine) = _run(loop, "batch", *args, **kwargs)
+    (vector_result, vector_machine) = _run(loop, "vector", *args, **kwargs)
     scalar_sig = conformance_signature(scalar_result, scalar_machine)
     batch_sig = conformance_signature(batch_result, batch_machine)
     vector_sig = conformance_signature(vector_result, vector_machine)
@@ -189,7 +197,8 @@ class TestVectorFailAttribution:
     """The vector tier's FAIL-localizing kernels + single op-by-op
     attempt must reproduce scalar's exact attribution — reason, element,
     iteration, processor, detection cycle — without wholesale
-    delegation (the span counter proves which path ran)."""
+    delegation on static schedules; dynamic schedules delegate once (the
+    span counter proves which path ran)."""
 
     def _run_vector_counted(self, loop, config):
         prof = SpanProfiler()
@@ -253,6 +262,56 @@ class TestVectorFailAttribution:
         assert _attribution(vector) == _attribution(scalar)
         # The emergent (aborted) grab order is part of the attribution.
         assert vector.assignment == scalar.assignment
-        assert delegations == 0, (
-            "dynamic contention-free FAIL must replay natively"
-        )
+        assert delegations == 1, "dynamic schedules delegate to batch"
+
+
+# ----------------------------------------------------------------------
+# Per-line access bits (§4.1, ablation A7)
+# ----------------------------------------------------------------------
+def _body(spec: str):
+    """``"r1 w3 | r2"`` -> two iterations: read A[1], write A[3]; read A[2]."""
+    return [
+        [read("A", int(op[1:])) if op[0] == "r" else write("A", int(op[1:]))
+         for op in it.split()]
+        for it in spec.split("|")
+    ]
+
+
+# (processors, elements, policy, chunk, body).  In each loop two
+# processors race First_updates to one line; the loser's
+# First_update_fail must turn its line tag OTHER/ROnly, so its later
+# write FAILs at the tag (Fig 6-(c)) in every engine.  ``line0`` races
+# on the first line, where the correction lands in the batch engine's
+# line tag block; the ``line3`` cases race on line 3, so the messages
+# must be addressed to line 3, not to element 3's line.
+LINE_BITS_RACES = {
+    "line0-static": (
+        4, 18, SchedulePolicy.STATIC_CHUNK, 1,
+        "r1 r17 w1 r6 | r13 r2 w1 w3 | r12 | r1 r4 | r17 r9 | r3 r6",
+    ),
+    "line3-static": (
+        2, 32, SchedulePolicy.STATIC_CHUNK, 1,
+        "r28 | r30 r17 r11 | r28 r17 w25 | r0 w2 w11 | r2 r27 | r27 r0 r18"
+        " | w14 r16 w2 | r14 w26 r26 r19 | r30 r21 | r26",
+    ),
+    "line3-dynamic": (
+        2, 31, SchedulePolicy.DYNAMIC, 1,
+        "r27 w8 | r30 r12 r22 w30 | w30 w17 | r29 r28 r9 r13",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_BITS_RACES))
+def test_per_line_bits_first_update_fail_reaches_the_line_tag(name):
+    procs, elements, policy, chunk, spec = LINE_BITS_RACES[name]
+    loop = Loop(
+        f"line-bits-{name}",
+        [ArraySpec("A", elements, 8, ProtocolKind.NONPRIV)],
+        _body(spec),
+    )
+    result, _ = _all_engines(
+        loop, procs, ScheduleSpec(policy, chunk, VirtualMode.ITERATION),
+        per_line_bits=True,
+    )
+    assert not result.passed
+    assert result.failure.reason.endswith("(tag)"), result.failure.reason

@@ -1,5 +1,6 @@
 """Span profiler, worker capture and multi-process trace merging."""
 
+import dataclasses
 import json
 import pickle
 
@@ -13,7 +14,7 @@ from repro.obs.spans import (
     WorkerCapture,
     percentile,
 )
-from repro.params import small_test_params
+from repro.params import ContentionModel, small_test_params
 from repro.runtime.driver import RunConfig, run_hw
 from repro.runtime.schedule import SchedulePolicy, ScheduleSpec
 from repro.workloads.synthetic import parallel_nonpriv_loop
@@ -180,9 +181,6 @@ class TestAmbientProfile:
         assert all(s["cat"] == "batch" for s in bursts)
 
     def test_vector_run_records_kernel_spans(self):
-        from repro.runtime.vector import clear_extraction_memos
-
-        clear_extraction_memos()  # force the cold extraction path
         spans.install(SpanProfiler())
         try:
             result = run_hw(_small_loop(), small_test_params(2), _config("vector"))
@@ -194,14 +192,21 @@ class TestAmbientProfile:
         assert {"vector.extract", "vector.kernels", "vector.fill+commit"} <= names
         assert "vector.delegate" not in names
 
-    def test_vector_dynamic_schedule_counts_delegation(self):
+    @pytest.mark.parametrize(
+        "contention", [True, False], ids=["contention-on", "contention-off"]
+    )
+    def test_vector_dynamic_schedule_counts_delegation(self, contention):
         spans.install(SpanProfiler())
         config = RunConfig(
             engine="vector",
             schedule=ScheduleSpec(policy=SchedulePolicy.DYNAMIC),
         )
+        params = dataclasses.replace(
+            small_test_params(2),
+            contention=ContentionModel(enabled=contention),
+        )
         try:
-            result = run_hw(_small_loop(), small_test_params(2), config)
+            result = run_hw(_small_loop(), params, config)
         finally:
             prof = spans.current()
             spans.uninstall()
