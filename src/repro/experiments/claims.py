@@ -11,10 +11,11 @@ Run from the CLI:  ``python -m repro.experiments verdict``
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List
+from typing import Callable, List, Optional
 
 from ..types import Scenario
 from .figures import (
+    RunStore,
     fig11_speedups,
     fig12_breakdown,
     fig13_failure,
@@ -42,12 +43,18 @@ class EvaluationData:
     table2: list
 
 
-def gather(preset: str = "quick", seed: int = 2026) -> EvaluationData:
+def gather(
+    preset: str = "quick", seed: int = 2026, runs: Optional[RunStore] = None
+) -> EvaluationData:
+    """Build every figure the claims read.  Figs 11, 12 and 14 share one
+    :data:`~.figures.RunStore` (``runs``, or a fresh one), so each
+    workload is simulated once per processor count."""
+    runs = {} if runs is None else runs
     return EvaluationData(
-        fig11=fig11_speedups(preset, seed=seed),
-        fig12=fig12_breakdown(preset, seed=seed),
+        fig11=fig11_speedups(preset, seed=seed, runs=runs),
+        fig12=fig12_breakdown(preset, seed=seed, runs=runs),
         fig13=fig13_failure(preset, seed=seed),
-        fig14=fig14_scalability(preset, seed=seed),
+        fig14=fig14_scalability(preset, seed=seed, runs=runs),
         table2=table2_state(),
     )
 

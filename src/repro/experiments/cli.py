@@ -21,10 +21,10 @@ EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {}
 
 #: row producers for --json output
 ROW_PRODUCERS: Dict[str, Callable[[argparse.Namespace], list]] = {
-    "fig11": lambda a: figures.fig11_speedups(a.preset, seed=a.seed),
-    "fig12": lambda a: figures.fig12_breakdown(a.preset, seed=a.seed),
+    "fig11": lambda a: figures.fig11_speedups(a.preset, seed=a.seed, runs=a.runs),
+    "fig12": lambda a: figures.fig12_breakdown(a.preset, seed=a.seed, runs=a.runs),
     "fig13": lambda a: figures.fig13_failure(a.preset, seed=a.seed),
-    "fig14": lambda a: figures.fig14_scalability(a.preset, seed=a.seed),
+    "fig14": lambda a: figures.fig14_scalability(a.preset, seed=a.seed, runs=a.runs),
     "table1": lambda a: figures.table1_workloads(a.preset, seed=a.seed),
     "table2": lambda a: figures.table2_state(),
     "table3": lambda a: figures.table3_traffic(a.preset, seed=a.seed),
@@ -41,7 +41,7 @@ def _register(name: str):
 
 @_register("fig11")
 def _fig11(args) -> str:
-    rows = figures.fig11_speedups(args.preset, seed=args.seed)
+    rows = figures.fig11_speedups(args.preset, seed=args.seed, runs=args.runs)
     text = report.render_fig11(rows)
     if args.chart:
         text += "\n\n" + charts.chart_fig11(rows)
@@ -50,7 +50,7 @@ def _fig11(args) -> str:
 
 @_register("fig12")
 def _fig12(args) -> str:
-    rows = figures.fig12_breakdown(args.preset, seed=args.seed)
+    rows = figures.fig12_breakdown(args.preset, seed=args.seed, runs=args.runs)
     text = report.render_fig12(rows)
     if args.chart:
         text += "\n\n" + charts.chart_fig12(rows)
@@ -64,7 +64,7 @@ def _fig13(args) -> str:
 
 @_register("fig14")
 def _fig14(args) -> str:
-    rows = figures.fig14_scalability(args.preset, seed=args.seed)
+    rows = figures.fig14_scalability(args.preset, seed=args.seed, runs=args.runs)
     text = report.render_fig14(rows)
     if args.chart:
         text += "\n\n" + charts.chart_fig14(rows)
@@ -83,7 +83,8 @@ def _table3(args) -> str:
 
 @_register("verdict")
 def _verdict(args) -> str:
-    results = claims.evaluate_claims(args.preset, seed=args.seed)
+    data = claims.gather(args.preset, args.seed, runs=args.runs)
+    results = claims.evaluate_claims(data=data)
     return claims.render_verdict(results)
 
 
@@ -335,27 +336,35 @@ def main(argv: "List[str] | None" = None) -> int:
         "'ledger' verb family",
     )
     args = parser.parse_args(argv)
+    # One invocation simulates each workload once: fig11, fig12, fig14
+    # and verdict read the same figures.RunStore.
+    args.runs = {}
 
     # "all" regenerates every table/figure; trace, bench and profile
     # (which write files), doctor (a self-check, not an evaluation
     # result) and the parameterized explorations (sweep, diffsweep)
-    # stay explicit-only.
-    chosen = (
-        sorted(
+    # stay explicit-only.  With --json it means every one with a row
+    # format.
+    if "all" in args.experiments:
+        chosen = sorted(
             n for n in EXPERIMENTS
             if n not in ("trace", "doctor", "bench", "sweep", "diffsweep",
                          "profile")
+            and (not args.json or n in ROW_PRODUCERS)
         )
-        if "all" in args.experiments
-        else args.experiments
-    )
+    else:
+        chosen = args.experiments
+    if args.json:
+        # Refuse before simulating anything, not after the figures
+        # that do have a row format.
+        for name in chosen:
+            if name not in ROW_PRODUCERS:
+                parser.error(f"{name} has no JSON row format")
     for name in chosen:
         # Monotonic clock: time.time() can jump (NTP slew) mid-run and
         # skew the reported per-experiment timings.
         start = time.perf_counter()
         if args.json:
-            if name not in ROW_PRODUCERS:
-                parser.error(f"{name} has no JSON row format")
             text = serialize.rows_to_json(ROW_PRODUCERS[name](args))
         else:
             text = EXPERIMENTS[name](args)

@@ -49,6 +49,36 @@ def preset_executions(name: str, preset: str) -> int:
     return PRESETS[preset][name][1]
 
 
+#: A caller-owned store of simulated workloads, keyed by
+#: ``(name, preset, seed, num_processors)``.  Figs 11 and 12 plot the
+#: same Serial/Ideal/SW/HW runs, and Fig 14's bars at a workload's own
+#: processor count are those runs again, so builders handed one store
+#: simulate each workload once between them.
+RunStore = Dict[Tuple[str, str, int, int], WorkloadResults]
+
+
+def _workload_results(
+    name: str,
+    preset: str,
+    seed: int,
+    num_processors: Optional[int] = None,
+    runs: Optional[RunStore] = None,
+) -> WorkloadResults:
+    """All four scenarios of ``name`` at ``num_processors`` (default: the
+    workload's own count), read from ``runs`` or simulated into it."""
+    runs = {} if runs is None else runs
+    workload = make_workload(name, preset, seed)
+    procs = num_processors or workload.num_processors
+    key = (name, preset, seed, procs)
+    if key not in runs:
+        runs[key] = run_workload(
+            workload,
+            executions=preset_executions(name, preset),
+            num_processors=procs,
+        )
+    return runs[key]
+
+
 # ----------------------------------------------------------------------
 # Figure 11 — speedups of Ideal / SW / HW
 # ----------------------------------------------------------------------
@@ -63,13 +93,18 @@ class Fig11Row:
 
 
 def fig11_speedups(
-    preset: str = "quick", workloads: Optional[List[str]] = None, seed: int = 2026
+    preset: str = "quick",
+    workloads: Optional[List[str]] = None,
+    seed: int = 2026,
+    runs: Optional[RunStore] = None,
 ) -> List[Fig11Row]:
-    """Figure 11: loop speedups (Ocean on 8 processors, rest on 16)."""
+    """Figure 11: loop speedups (Ocean on 8 processors, rest on 16).
+
+    ``runs`` is a :data:`RunStore` shared with other builders; without
+    one every workload is simulated afresh."""
     rows: List[Fig11Row] = []
     for name in workloads or ["Ocean", "P3m", "Adm", "Track"]:
-        workload = make_workload(name, preset, seed)
-        res = run_workload(workload, executions=preset_executions(name, preset))
+        res = _workload_results(name, preset, seed, runs=runs)
         rows.append(
             Fig11Row(
                 workload=name,
@@ -101,13 +136,18 @@ class Fig12Row:
 
 
 def fig12_breakdown(
-    preset: str = "quick", workloads: Optional[List[str]] = None, seed: int = 2026
+    preset: str = "quick",
+    workloads: Optional[List[str]] = None,
+    seed: int = 2026,
+    runs: Optional[RunStore] = None,
 ) -> List[Fig12Row]:
-    """Figure 12: Busy/Sync/Mem per scenario, normalized to Serial."""
+    """Figure 12: Busy/Sync/Mem per scenario, normalized to Serial.
+
+    These are Fig 11's runs: pass the same :data:`RunStore` as
+    ``runs`` to read them instead of simulating them again."""
     rows: List[Fig12Row] = []
     for name in workloads or ["Ocean", "P3m", "Adm", "Track"]:
-        workload = make_workload(name, preset, seed)
-        res = run_workload(workload, executions=preset_executions(name, preset))
+        res = _workload_results(name, preset, seed, runs=runs)
         for scenario in (Scenario.SERIAL, Scenario.IDEAL, Scenario.SW, Scenario.HW):
             bd = res.normalized_breakdown(scenario)
             procs = 1 if scenario is Scenario.SERIAL else res.num_processors
@@ -238,18 +278,17 @@ def fig14_scalability(
     workloads: Optional[List[str]] = None,
     processor_counts: Tuple[int, ...] = (8, 16),
     seed: int = 2026,
+    runs: Optional[RunStore] = None,
 ) -> List[Fig14Row]:
     """Figure 14: speedups at 8 and 16 processors.  Ocean is excluded
-    (too small to run on 16, §6.3)."""
+    (too small to run on 16, §6.3).
+
+    The 16-processor bars are Fig 11's runs: pass the same
+    :data:`RunStore` as ``runs`` to read them from it."""
     rows: List[Fig14Row] = []
     for name in workloads or ["P3m", "Adm", "Track"]:
         for procs in processor_counts:
-            workload = make_workload(name, preset, seed)
-            res = run_workload(
-                workload,
-                executions=preset_executions(name, preset),
-                num_processors=procs,
-            )
+            res = _workload_results(name, preset, seed, procs, runs)
             rows.append(
                 Fig14Row(
                     name,

@@ -1,8 +1,11 @@
 """Tests for the experiment harness — including the paper's headline
 shape claims at a reduced simulation size."""
 
+import collections
+
 import pytest
 
+from repro.experiments import figures, scenarios
 from repro.experiments.figures import (
     PRESETS,
     fig11_speedups,
@@ -10,6 +13,7 @@ from repro.experiments.figures import (
     fig13_failure,
     fig14_scalability,
     make_workload,
+    preset_executions,
     table1_workloads,
     table2_state,
 )
@@ -24,6 +28,24 @@ from repro.experiments.report import (
 from repro.experiments.scenarios import run_workload
 from repro.types import Scenario
 from repro.workloads import AdmWorkload
+
+
+DRIVERS = ("run_serial", "run_ideal", "run_sw", "run_hw")
+
+
+def _count_driver_calls(mp, calls, modules=(scenarios, figures)):
+    """Count scenario-driver calls, per driver, where ``modules`` look
+    the drivers up (``figures`` holds Fig 13's and Table 3's)."""
+    for module in modules:
+        for name in DRIVERS:
+            if not hasattr(module, name):
+                continue
+
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            mp.setattr(module, name, counted)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +157,24 @@ class TestFig14Shape:
     def test_ocean_excluded_by_default(self):
         rows = fig14_scalability(preset="quick", workloads=None)
         assert all(r.workload != "Ocean" for r in rows)
+
+
+class TestRunStore:
+    """Figs 11, 12 and 14 handed one RunStore simulate each workload once."""
+
+    def test_shared_store_rows_equal_unshared_rows(self, monkeypatch):
+        fresh12 = fig12_breakdown(preset="quick", workloads=["Adm"])
+        fresh14 = fig14_scalability(preset="quick", workloads=["Adm"])
+        calls = collections.Counter()
+        _count_driver_calls(monkeypatch, calls, modules=(scenarios,))
+        runs = {}
+        assert fig12_breakdown(preset="quick", workloads=["Adm"], runs=runs) == fresh12
+        assert fig14_scalability(preset="quick", workloads=["Adm"], runs=runs) == fresh14
+        # Adm runs on 16 processors, so Fig 14's 16-processor bars are
+        # read from Fig 12's entry: each (workload, procs) pair runs once.
+        assert set(runs) == {("Adm", "quick", 2026, 8), ("Adm", "quick", 2026, 16)}
+        per_pair = preset_executions("Adm", "quick")
+        assert calls == {name: 2 * per_pair for name in DRIVERS}
 
 
 class TestTables:
@@ -256,6 +296,33 @@ class TestCLI:
 
         assert main(["diffsweep", "--diff-count", "5", "--jobs", "2"]) == 0
         assert "5/5 cases conform" in capsys.readouterr().out
+
+    def test_cli_all_json_runs_every_row_producer(self, monkeypatch, capsys):
+        # Stubbed producers keep this fast; "all --json" must select the
+        # experiments with a row format (not verdict) and exit 0.
+        import repro.experiments.cli as cli
+
+        called = []
+        for name in list(cli.ROW_PRODUCERS):
+            monkeypatch.setitem(
+                cli.ROW_PRODUCERS, name,
+                lambda args, name=name: called.append(name) or [],
+            )
+        assert cli.main(["all", "--json"]) == 0
+        assert called == sorted(cli.ROW_PRODUCERS)
+        assert capsys.readouterr().out.split() == ["[]"] * len(called)
+
+    def test_cli_json_refused_before_any_work(self, monkeypatch):
+        import repro.experiments.cli as cli
+
+        called = []
+        monkeypatch.setitem(
+            cli.ROW_PRODUCERS, "fig11", lambda args: called.append("fig11") or []
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig11", "verdict", "--json"])
+        assert exc.value.code == 2
+        assert called == []
 
     def test_cli_sweep_diffsweep_not_in_all(self):
         # "all" regenerates tables/figures only; the parameterized
@@ -410,10 +477,30 @@ class TestCharts:
 
 class TestClaims:
     @pytest.fixture(scope="class")
-    def claim_results(self):
+    def evaluation(self):
         from repro.experiments.claims import evaluate_claims
 
-        return evaluate_claims(preset="quick")
+        calls = collections.Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            _count_driver_calls(mp, calls)
+            results = evaluate_claims(preset="quick")
+        return results, calls
+
+    @pytest.fixture(scope="class")
+    def claim_results(self, evaluation):
+        return evaluation[0]
+
+    def test_one_evaluation_simulates_each_workload_once(self, evaluation):
+        # Quick preset: Fig 11 runs 8 loops (Ocean 2, P3m 1, Adm 2,
+        # Track 3) under all four scenarios, Fig 13 one forced-failure
+        # loop per workload under Serial/SW/HW, and Fig 14 only its
+        # 8-processor P3m/Adm/Track loops (6); Fig 12 and Fig 14's
+        # 16-processor bars reuse Fig 11's runs.
+        _, calls = evaluation
+        assert calls == {
+            "run_serial": 18, "run_ideal": 14, "run_sw": 18, "run_hw": 18,
+        }
+        assert sum(calls.values()) == 68
 
     def test_all_claims_reproduce_at_quick_preset(self, claim_results):
         failed = [r.claim_id for r in claim_results if not r.passed]
