@@ -128,7 +128,7 @@ def _measure_span_run(with_profiler: bool) -> float:
 
     loop = parallel_nonpriv_loop("span-gate", elements=512, iterations=24)
     config = RunConfig(
-        engine="batch",
+        engine="scalar",
         schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK),
     )
     if with_profiler:
@@ -144,13 +144,13 @@ def _measure_span_run(with_profiler: bool) -> float:
 
 def test_span_null_path_overhead_under_3_percent():
     """Acceptance smoke for the span profiler's null-path promise: a
-    coarse (``fine=False``) ambient profiler — the ``--profile-out``
-    configuration — costs < 3% over a run with no profiler installed.
+    installed ambient profiler — the ``--profile-out`` configuration —
+    costs < 3% over a run with no profiler installed.
 
     With no profiler the instrumented sites reduce to one global read
-    and an is-None test; with a coarse profiler the hot batch loop only
-    bumps a counter per burst.  Same interleaved min-of-N discipline as
-    the telemetry gate above.
+    and an is-None test; with one, spans open only per run, tier, phase
+    and epoch, never per access.  Same interleaved min-of-N discipline
+    as the telemetry gate above.
     """
     _measure_span_run(False)  # warm code paths
     _measure_span_run(True)
@@ -171,7 +171,7 @@ def _measure_ledger_run(loop, ledger) -> float:
     from repro.runtime.schedule import SchedulePolicy, ScheduleSpec
 
     config = RunConfig(
-        engine="batch",
+        engine="scalar",
         schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK),
         ledger=ledger,
     )

@@ -146,10 +146,6 @@ class AddressSpace:
         except KeyError:
             raise AddressError(f"no array named {name!r}") from None
 
-    def decls(self) -> Iterator[ArrayDecl]:
-        """All allocated arrays, in allocation order."""
-        return iter(self._sorted)
-
     def arrays(self) -> List[ArrayDecl]:
         return list(self._sorted)
 

@@ -20,7 +20,7 @@ comparison of §3.4 can be reproduced (see :func:`state_bits_per_element`).
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,18 +29,8 @@ from ..types import FirstState
 #: Directory-side encoding of "no processor has touched this element".
 NO_PROC = -1
 
-#: Batch-engine tag encoding of "some other processor, identity unknown"
-#: (the anonymized OTHER a cache learns from a First_update_fail).  Never
-#: a valid processor id, never NO_PROC.
-OTHER_PROC = -2
-
 #: Privatization time-stamp value meaning "no write seen yet" (MinW = +inf).
 NO_ITER = 0
-
-#: ``CacheLine.spec_bits`` key under which the batch engine stores the
-#: whole-line tag block.  A string cannot collide with the integer word
-#: offsets the scalar engine uses.
-BLOCK_KEY = "#block"
 
 
 # ----------------------------------------------------------------------
@@ -111,52 +101,6 @@ class PrivTagBits:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PrivTagBits(r1st={self.read1st}, w={self.write}, epoch={self.epoch})"
-
-
-# ----------------------------------------------------------------------
-# Cache-tag side — batch-engine whole-line blocks
-# ----------------------------------------------------------------------
-class NonPrivTagBlock:
-    """Batch-engine tag state for every element of one cache line under
-    the non-privatization test (replaces one object per word).
-
-    ``owners[k]`` holds the directory's full First field as copied at
-    fill time: :data:`NO_PROC` for untouched, a processor id, or
-    :data:`OTHER_PROC` when only "somebody else" is known (learned from a
-    First_update_fail).  The owning cache interprets it as the 2-bit
-    summary: NONE iff ``NO_PROC``, OWN iff equal to its own processor id,
-    OTHER otherwise — so filling the raw ids is equivalent to filling the
-    scalar per-word summaries.
-
-    ``touched`` is set whenever a local access or protocol message
-    mutates the block; an untouched block holds only directory-inherited
-    state whose writeback merge is a no-op, which lets the batch engine
-    skip the per-word merge wholesale.
-    """
-
-    __slots__ = ("first_index", "owners", "privs", "ronlys", "touched")
-
-    def __init__(self, first_index, owners, privs, ronlys):
-        self.first_index = first_index
-        self.owners = owners
-        self.privs = privs
-        self.ronlys = ronlys
-        self.touched = False
-
-
-class PrivTagBlock:
-    """Batch-engine tag state for one cache line under either
-    privatization variant: the per-word ``Read1st``/``Write`` bits with
-    their validity epoch (see :class:`PrivTagBits`), as parallel lists.
-    """
-
-    __slots__ = ("first_index", "read1sts", "writes", "epochs")
-
-    def __init__(self, first_index, read1sts, writes, epochs):
-        self.first_index = first_index
-        self.read1sts = read1sts
-        self.writes = writes
-        self.epochs = epochs
 
 
 # ----------------------------------------------------------------------

@@ -25,13 +25,8 @@ from ..types import AccessKind, ProtocolKind
 from .context import ProtocolContext, SpecStats
 from .controller import SpeculationController
 from .messages import ImmediateScheduler, Scheduler
-from .nonpriv import BatchNonPrivProtocol, NonPrivProtocol
-from .privatization import (
-    BatchPrivProtocol,
-    BatchPrivSimpleProtocol,
-    PrivProtocol,
-    PrivSimpleProtocol,
-)
+from .nonpriv import NonPrivProtocol
+from .privatization import PrivProtocol, PrivSimpleProtocol
 from .translation import RangeEntry, TranslationTable
 
 try:  # only needed for isinstance checks in hooks
@@ -54,24 +49,17 @@ class SpeculationEngine(SpeculationHooks):
         space: AddressSpace,
         scheduler: Optional[Scheduler] = None,
         controller: Optional[SpeculationController] = None,
-        batch: bool = False,
     ) -> None:
         self.params = params
         self.space = space
-        self.batch = batch
         self.controller = controller or SpeculationController()
         self.scheduler = scheduler or ImmediateScheduler()
         self.ctx = ProtocolContext(self.controller, self.scheduler, params, space)
         self.table = TranslationTable()
         self._line_bytes = params.line_bytes
-        if batch:
-            self.nonpriv: NonPrivProtocol = BatchNonPrivProtocol(self.ctx)
-            self.priv: PrivProtocol = BatchPrivProtocol(self.ctx)
-            self.priv_simple: PrivSimpleProtocol = BatchPrivSimpleProtocol(self.ctx)
-        else:
-            self.nonpriv = NonPrivProtocol(self.ctx)
-            self.priv = PrivProtocol(self.ctx)
-            self.priv_simple = PrivSimpleProtocol(self.ctx)
+        self.nonpriv = NonPrivProtocol(self.ctx)
+        self.priv = PrivProtocol(self.ctx)
+        self.priv_simple = PrivSimpleProtocol(self.ctx)
         self._iteration: List[int] = [1] * params.num_processors
         self._protocol_of: Dict[str, ProtocolKind] = {}
         self._shared_decl: Dict[str, ArrayDecl] = {}
@@ -225,26 +213,6 @@ class SpeculationEngine(SpeculationHooks):
         if index in written or self.priv_simple.written_by(name, proc, index):
             return self._priv_copies[name][proc].addr_of(index)
         return self._shared_decl[name].addr_of(index)
-
-    def static_address_map(self) -> Dict[str, tuple]:
-        """``name -> (base, elem_bytes, length)`` for every array whose
-        address resolution never depends on speculation state.
-
-        The privatization protocols redirect accesses (to per-processor
-        copies, tracking written elements), so their arrays are
-        excluded; everything else resolves to ``base + index *
-        elem_bytes`` whether or not speculation is armed.  The batch
-        engine's processor loop uses this to collapse the per-access
-        :meth:`resolve` call into one dict probe (it falls back to
-        resolve/addr_of for excluded names and out-of-range indexes, so
-        error behavior is unchanged).
-        """
-        out: Dict[str, tuple] = {}
-        for decl in self.space.decls():
-            kind = self._protocol_of.get(decl.name)
-            if kind is None or kind is ProtocolKind.NONPRIV:
-                out[decl.name] = (decl.base, decl.elem_bytes, decl.length)
-        return out
 
     def _shared_or_plain(self, name: str, index: int) -> int:
         decl = self._shared_decl.get(name)

@@ -30,18 +30,11 @@ paper                     here
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..obs.events import NonPrivDirUpdateEvent
 from ..types import AccessKind, FirstState, LineState
-from .accessbits import (
-    BLOCK_KEY,
-    NO_PROC,
-    OTHER_PROC,
-    NonPrivDirTable,
-    NonPrivTagBits,
-    NonPrivTagBlock,
-)
+from .accessbits import NO_PROC, NonPrivDirTable, NonPrivTagBits
 from .context import ProtocolContext
 from .translation import RangeEntry
 
@@ -195,21 +188,6 @@ class NonPrivProtocol:
     ) -> None:
         """Fold one word's tag state into the directory when a dirty line
         is displaced or recalled."""
-        self._merge_word(
-            proc, entry, index,
-            bits.first is FirstState.OWN, bits.priv, bits.ronly, now,
-        )
-
-    def _merge_word(
-        self,
-        proc: int,
-        entry: RangeEntry,
-        index: int,
-        own: bool,
-        priv: bool,
-        ronly: bool,
-        now: float,
-    ) -> None:
         table = self._tables[entry.decl.name]
         name = entry.decl.name
         first = int(table.first[index])
@@ -218,8 +196,8 @@ class NonPrivProtocol:
         # Only state the *local* processor could have produced is merged:
         # tag bits with First == OTHER were inherited from the directory
         # on the fill and carry no new information.
-        if own:
-            if priv:
+        if bits.first is FirstState.OWN:
+            if bits.priv:
                 if table.ronly[index]:
                     self._fail(
                         "writeback reveals write to read-only element",
@@ -244,7 +222,7 @@ class NonPrivProtocol:
         # ROnly can be set locally while the line is dirty (Fig 6-(a)
         # with no message sent), so it is merged regardless of First;
         # re-merging an inherited ROnly is idempotent.
-        if ronly:
+        if bits.ronly:
             table.ronly[index] = True
         if bus is not None:
             self._emit_dir_update(bus, now, name, index, proc, "writeback", snap)
@@ -430,150 +408,6 @@ class NonPrivProtocol:
             detected_at=now,
             processor=proc,
         )
-
-
-class BatchNonPrivProtocol(NonPrivProtocol):
-    """Batch-engine variant: one whole-line tag block per cache line
-    instead of one tag object per word.
-
-    Only the tag-side *representation* changes; every directory-side
-    method (and therefore every failure condition, message, counter and
-    telemetry event) is inherited unchanged, so scalar and batch runs
-    stay observably identical.  The block stores the directory's raw
-    First ids; a processor reads its 2-bit summary out of them (NONE iff
-    ``NO_PROC``, OWN iff its own id, OTHER otherwise), exactly matching
-    what :meth:`NonPrivProtocol.fill_line` would have materialized.
-    """
-
-    def _default_block(self, entry: RangeEntry, line_addr: int) -> NonPrivTagBlock:
-        """All-clear tags for a line filled while speculation was off
-        (the scalar path lazily creates default ``NonPrivTagBits``)."""
-        decl = entry.decl
-        first = max(0, (line_addr - decl.base) // decl.elem_bytes)
-        span = self.ctx.params.elems_per_line(decl.elem_bytes)
-        count = max(0, min(span, decl.length - first))
-        return NonPrivTagBlock(
-            first, [NO_PROC] * count, [False] * count, [False] * count
-        )
-
-    def _block_of(self, line, entry: RangeEntry) -> NonPrivTagBlock:
-        block = line.spec_bits.get(BLOCK_KEY)
-        if block is None:
-            block = self._default_block(entry, line.line_addr)
-            line.spec_bits[BLOCK_KEY] = block
-        return block
-
-    def fill_line(
-        self, proc: int, line, entry: RangeEntry, first: int, count: int
-    ) -> None:
-        table = self._tables[entry.decl.name]
-        end = first + count
-        line.spec_bits[BLOCK_KEY] = NonPrivTagBlock(
-            first,
-            table.first[first:end].tolist(),
-            table.priv[first:end].tolist(),
-            table.ronly[first:end].tolist(),
-        )
-
-    def on_cache_hit(
-        self,
-        proc: int,
-        line,
-        entry: RangeEntry,
-        index: int,
-        kind: AccessKind,
-        now: float,
-    ) -> None:
-        self.ctx.stats.tag_checks += 1
-        block = self._block_of(line, entry)
-        k = index - block.first_index
-        owner = block.owners[k]
-        name = entry.decl.name
-        if kind is AccessKind.READ:
-            if owner != NO_PROC and owner != proc:  # OTHER
-                if block.privs[k]:
-                    self._fail(
-                        "read of element written by another processor (tag)",
-                        name, index, now, proc,
-                    )
-                    return
-                if not block.ronlys[k]:
-                    block.ronlys[k] = True
-                    block.touched = True
-                    if line.state is not LineState.DIRTY:
-                        self._send_ronly_update(proc, entry, index, now)
-            elif owner == NO_PROC:
-                block.owners[k] = proc
-                block.touched = True
-                if line.state is not LineState.DIRTY:
-                    self._send_first_update(proc, entry, index, now)
-        else:
-            if (owner != NO_PROC and owner != proc) or block.ronlys[k]:
-                self._fail(
-                    "write to element read/written by another processor (tag)",
-                    name, index, now, proc,
-                )
-                return
-            block.owners[k] = proc
-            block.privs[k] = True
-            block.touched = True
-
-    def _cache_first_update_fail(
-        self, proc: int, entry: RangeEntry, index: int, now: float
-    ) -> None:
-        """(g) against the block representation."""
-        memsys = self.ctx.memsys
-        if memsys is None:
-            return
-        elem_addr = entry.decl.addr_of(index)
-        line_addr = self.ctx.space.line_addr(elem_addr)
-        _, line = memsys.caches[proc].probe(line_addr)
-        if line is None:
-            return
-        block = self._block_of(line, entry)
-        k = index - block.first_index
-        if block.owners[k] == proc and block.privs[k]:
-            self._fail(
-                "race between two First_updates: processor read and "
-                "then wrote before losing the race",
-                entry.decl.name, index, now, proc,
-            )
-            return
-        block.owners[k] = OTHER_PROC
-        block.ronlys[k] = True
-        block.touched = True
-
-    def merge_line(
-        self,
-        proc: int,
-        line,
-        entry: RangeEntry,
-        first: int,
-        count: int,
-        now: float,
-    ) -> None:
-        block = line.spec_bits.get(BLOCK_KEY)
-        if block is None or not block.touched:
-            # An untouched block holds only directory-inherited state:
-            # First == OTHER carries no information, re-merging an
-            # inherited OWN or ROnly is idempotent, and the directory's
-            # First field is write-once (NO_PROC -> p, then immutable),
-            # so an inherited OWN cannot conflict later.  Skipping the
-            # per-word walk wholesale is the batch engine's main
-            # writeback saving.
-            return
-        owners = block.owners
-        privs = block.privs
-        ronlys = block.ronlys
-        base_index = block.first_index
-        for k in range(len(owners)):
-            own = owners[k] == proc
-            ronly = ronlys[k]
-            if not own and not ronly:
-                continue  # scalar merge of such a word is a no-op
-            self._merge_word(
-                proc, entry, base_index + k, own, privs[k], ronly, now
-            )
 
 
 # ----------------------------------------------------------------------

@@ -40,20 +40,18 @@ the whole loop if the test is to pass).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..address import ArrayDecl
 from ..obs.events import PrivDirUpdateEvent, PrivSimpleDirUpdateEvent
 from ..types import AccessKind
 from .accessbits import (
-    BLOCK_KEY,
     NO_ITER,
     PrivPrivateDirTable,
     PrivSharedDirTable,
     PrivSimplePrivateTable,
     PrivSimpleSharedTable,
     PrivTagBits,
-    PrivTagBlock,
 )
 from .context import ProtocolContext
 from .translation import RangeEntry
@@ -676,107 +674,6 @@ class PrivSimpleProtocol:
             processor=proc,
             iteration=iteration,
         )
-
-
-# ----------------------------------------------------------------------
-# Batch-engine variants: whole-line tag blocks instead of per-word
-# objects.  Only the tag representation changes — the signal chains,
-# directory updates and failure conditions are inherited unchanged.
-# ----------------------------------------------------------------------
-class _BatchPrivTagMixin:
-    """Tag-side block logic shared by both privatization variants."""
-
-    def _default_block(self, entry: RangeEntry, line_addr: int) -> PrivTagBlock:
-        decl = entry.decl
-        first = max(0, (line_addr - decl.base) // decl.elem_bytes)
-        span = self.ctx.params.elems_per_line(decl.elem_bytes)
-        count = max(0, min(span, decl.length - first))
-        return PrivTagBlock(
-            first, [False] * count, [False] * count, [-1] * count
-        )
-
-    def on_cache_hit(
-        self,
-        proc: int,
-        line,
-        entry: RangeEntry,
-        index: int,
-        offset: int,
-        kind: AccessKind,
-        iteration: int,
-        now: float,
-    ) -> None:
-        self.ctx.stats.tag_checks += 1
-        block = line.spec_bits.get(BLOCK_KEY)
-        if block is None:
-            block = self._default_block(entry, line.line_addr)
-            line.spec_bits[BLOCK_KEY] = block
-        k = index - block.first_index
-        if block.epochs[k] == iteration:
-            read1st = block.read1sts[k]
-            wrote = block.writes[k]
-        else:
-            read1st = wrote = False
-        name = entry.shared_name or entry.decl.name
-        if kind is AccessKind.READ:
-            if not read1st and not wrote:
-                if block.epochs[k] != iteration:
-                    block.writes[k] = False
-                    block.epochs[k] = iteration
-                block.read1sts[k] = True
-                self._hit_read_signal(proc, name, index, iteration, now)
-        else:
-            if not wrote:
-                if block.epochs[k] != iteration:
-                    block.read1sts[k] = False
-                    block.epochs[k] = iteration
-                block.writes[k] = True
-                self._hit_write_signal(proc, name, index, iteration, now)
-
-
-class BatchPrivProtocol(_BatchPrivTagMixin, PrivProtocol):
-    def fill_line(
-        self, proc: int, line, entry: RangeEntry, first: int, count: int,
-        iteration: int,
-    ) -> None:
-        name = entry.shared_name or entry.decl.name
-        table = self._private[(name, proc)]
-        end = first + count
-        read1sts = (table.pmax_r1st[first:end] == iteration).tolist()
-        writes = (table.pmax_w[first:end] == iteration).tolist()
-        epochs = [
-            iteration if (r or w) else -1 for r, w in zip(read1sts, writes)
-        ]
-        line.spec_bits[BLOCK_KEY] = PrivTagBlock(first, read1sts, writes, epochs)
-
-    def _hit_read_signal(self, proc, name, index, iteration, now):
-        self._send_read_first_signal(proc, name, index, iteration, now)
-
-    def _hit_write_signal(self, proc, name, index, iteration, now):
-        self._send_first_write_signal(proc, name, index, iteration, now)
-
-
-class BatchPrivSimpleProtocol(_BatchPrivTagMixin, PrivSimpleProtocol):
-    def fill_line(
-        self, proc: int, line, entry: RangeEntry, first: int, count: int,
-        iteration: int,
-    ) -> None:
-        name = entry.shared_name or entry.decl.name
-        table = self._private[(name, proc)]
-        end = first + count
-        valid = table.epoch[first:end] == iteration
-        read1sts = (table.read1st[first:end] & valid).tolist()
-        writes = (table.write[first:end] & valid).tolist()
-        epochs = [
-            iteration if (r or w) else -1 for r, w in zip(read1sts, writes)
-        ]
-        line.spec_bits[BLOCK_KEY] = PrivTagBlock(first, read1sts, writes, epochs)
-
-    def _hit_read_signal(self, proc, name, index, iteration, now):
-        self._send_read_signal(proc, name, index, iteration, now)
-
-    def _hit_write_signal(self, proc, name, index, iteration, now):
-        self._send_write_signal(proc, name, index, iteration, now)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """The ``bench`` subcommand: simulator-throughput regression harness.
 
 Measures host wall-clock time of one representative speculative run
-across the full engine x instrumentation matrix — all three execution
-engines (``scalar``, the reference; ``batch``, the bit-identical fast
-path; ``vector``, the whole-phase numpy kernel tier) under three
+across the full engine x instrumentation matrix — both execution
+tiers (``scalar``, the reference; ``vector``, the whole-phase numpy
+kernel tier) under three
 instrumentation levels: bare (no bus attached), telemetry (full
 event recording) and monitors (invariant monitors + forensics
 recorder).  Every matrix cell runs under the same static-chunk
-schedule so the scalar/batch/vector columns compare like for like.
+schedule so the scalar/vector columns compare like for like.
 Repetitions are interleaved so host-load drift hits every cell
 equally, and the result is a machine-readable JSON document::
 
@@ -19,11 +19,10 @@ equally, and the result is a machine-readable JSON document::
         "scalar": {"bare": {"best_s": ..., "iters_per_s": ...},
                    "telemetry": {"best_s": ..., "overhead_pct": ...},
                    "monitors":  {"best_s": ..., "overhead_pct": ...}},
-        "batch":  {...},
         "vector": {...},
-        "batch-fail":     {"bare": {...}},   # scenario rows, bare only
+        "scalar-fail":    {"bare": {...}},   # scenario rows, bare only
         "vector-fail":    {"bare": {...}},
-        "batch-dynamic":  {"bare": {...}},
+        "scalar-dynamic": {"bare": {...}},
         "vector-dynamic": {"bare": {...}}
       },
       "bare": {...}, "telemetry": {...}, "monitors": {...},   # scalar
@@ -31,11 +30,11 @@ equally, and the result is a machine-readable JSON document::
     }
 
 Beyond the matrix, two *scenario* rows time the vector tier against
-batch off its static PASS path: ``fail`` (the same workload with one
+scalar off its static PASS path: ``fail`` (the same workload with one
 injected cross-processor flow dependence, so every run aborts and
 re-executes serially; the vector tier localizes the FAIL natively) and
 ``dynamic`` (dynamic self-scheduling on a contention-free machine,
-which the vector tier delegates to batch).  Scenario rows are
+which the vector tier delegates to scalar).  Scenario rows are
 bare-level only and keyed as pseudo-engines (``vector-fail`` etc.) so
 ``benchdiff`` picks them up without a schema change.
 
@@ -71,17 +70,17 @@ from .pool import PoolTask, run_tasks
 BENCH_ITERATIONS = 48
 BENCH_ELEMENTS = 1024
 BENCH_PROCESSORS = 4
-ENGINES = ("scalar", "batch", "vector")
+ENGINES = ("scalar", "vector")
 LEVELS = ("bare", "telemetry", "monitors")
-#: Scenario rows: batch vs vector off the static PASS path —
+#: Scenario rows: scalar vs vector off the static PASS path —
 #: every-run-FAILs (localized natively) and dynamic self-scheduling
-#: (delegated to batch).
+#: (delegated to scalar).
 SCENARIOS = ("fail", "dynamic")
-SCENARIO_ENGINES = ("batch", "vector")
+SCENARIO_ENGINES = ENGINES
 
 
 def _bench_config(engine: str, **extra) -> RunConfig:
-    # Static-chunk for every matrix cell so the scalar/batch/vector
+    # Static-chunk for every matrix cell so the scalar/vector
     # columns measure the same schedule (the scenario rows below cover
     # the dynamic-schedule comparison explicitly).
     return RunConfig(
@@ -329,16 +328,14 @@ def run_bench(
             f"monitors {e['monitors']['overhead_pct']:+.1f}%"
         )
     lines.append(
-        "  bare speedups: "
-        f"batch/scalar {best[('scalar', 'bare')] / best[('batch', 'bare')]:.2f}x, "
-        f"vector/batch {best[('batch', 'bare')] / best[('vector', 'bare')]:.2f}x, "
+        "  bare speedup: "
         f"vector/scalar {best[('scalar', 'bare')] / best[('vector', 'bare')]:.2f}x"
     )
     for scenario in SCENARIOS:
-        b, v = best[("batch", scenario)], best[("vector", scenario)]
+        s, v = best[("scalar", scenario)], best[("vector", scenario)]
         lines.append(
-            f"  {scenario:7s} batch: {b * 1e3:8.1f} ms  "
-            f"vector: {v * 1e3:8.1f} ms  (vector/batch {b / v:.2f}x)"
+            f"  {scenario:7s} scalar: {s * 1e3:8.1f} ms  "
+            f"vector: {v * 1e3:8.1f} ms  (vector/scalar {s / v:.2f}x)"
         )
     if ledger is not None:
         key, deduped = ledger.record_bench(doc, label=out)

@@ -32,6 +32,8 @@ from ..obs.ledger import (
 )
 from . import benchdiff
 
+#: column order for bench history; documents before the batch engine was
+#: folded into scalar still carry a ``batch`` column.
 ENGINE_ORDER = ("scalar", "batch", "vector")
 
 

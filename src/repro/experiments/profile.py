@@ -28,7 +28,7 @@ from .pool import PoolTask, derive_seed, run_tasks
 
 #: one profiled run per (engine, rep) cell — small by design: the verb
 #: is a smoke-profile, not a benchmark
-PROFILE_ENGINES = ("scalar", "batch", "vector")
+PROFILE_ENGINES = ("scalar", "vector")
 PROFILE_REPS = 2
 
 

@@ -135,7 +135,7 @@ class Directory:
         state, owner, sharers)`` tuples, one per line homed here; each
         replaces whatever entry the line had.  Untimed maintenance — no
         occupancy, no transaction count, no events: the per-transaction
-        bookkeeping belongs to the op-by-op engines."""
+        bookkeeping belongs to the op-by-op engine."""
         entries = self._entries
         for line_addr, state, owner, sharers in items:
             ent = entries.get(line_addr)

@@ -72,15 +72,10 @@ class SpanProfiler:
     at construction).  ``t0_wall`` (``time.time``) anchors the profiler
     on the shared wall clock so snapshots from different processes merge
     onto one timeline with no inversions.
-
-    ``fine`` opts into high-volume spans (per-burst fast-loop spans in
-    the batch engine); the default records coarse spans only so an
-    installed profiler stays within the bench overhead gate.
     """
 
-    def __init__(self, track: str = "main", fine: bool = False) -> None:
+    def __init__(self, track: str = "main") -> None:
         self.track = track
-        self.fine = fine
         self.pid = os.getpid()
         self.t0_perf = time.perf_counter()
         self.t0_wall = time.time()
@@ -221,9 +216,9 @@ class WorkerCapture:
     #: bounded obs-event sample per task (BoundedLog drops oldest half)
     EVENT_CAPACITY = 2048
 
-    def __init__(self, label: str = "", fine: bool = False) -> None:
+    def __init__(self, label: str = "") -> None:
         self.label = label
-        self.profiler = SpanProfiler(track=f"task:{label}" if label else "task", fine=fine)
+        self.profiler = SpanProfiler(track=f"task:{label}" if label else "task")
         self.bus = EventBus()
         self.recorder = EventRecorder(capacity=self.EVENT_CAPACITY)
         self.recorder.subscribe(self.bus)
@@ -300,9 +295,8 @@ class ProfileSession:
     one merged multi-process Chrome trace and a p50/p95 rollup.
     """
 
-    def __init__(self, label: str = "profile", fine: bool = False) -> None:
+    def __init__(self, label: str = "profile") -> None:
         self.label = label
-        self.fine = fine
         self.profiler = SpanProfiler(track="parent")
         self.tasks: List[Dict[str, Any]] = []
         self.pool: Dict[str, Any] = {}

@@ -34,7 +34,7 @@ from ..obs.events import (
 from ..obs import spans
 from ..obs.provenance import RunProvenance, run_provenance
 from ..params import MachineParams
-from ..sim.machine import Machine
+from ..sim.machine import Machine, check_engine
 from ..sim.processor import Mutex
 from ..sim.stats import TimeBreakdown
 from ..trace.loop import Loop
@@ -70,20 +70,17 @@ class RunConfig:
     """Knobs shared by the parallel scenarios."""
 
     schedule: ScheduleSpec = dataclasses.field(default_factory=ScheduleSpec)
-    #: simulation engine: ``"scalar"`` executes one event per shared
-    #: access with per-word tag objects; ``"batch"`` uses whole-line tag
-    #: blocks and keeps processors executing inline while no other
-    #: pending event could legally run first — observably equivalent to
-    #: scalar (verdicts, timing, directory end-state), enforced by the
-    #: differential conformance suite (tests/test_differential.py).
-    #: ``"vector"`` (HW scenario) rebuilds the quiescent fast path as
-    #: whole-phase numpy kernels (runtime/vector.py): verdict and
-    #: failure-attribution conformant with scalar, but free to relax
+    #: execution tier: ``"scalar"`` (the reference) simulates every
+    #: phase op by op, one event per shared access, with per-word tag
+    #: objects.  ``"vector"`` (HW scenario) rebuilds the quiescent loop
+    #: phase as whole-phase numpy kernels (runtime/vector.py): verdict
+    #: and failure-attribution conformant with scalar, but free to relax
     #: internal trace ordering and timing.  Static schedules are decided
     #: natively (PASS and FAIL — failing runs are localized and replayed
-    #: on a batch machine for exact attribution); dynamic schedules
-    #: delegate the whole run to the batch engine.  Pinned by
+    #: on a scalar machine for exact attribution); dynamic schedules
+    #: delegate the whole run to scalar.  Pinned by
     #: ``repro.testing.diffcheck`` in its ``verdict`` signature mode.
+    #: Any other value raises :class:`ConfigurationError` here.
     engine: str = "scalar"
     #: dense backup copies whole arrays; sparse backs up only the lines
     #: that the loop will write (hash-table saves of §2.2.1).
@@ -126,14 +123,12 @@ class RunConfig:
     #: is not even imported.
     ledger: Optional[object] = None
 
+    def __post_init__(self) -> None:
+        check_engine(self.engine)
+
 
 def _engine_of(config: "Optional[RunConfig]") -> str:
-    engine = config.engine if config is not None else "scalar"
-    if engine not in ("scalar", "batch", "vector"):
-        raise ConfigurationError(
-            f"unknown engine {engine!r}: use 'scalar', 'batch' or 'vector'"
-        )
-    return engine
+    return config.engine if config is not None else "scalar"
 
 
 def _apply_hook(config: "Optional[RunConfig]", machine: Machine) -> None:

@@ -1,7 +1,7 @@
 """Whole-phase vectorized execution of the hardware scheme (``engine="vector"``).
 
-The third execution tier.  Instead of simulating the quiescent loop
-phase op by op (scalar) or in batched bursts (batch), the vector tier:
+The second execution tier.  Instead of simulating the quiescent loop
+phase op by op like the scalar reference engine, the vector tier:
 
 1. *extracts* the loop's access trace by walking the same per-processor
    op streams the other engines execute (:func:`loop_streams` — so
@@ -23,17 +23,16 @@ and ``tests/test_differential.py``): the vector tier is
 same pass/fail, same failure reason/element/iteration/processor, same
 detection cycle and iteration assignment.  It deliberately relaxes
 internal trace ordering and timing (wall clock, per-phase times, memory
-counters, directory end-state), which the full scalar-vs-batch
-signature still pins.
+counters, directory end-state).
 
 Safety is by *delegation*, never by guessing.  Every static-schedule
 run is decided natively.  A kernel FAIL is decided natively too: the
 FAIL-localizing kernels name the candidate elements, and one op-by-op
-batch attempt (aborted at the first FAIL, exactly like scalar) supplies
-the exact attribution — reason, element, iteration, processor,
-detection cycle — which is cross-checked against the candidate set.
-Wholesale batch delegation covers dynamic self-scheduling, whose
-emergent grab order only the op-by-op engines reproduce (the paper's
+scalar attempt (aborted at the first FAIL) supplies the exact
+attribution — reason, element, iteration, processor, detection cycle —
+which is cross-checked against the candidate set.  Wholesale scalar
+delegation covers dynamic self-scheduling, whose emergent grab order
+only the op-by-op engine reproduces (the paper's
 machine models contention, so the protocol's messages steer it), and
 is the fallback when a localized replay disagrees with the kernels.
 Kernel PASS implies scalar PASS (the kernels are conservative), so a
@@ -110,7 +109,7 @@ def _extract(
 ) -> _Extraction:
     """Walk the real per-processor op streams and record every access.
 
-    Uses the same :func:`loop_streams` the scalar/batch engines execute,
+    Uses the same :func:`loop_streams` the scalar engine executes,
     so static planning, chunk virtualization and the §3.3 epoch
     partitioning (including its ``SchedulingError`` rejections) are
     byte-for-byte shared.
@@ -480,9 +479,9 @@ def _fail_path(
     delegation.
 
     The localization kernels have already named the candidate failing
-    elements per array.  One op-by-op batch attempt — the same
+    elements per array.  One op-by-op scalar attempt — the same
     backup + speculative-doall code path :func:`run_hw` uses, aborted
-    at the first FAIL exactly like scalar — supplies the attribution
+    at the first FAIL — supplies the attribution
     (reason, element, iteration, processor, detection cycle), which
     must land in the candidate set; if it does not (or the attempt
     unexpectedly passes), the run falls back to wholesale delegation.
@@ -502,7 +501,7 @@ def _fail_path(
         _run_phase,
     )
 
-    machine = Machine(params, with_speculation=True, engine="batch")
+    machine = Machine(params, with_speculation=True, engine="scalar")
     _apply_hook(config, machine)
     _begin_run(machine, Scenario.HW, loop)
     assert machine.spec is not None
@@ -569,11 +568,11 @@ def _fail_path(
 
 
 def _delegate(loop, params, config, serial_result, reason):
-    """Re-run the whole case on the batch engine (observably identical
-    to scalar), re-stamping provenance so the result still names the
-    configuration the caller asked for.
+    """Re-run the whole case on the scalar engine, re-stamping
+    provenance so the result still names the configuration the caller
+    asked for.
 
-    The inner run is given no ledger: it would archive under the batch
+    The inner run is given no ledger: it would archive under the scalar
     config's content address, which the caller's future vector-keyed
     lookups can never hit.  Instead the finished result — with its
     vector provenance restored — is committed here under the caller's
@@ -586,9 +585,9 @@ def _delegate(loop, params, config, serial_result, reason):
         prof.count("vector.delegations")
         handle = prof.begin("vector.delegate", cat="vector", reason=reason)
     t0 = time.perf_counter()
-    batch = dataclasses.replace(config, engine="batch", ledger=None)
+    scalar = dataclasses.replace(config, engine="scalar", ledger=None)
     try:
-        result = run_hw(loop, params, batch, serial_result)
+        result = run_hw(loop, params, scalar, serial_result)
     finally:
         if prof is not None:
             prof.end(handle)
@@ -637,7 +636,7 @@ def run_hw_vector(
     config = config or RunConfig()
     if config.schedule.policy is SchedulePolicy.DYNAMIC:
         # The emergent grab order depends on the whole cost model; only
-        # the op-by-op engines know it.
+        # the op-by-op engine knows it.
         return _delegate(loop, params, config, serial_result,
                          reason="dynamic-schedule")
     has_priv = any(

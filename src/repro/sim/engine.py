@@ -88,23 +88,6 @@ class Engine(Scheduler):
             return heapq.heappop(self._heap)
         return None
 
-    def next_pending_time(self) -> float:
-        """Earliest pending event time across both heaps (inf if idle).
-
-        The batch-engine processor fast path keeps executing ops inline
-        while its local clock stays strictly below this time: a freshly
-        posted resume always has a larger sequence number than anything
-        already pending, so strictly-earlier local work is exactly the
-        work the scalar engine would have run first anyway.
-        """
-        if self._msg_heap:
-            if self._heap and self._heap[0][0] < self._msg_heap[0][0]:
-                return self._heap[0][0]
-            return self._msg_heap[0][0]
-        if self._heap:
-            return self._heap[0][0]
-        return float("inf")
-
     def flush_messages(self) -> int:
         """Deliver every in-flight protocol message immediately (in time
         order).  Used at epoch synchronization points (§3.3), where the

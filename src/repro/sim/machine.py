@@ -6,10 +6,26 @@ from typing import Optional
 
 from ..address import AddressSpace
 from ..core.engine import SpeculationEngine
+from ..errors import ConfigurationError
 from ..memsys.system import MemorySystem
 from ..params import MachineParams
 from .engine import Engine
 from .processor import Barrier, Mutex
+
+#: The execution tiers a machine can be built for.  Both run every
+#: phase op by op on the same event loop; ``"vector"`` only labels a
+#: machine built by the whole-phase tier in ``runtime/vector.py``.
+ENGINES = ("scalar", "vector")
+
+
+def check_engine(engine: str) -> str:
+    """``engine`` unchanged, or :class:`ConfigurationError` if it names
+    no execution tier."""
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}: use 'scalar' or 'vector'"
+        )
+    return engine
 
 
 class Machine:
@@ -29,12 +45,8 @@ class Machine:
         with_speculation: bool = True,
         engine: str = "scalar",
     ) -> None:
-        if engine not in ("scalar", "batch", "vector"):
-            raise ValueError(
-                f"unknown engine {engine!r}: use 'scalar', 'batch' or 'vector'"
-            )
         self.params = params
-        self.engine_mode = engine
+        self.engine_mode = check_engine(engine)
         self.space = space or AddressSpace(
             params.num_nodes, params.page_bytes, params.line_bytes
         )
@@ -43,18 +55,11 @@ class Machine:
         self.engine = Engine(self.memsys, self.space, spec=None)
         #: telemetry bus (repro.obs.EventBus), wired by attach_bus()
         self.bus = None
-        # The vector tier runs every phase it executes op-by-op (backup,
-        # copy-out, aggregate segments) through the batch fast path; the
-        # whole-phase kernels live above the machine, in runtime/vector.
-        if engine in ("batch", "vector"):
-            for proc in self.engine.processors:
-                proc.fast = True
         if with_speculation:
             self.spec = SpeculationEngine(
                 params,
                 self.space,
                 scheduler=self.engine.message_scheduler,
-                batch=(engine in ("batch", "vector")),
             )
             self.spec.attach(self.memsys)
             self.spec.ctx.clock = self.engine

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, Iterator, List, Optional, TYPE_CHECKING
+from typing import Iterator, List, Optional, TYPE_CHECKING
 
 from ..trace.ops import AccessOp, ComputeOp, LocalOp
 from ..types import AccessKind
@@ -171,40 +171,21 @@ class Processor:
         self.stats = PerProcStats()
         self.finish_time: float = -1.0
         self.current_iteration: int = 0
-        #: batch-engine fast path: skip the post-and-resume round trip
-        #: through the event heap whenever no other pending work could
-        #: legally run first (an exact transformation; see _run_fast).
-        self.fast = False
         self._ops: Optional[Iterator[object]] = None
         self._blocked_on: Optional[Barrier] = None
         self._pending_op: Optional[object] = None
-        self._addr_map: dict = {}
 
     # ------------------------------------------------------------------
     def start(self, ops: Iterator[object], time: float) -> None:
         self._ops = ops
         self.state = ProcState.RUNNING
         self.finish_time = -1.0
-        if self.fast:
-            # Addresses of non-redirected arrays are static for the
-            # whole phase (registration and arming happen between
-            # phases), so resolve() collapses to one dict probe.
-            spec = self.engine.spec
-            if spec is not None:
-                self._addr_map = spec.static_address_map()
-            else:
-                self._addr_map = {
-                    d.name: (d.base, d.elem_bytes, d.length)
-                    for d in self.engine.space.decls()
-                }
-            self.engine.post(time, self._run_fast)
-            return
         self.engine.post(time, self._resume)
 
     def unblock(self, time: float) -> None:
         self.state = ProcState.RUNNING
         self._blocked_on = None
-        self.engine.post(time, self._run_fast if self.fast else self._resume)
+        self.engine.post(time, self._resume)
 
     def abort(self, time: float) -> None:
         self.state = ProcState.ABORTED
@@ -235,9 +216,6 @@ class Processor:
             self.abort(max(now, self.engine.abort_time()))
             return
         assert self._ops is not None
-        if self.fast:  # stale post from before the mode switch
-            self._run_fast(now)
-            return
         memsys = self.engine.memsys
         t = now
         while True:
@@ -330,198 +308,5 @@ class Processor:
                     self._blocked_on = op.barrier
                     return
                 self.engine.post(release, self._resume)
-                return
-            raise TypeError(f"unknown op {op!r}")
-
-    def _run_fast(self, now: float) -> None:
-        """Batch-engine resume callback: profiling shim over the real
-        loop in :meth:`_run_fast_inner`.
-
-        With no ambient profiler (the null path) this is one attribute
-        read and an ``is None`` test per burst.  With a coarse profiler
-        each burst bumps a counter on the enclosing epoch span; a
-        ``fine`` profiler records one wall-clock span per burst.
-        """
-        prof = self.engine.profiler
-        if prof is None:
-            self._run_fast_inner(now)
-        elif prof.fine:
-            handle = prof.begin(
-                "fast-burst", cat="batch", tid=self.id + 1, proc=self.id
-            )
-            try:
-                self._run_fast_inner(now)
-            finally:
-                prof.end(handle)
-        else:
-            prof.count("batch.fast_bursts")
-            self._run_fast_inner(now)
-
-    def _run_fast_inner(self, now: float) -> None:
-        """Batch-engine op loop: an exact transformation of the scalar
-        loop in :meth:`_resume`.
-
-        The scalar loop posts-and-returns after every shared access so
-        accesses interleave across processors in global time order.
-        When no pending event is timestamped at or before the local
-        clock, that round trip through the event heap is a no-op: the
-        engine would pop our own freshly posted resume right back.  This
-        loop keeps executing inline in exactly that case.  ``anchor``
-        tracks the time the scalar loop would have last resumed at
-        (reset after every shared op, where the scalar loop always
-        yields), so the BATCH_CYCLES compute-batching boundaries — and
-        therefore abort timing — land on the same cycles in both modes.
-
-        Posted directly as the resume callback in fast mode, so it
-        repeats :meth:`_resume`'s entry checks (done/aborted state,
-        pending abort) instead of paying the trampoline per event.
-        """
-        state = self.state
-        if state is ProcState.DONE or state is ProcState.ABORTED:
-            return
-        engine = self.engine
-        if engine._abort_on_failure:
-            spec_ = engine.spec
-            if spec_ is not None and spec_.controller.failure is not None:
-                self.abort(max(now, engine.abort_time()))
-                return
-        memsys = engine.memsys
-        # Everything below is bound to locals: this loop executes a few
-        # thousand ops per phase and attribute chases dominate it.
-        pid = self.id
-        stats = self.stats
-        ops_next = self._ops.__next__
-        post = engine.post
-        resume = self._run_fast
-        amap_get = self._addr_map.get
-        heap = engine._heap
-        msg_heap = engine._msg_heap
-        mem_read = memsys.read
-        mem_write = memsys.write
-        batch_cycles = self.BATCH_CYCLES
-        inf = float("inf")
-        spec = engine.spec
-        ctrl = spec.controller if spec is not None else None
-        # Constant for the duration of a phase (set in run_phase before
-        # any processor starts, cleared after quiescence).
-        abort_armed = engine._abort_on_failure and ctrl is not None
-        t = now
-        anchor = now
-        while True:
-            op = self._pending_op
-            if op is not None:
-                self._pending_op = None
-            else:
-                try:
-                    op = ops_next()
-                except StopIteration:
-                    self._finish(t)
-                    return
-            cls = op.__class__
-            if t > anchor:
-                # Same condition as the scalar loop's yield gate, with
-                # next_pending_time() inlined (ops are never subclassed,
-                # so class identity substitutes for isinstance).
-                if t - anchor >= batch_cycles:
-                    self._pending_op = op
-                    post(t, resume)
-                    return
-                if cls is AccessOp or cls is BarrierOp or cls is MutexOp:
-                    if msg_heap:
-                        npt = msg_heap[0][0]
-                        if heap and heap[0][0] < npt:
-                            npt = heap[0][0]
-                    elif heap:
-                        npt = heap[0][0]
-                    else:
-                        npt = inf
-                    if t >= npt:
-                        self._pending_op = op
-                        post(t, resume)
-                        return
-            if cls is AccessOp:
-                kind = op.kind
-                ent = amap_get(op.array)
-                index = op.index
-                if ent is not None and 0 <= index < ent[2]:
-                    addr = ent[0] + index * ent[1]
-                elif ctrl is not None and ctrl.armed:
-                    addr = spec.resolve(pid, op.array, index, kind)
-                else:
-                    addr = engine.space.array(op.array).addr_of(index)
-                if kind is AccessKind.READ:
-                    res = mem_read(pid, addr, t)
-                else:
-                    res = mem_write(pid, addr, t)
-                stats.busy += res.issue_cycles
-                stats.mem += res.stall_cycles
-                t += res.total
-                anchor = t
-                # The access may have queued protocol messages due at or
-                # before t, or detected a FAIL: both require the scalar
-                # post-and-return behavior.
-                if msg_heap:
-                    npt = msg_heap[0][0]
-                    if heap and heap[0][0] < npt:
-                        npt = heap[0][0]
-                elif heap:
-                    npt = heap[0][0]
-                else:
-                    npt = inf
-                if t >= npt or (abort_armed and ctrl.failure is not None):
-                    post(t, resume)
-                    return
-                continue
-            if cls is ComputeOp:
-                stats.busy += op.cycles
-                t += op.cycles
-                continue
-            if cls is LocalOp:
-                stats.busy += 1
-                t += 1
-                continue
-            if cls is IterBeginOp:
-                self.current_iteration = op.iteration
-                if spec is not None:
-                    spec.set_iteration(pid, op.virtual)
-                if op.overhead_cycles:
-                    stats.busy += op.overhead_cycles
-                    t += op.overhead_cycles
-                continue
-            if cls is BusyCostOp:
-                stats.busy += op.cycles
-                t += op.cycles
-                continue
-            if cls is AggregateCostOp:
-                stats.busy += op.busy
-                stats.mem += op.mem
-                t += op.busy + op.mem
-                continue
-            if cls is SyncCostOp:
-                stats.sync += op.cycles
-                t += op.cycles
-                continue
-            if cls is EpochSyncOp:
-                engine.epoch_sync(op.epoch)
-                stats.sync += op.cycles
-                t += op.cycles
-                continue
-            if cls is MutexOp:
-                wait = op.mutex.acquire(t, op.hold_cycles)
-                stats.sync += wait
-                stats.busy += op.hold_cycles
-                t += wait + op.hold_cycles
-                post(t, resume)
-                return
-            if cls is BarrierOp:
-                drain = memsys.drain_write_buffer(pid, t)
-                stats.mem += drain
-                t += drain
-                release = op.barrier.arrive(self, t, engine.bus)
-                if release is None:
-                    self.state = ProcState.BLOCKED
-                    self._blocked_on = op.barrier
-                    return
-                post(release, resume)
                 return
             raise TypeError(f"unknown op {op!r}")

@@ -1,8 +1,8 @@
 """Test-support tooling shipped with the package.
 
 The one resident so far is the differential conformance harness
-(:mod:`repro.testing.diffcheck`), which checks that the scalar and
-batch simulation engines produce identical protocol outcomes on
+(:mod:`repro.testing.diffcheck`), which checks that the vector tier
+reaches the scalar engine's verdicts and failure attributions on
 randomized workloads.  It lives in the package (not under ``tests/``)
 so a failing seed can be replayed from any checkout with::
 

@@ -1,36 +1,27 @@
-"""Differential conformance harness: scalar engine vs batch/vector engine.
+"""Differential conformance harness: scalar engine vs vector tier.
 
-The batch execution engine (``RunConfig(engine="batch")``) re-implements
-the processor op loop and the speculation protocols' tag-side state for
-speed.  Its correctness contract is *observational equivalence* with the
-scalar reference engine, and this module is the machine check of that
-contract: build a seeded random case (loop shape x schedule x protocol
-x injected dependence), run it through both engines, and compare
-
-* the verdict (``passed``), the failure reason, culprit element,
-  iteration and detecting processor, and the detection cycle;
-* the final speculation-directory state (every element-state table of
-  every registered array) and the final coherence-directory state;
-* the timing surface — wall clock, per-phase durations — plus the
-  protocol message count and the memory-system counters.  The engines
-  are maintained *bit-identical*, which is stronger than the protocol
-  equivalence the conformance suite strictly needs; comparing timing
-  too means any future divergence is caught here first, with a seed,
-  instead of surfacing as an unexplained figure shift.
-
-The vector tier (``RunConfig(engine="vector")``, ``--engine vector``)
-has a deliberately weaker contract — verdict/failure-attribution
-conformance — so it is compared under the relaxed ``verdict``
-*signature mode* (:func:`verdict_signature`): pass/fail, failure
+The vector tier (``RunConfig(engine="vector")``) decides the quiescent
+loop phase with whole-phase numpy kernels instead of simulating it op
+by op.  Its correctness contract is *verdict/failure-attribution
+conformance* with the scalar reference engine, and this module is the
+machine check of that contract: build a seeded random case (loop shape
+x schedule x protocol x injected dependence), run it through both
+engines, and compare the relaxed ``verdict`` *signature*
+(:func:`verdict_signature`): pass/fail, failure
 reason/element/iteration/processor, detection cycle and iteration
-assignment, with timing, tables and trace ordering left free.  The
-signature mode is picked per engine by :func:`signature_mode_of` and
-named in every mismatch message.
+assignment, with timing, tables and trace ordering left free.
+
+The full signature (:func:`conformance_signature`) additionally covers
+the final speculation-directory and coherence-directory state, the
+timing surface and the memory-system counters; tests use it to pin the
+scalar engine's own behaviour.  :func:`signature_mode_of` names the
+mode a candidate engine is held to, and every mismatch message names
+it too.
 
 Every mismatch message embeds the seed and engine, so a failing
 randomized test reproduces with one line::
 
-    python -m repro.testing.diffcheck --seed 12345 --engine batch --verbose
+    python -m repro.testing.diffcheck --seed 12345 --engine vector --verbose
 
 ``tests/test_differential.py`` sweeps seeds 0..N (N >= 200) through
 :func:`check_seed`.  :func:`run_seeds` fans a seed batch out across
@@ -158,7 +149,7 @@ def _random_body(
 #: that).  ``dynamic-nocontention`` reshapes every case, *after* all
 #: RNG draws, into a dynamically self-scheduled run on a contention-free
 #: machine: a corpus on which the vector tier delegates every case to
-#: batch (one ``dynamic-schedule`` delegation each).
+#: scalar (one ``dynamic-schedule`` delegation each).
 VARIANTS = ("baseline", "dynamic-nocontention")
 
 
@@ -335,7 +326,7 @@ def verdict_signature(sig: dict) -> dict:
 
 def signature_mode_of(engine: str) -> str:
     """Which signature a candidate engine is held to against scalar:
-    ``full`` (bit-identical, the batch contract) or ``verdict`` (the
+    ``full`` (bit-identical; only scalar itself) or ``verdict`` (the
     vector contract)."""
     return "verdict" if engine == "vector" else "full"
 
@@ -348,7 +339,7 @@ class DiffMismatch(AssertionError):
     """Raised when the two engines disagree; message carries the repro."""
 
 
-def run_case(case: CaseSpec, engine: str = "batch") -> Tuple[dict, dict]:
+def run_case(case: CaseSpec, engine: str = "vector") -> Tuple[dict, dict]:
     """Run one case through scalar and ``engine``; return both *full*
     signatures (callers project to the engine's signature mode)."""
     sigs = []
@@ -379,7 +370,7 @@ def _diff_keys(scalar_sig: dict, other_sig: dict, engine: str) -> List[str]:
 
 
 def _mismatch_message(
-    case: CaseSpec, scalar_sig: dict, other_sig: dict, engine: str = "batch"
+    case: CaseSpec, scalar_sig: dict, other_sig: dict, engine: str = "vector"
 ) -> str:
     mode = signature_mode_of(engine)
     detail = "\n".join(_diff_keys(scalar_sig, other_sig, engine))
@@ -392,7 +383,7 @@ def _mismatch_message(
 
 
 def check_seed(
-    seed: int, engine: str = "batch", variant: str = "baseline"
+    seed: int, engine: str = "vector", variant: str = "baseline"
 ) -> CaseSpec:
     """Build, run and compare one seed under ``engine``'s signature
     mode; raise :class:`DiffMismatch` with a one-line repro on any
@@ -407,7 +398,7 @@ def check_seed(
 
 
 def seed_verdict(
-    seed: int, engine: str = "batch", variant: str = "baseline"
+    seed: int, engine: str = "vector", variant: str = "baseline"
 ) -> Dict[str, object]:
     """One seed's sweep record, as plain data (pool-task friendly).
 
@@ -436,7 +427,7 @@ def run_seeds(
     jobs: int = 1,
     timeout: Optional[float] = None,
     bus=None,
-    engine: str = "batch",
+    engine: str = "vector",
     profile=None,
     variant: str = "baseline",
 ) -> List[Dict[str, object]]:
@@ -460,13 +451,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.testing.diffcheck",
         description="Replay differential conformance cases "
-        "(scalar vs batch/vector).",
+        "(scalar vs vector).",
     )
     parser.add_argument("--seed", type=int, help="run one specific seed")
     parser.add_argument(
-        "--engine", choices=("batch", "vector"), default="batch",
-        help="candidate engine compared against scalar; batch is held to "
-        "the full bit-identical signature, vector to the relaxed "
+        "--engine", choices=("vector",), default="vector",
+        help="candidate engine compared against scalar under the relaxed "
         "verdict/failure-attribution signature",
     )
     parser.add_argument(
@@ -474,7 +464,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="corpus variant: baseline keeps each seed's generated "
         "schedule/machine; dynamic-nocontention reshapes every case "
         "into dynamic self-scheduling on a contention-free machine "
-        "(which the vector tier delegates to batch)",
+        "(which the vector tier delegates to scalar)",
     )
     parser.add_argument(
         "--count", type=int, default=50,

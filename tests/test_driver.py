@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.params import MachineParams
 from repro.runtime import (
     RunConfig,
@@ -15,6 +16,7 @@ from repro.runtime import (
     run_serial,
     run_sw,
 )
+from repro.sim.machine import Machine
 from repro.trace import ArraySpec, Loop, compute, read, write
 from repro.types import ProtocolKind, Scenario
 
@@ -209,3 +211,23 @@ class TestAccounting:
         r = run_hw(loop, PARAMS, DYN)
         assert abs(r.breakdown.wall - sum(r.phases.values())) < 1.0
         assert abs(r.wall - sum(r.phases.values())) < 1.0
+
+
+class TestEngineValidation:
+    """An unknown engine is a configuration error when the config or
+    machine is built, not deep inside a run."""
+
+    @pytest.mark.parametrize("engine", ["batch", "bogus"])
+    def test_run_config_rejects_unknown_engine(self, engine):
+        with pytest.raises(ConfigurationError, match=repr(engine)):
+            RunConfig(engine=engine)
+
+    def test_machine_rejects_unknown_engine(self):
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            Machine(MachineParams(num_processors=2), engine="bogus")
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_known_engines_construct(self, engine):
+        assert RunConfig(engine=engine).engine == engine
+        machine = Machine(MachineParams(num_processors=2), engine=engine)
+        assert machine.engine_mode == engine

@@ -1,10 +1,9 @@
-"""End-to-end race coverage under both execution engines.
+"""End-to-end race coverage under both execution tiers.
 
 The machine-level protocol tests (test_nonpriv_protocol.py) drive the
-memory system directly, which bypasses the processor op loop — and
-therefore the scalar/batch engine split.  These tests rebuild the two
-subtlest non-privatization interleavings as *scheduled loops* so both
-engines execute them through ``run_hw``:
+memory system directly, which bypasses the processor op loop.  These
+tests rebuild the two subtlest non-privatization interleavings as
+*scheduled loops* so both tiers execute them through ``run_hw``:
 
 * a dirty line evicted while a ``First_update`` is still in flight
   (the victim writeback must merge tag state without tripping a
@@ -12,10 +11,9 @@ engines execute them through ``run_hw``:
 * a tag-local write on a dirty line that escapes every directory check
   and is only revealed by the loop-end dirty-line commit sweep.
 
-Each scenario asserts the protocol outcome *and* that the engines
-agree: scalar and batch on the full conformance signature, the vector
-tier on the relaxed verdict signature (pass/fail, failure attribution,
-detection cycle, assignment).
+Each scenario asserts the protocol outcome *and* that the vector tier
+agrees with scalar on the relaxed verdict signature (pass/fail, failure
+attribution, detection cycle, assignment).
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from repro.trace.loop import ArraySpec, Loop
 from repro.trace.ops import compute, read, write
 from repro.types import ProtocolKind
 
-ENGINES = ["scalar", "batch", "vector"]
+ENGINES = ["scalar", "vector"]
 
 # small_test_params: 64-byte lines (8 elements of 8 bytes), 64 L2 lines,
 # so element index 512 conflicts with element 0 in the L2.
@@ -65,16 +63,12 @@ def _run(
 
 
 def _all_engines(loop: Loop, *args, **kwargs):
-    """Run on all three engines (``_run``'s arguments) and assert
-    agreement: batch must match scalar bit-for-bit, vector must match
-    on the verdict projection."""
+    """Run on both tiers (``_run``'s arguments) and assert that vector
+    matches scalar on the verdict projection."""
     (scalar_result, scalar_machine) = _run(loop, "scalar", *args, **kwargs)
-    (batch_result, batch_machine) = _run(loop, "batch", *args, **kwargs)
     (vector_result, vector_machine) = _run(loop, "vector", *args, **kwargs)
     scalar_sig = conformance_signature(scalar_result, scalar_machine)
-    batch_sig = conformance_signature(batch_result, batch_machine)
     vector_sig = conformance_signature(vector_result, vector_machine)
-    assert scalar_sig == batch_sig
     assert verdict_signature(vector_sig) == verdict_signature(scalar_sig)
     return scalar_result, scalar_machine
 
@@ -139,9 +133,9 @@ class TestEvictionRacingFirstUpdate:
         assert not bool(table.priv[1])
 
     def test_engines_agree_on_eviction_races(self, engine):
-        # engine param unused: the point is the explicit three-way check.
+        # engine param unused: the point is the explicit two-way check.
         if engine != ENGINES[0]:
-            pytest.skip("three-way check runs once")
+            pytest.skip("two-way check runs once")
         _all_engines(_dirty_eviction_loop())
         _all_engines(_clean_eviction_loop())
 
@@ -158,7 +152,7 @@ class TestLoopEndDirtyLineCommit:
 
     def test_engines_agree_on_commit_verdict(self, engine):
         if engine != ENGINES[0]:
-            pytest.skip("three-way check runs once")
+            pytest.skip("two-way check runs once")
         result, _ = _all_engines(_commit_hole_loop())
         assert not result.passed
 
@@ -262,7 +256,7 @@ class TestVectorFailAttribution:
         assert _attribution(vector) == _attribution(scalar)
         # The emergent (aborted) grab order is part of the attribution.
         assert vector.assignment == scalar.assignment
-        assert delegations == 1, "dynamic schedules delegate to batch"
+        assert delegations == 1, "dynamic schedules delegate to scalar"
 
 
 # ----------------------------------------------------------------------
@@ -281,8 +275,7 @@ def _body(spec: str):
 # processors race First_updates to one line; the loser's
 # First_update_fail must turn its line tag OTHER/ROnly, so its later
 # write FAILs at the tag (Fig 6-(c)) in every engine.  ``line0`` races
-# on the first line, where the correction lands in the batch engine's
-# line tag block; the ``line3`` cases race on line 3, so the messages
+# on the first line; the ``line3`` cases race on line 3, so the messages
 # must be addressed to line 3, not to element 3's line.
 LINE_BITS_RACES = {
     "line0-static": (

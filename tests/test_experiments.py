@@ -247,11 +247,11 @@ class TestCLI:
         assert "overhead_pct" in doc["telemetry"]
         assert "overhead_pct" in doc["monitors"]
         assert doc["provenance"]["config_hash"]
-        # The engine matrix covers all three engines at every level,
-        # plus the bare-only FAIL-heavy and dynamic scenario rows.
-        scenario_rows = {"batch-fail", "vector-fail",
-                         "batch-dynamic", "vector-dynamic"}
-        assert set(doc["engines"]) == {"scalar", "batch", "vector"} | scenario_rows
+        # The engine matrix covers both tiers at every level, plus the
+        # bare-only FAIL-heavy and dynamic scenario rows.
+        scenario_rows = {"scalar-fail", "vector-fail",
+                         "scalar-dynamic", "vector-dynamic"}
+        assert set(doc["engines"]) == {"scalar", "vector"} | scenario_rows
         for engine, levels in doc["engines"].items():
             if engine in scenario_rows:
                 assert set(levels) == {"bare"}
@@ -261,8 +261,8 @@ class TestCLI:
         # Top level mirrors the scalar engine (PR3-era shape).
         assert doc["bare"] == doc["engines"]["scalar"]["bare"]
         out = capsys.readouterr().out
-        assert "wrote" in out and "bare speedups: batch/scalar" in out
-        assert "vector/batch" in out
+        assert "wrote" in out and "bare speedup: vector/scalar" in out
+        assert "(vector/scalar" in out
         assert "fail" in out and "dynamic" in out
 
     def test_cli_bench_parallel_cells(self, tmp_path, capsys):
@@ -275,8 +275,8 @@ class TestCLI:
                      "--bench-reps", "1", "--jobs", "2"]) == 0
         doc = json.loads(out_path.read_text())
         assert set(doc["engines"]) == {
-            "scalar", "batch", "vector",
-            "batch-fail", "vector-fail", "batch-dynamic", "vector-dynamic",
+            "scalar", "vector",
+            "scalar-fail", "vector-fail", "scalar-dynamic", "vector-dynamic",
         }
         for levels in doc["engines"].values():
             assert levels["bare"]["iters_per_s"] > 0
@@ -350,7 +350,9 @@ class TestCLI:
             (tmp_path / "profile-rollup.json").read_text()
         )
         assert rollup["tasks"] == len(task_spans)
-        assert set(rollup["phase_breakdown_s"]) >= {"scalar", "batch"}
+        # Track self-schedules dynamically, so its vector runs delegate
+        # to scalar and every phase lands under the scalar tier.
+        assert set(rollup["phase_breakdown_s"]) >= {"scalar"}
         out = capsys.readouterr().out
         assert "wrote" in out and "task wall" in out
 
@@ -373,7 +375,7 @@ class TestCLI:
 
 class TestBenchDiff:
     @staticmethod
-    def _doc(scalar_bare, batch_bare, factor=1.5):
+    def _doc(scalar_bare, vector_bare, factor=1.5):
         def cell(s):
             return {"best_s": s, "iters_per_s": 48 / s}
 
@@ -385,9 +387,9 @@ class TestBenchDiff:
                 "scalar": {"bare": cell(scalar_bare),
                            "telemetry": over(scalar_bare * factor),
                            "monitors": over(scalar_bare * factor)},
-                "batch": {"bare": cell(batch_bare),
-                          "telemetry": over(batch_bare * factor),
-                          "monitors": over(batch_bare * factor)},
+                "vector": {"bare": cell(vector_bare),
+                           "telemetry": over(vector_bare * factor),
+                           "monitors": over(vector_bare * factor)},
             }
         }
 
@@ -413,10 +415,10 @@ class TestBenchDiff:
         base = tmp_path / "base.json"
         cur = tmp_path / "cur.json"
         base.write_text(json.dumps(self._doc(0.020, 0.014)))
-        cur.write_text(json.dumps(self._doc(0.020, 0.020)))  # batch +43%
+        cur.write_text(json.dumps(self._doc(0.020, 0.020)))  # vector +43%
         assert main([str(base), str(cur), "--threshold", "15"]) == 0
         out = capsys.readouterr().out
-        assert "::warning::bench regression: batch/bare" in out
+        assert "::warning::bench regression: vector/bare" in out
         assert main([str(base), str(cur), "--strict"]) == 1
 
     def test_understands_flat_pr3_shape(self, tmp_path):

@@ -28,7 +28,7 @@ BENCH_SNAPSHOTS = [
     "BENCH_PR3.json", "BENCH_PR4.json", "BENCH_PR6.json", "BENCH_PR10.json",
 ]
 
-ENGINES = ("scalar", "batch", "vector")
+ENGINES = ("scalar", "vector")
 
 
 def _static(engine="scalar", **extra):
@@ -106,7 +106,7 @@ class TestLedgerStore:
         base = ledger_key(Scenario.HW, _loop(), params, _static())
         assert base != ledger_key(Scenario.SW, _loop(), params, _static())
         assert base != ledger_key(
-            Scenario.HW, _loop(), params, _static(engine="batch")
+            Scenario.HW, _loop(), params, _static(engine="vector")
         )
         assert base != ledger_key(
             Scenario.HW, _loop("other-name"), params, _static()
@@ -141,7 +141,7 @@ class TestLedgerStore:
 
         ledger = RunLedger(str(tmp_path))
         params = small_test_params(4)
-        config = _static(engine="batch", ledger=ledger)
+        config = _static(engine="scalar", ledger=ledger)
         spans.install(spans.SpanProfiler())
         try:
             run_hw(_loop(), params, config)
@@ -151,8 +151,8 @@ class TestLedgerStore:
         rollup = ledger.lookup(entry["key"])["span_rollup"]
         assert rollup["run_wall_s"] > 0
         assert rollup["phase_s"]["count"] >= 2  # backup + loop at least
-        assert "batch" in rollup["phase_breakdown_s"]
-        assert "phase:loop" in rollup["phase_breakdown_s"]["batch"]
+        assert "scalar" in rollup["phase_breakdown_s"]
+        assert "phase:loop" in rollup["phase_breakdown_s"]["scalar"]
 
 
 # ----------------------------------------------------------------------
@@ -222,9 +222,9 @@ class TestCacheHit:
     def test_delegated_vector_run_archives_under_vector_key(
         self, tmp_path, monkeypatch
     ):
-        """Regression: a vector run that delegates to batch used to let
-        the inner ``run_hw`` archive under the *batch* config's content
-        address (with batch provenance, restamped only afterwards), so
+        """Regression: a vector run that delegates used to let the inner
+        ``run_hw`` archive under the delegate config's content address
+        (with its provenance, restamped only afterwards), so
         a repeat of the identical vector request never hit the cache.
         The delegation must commit exactly one record, keyed by the
         caller's vector config, and the repeat must be served."""
@@ -250,7 +250,7 @@ class TestCacheHit:
         assert delegations == 1, "case must exercise the delegation path"
 
         records = list(ledger.records(kind="run"))
-        assert len(records) == 1, "inner batch run must not archive itself"
+        assert len(records) == 1, "inner scalar run must not archive itself"
         expected = ledger_key(
             Scenario.HW, _loop(), params, config, provenance=first.provenance
         )
@@ -297,12 +297,12 @@ class TestCacheHit:
         ledger = RunLedger(str(tmp_path))
         first = run_hw(
             _loop(), params,
-            _static(engine="batch", ledger=ledger, telemetry=Telemetry()),
+            _static(engine="scalar", ledger=ledger, telemetry=Telemetry()),
         )
         assert first.metrics is not None
         served = run_hw(
             _loop(), params,
-            _static(engine="batch", ledger=ledger, telemetry=Telemetry()),
+            _static(engine="scalar", ledger=ledger, telemetry=Telemetry()),
         )
         assert served.metrics == first.metrics
         assert served == first
@@ -454,8 +454,8 @@ class TestBenchHistory:
         doc = ledger.lookup(entry["key"])["bench"]
         assert doc == json.loads(out.read_text())
         assert set(entry["bare_iters_per_s"]) == {
-            "scalar", "batch", "vector",
-            "batch-fail", "vector-fail", "batch-dynamic", "vector-dynamic",
+            "scalar", "vector",
+            "scalar-fail", "vector-fail", "scalar-dynamic", "vector-dynamic",
         }
 
 
@@ -467,14 +467,14 @@ class TestLedgerCli:
         ledger = RunLedger(str(root))
         params = small_test_params(4)
         run_hw(_loop(), params, _static(ledger=ledger))
-        run_hw(_loop(), params, _static(engine="batch", ledger=ledger))
+        run_hw(_loop(), params, _static(engine="vector", ledger=ledger))
         return [e["key"] for e in ledger.records()]
 
     def test_list_and_show(self, tmp_path, capsys):
         keys = self._record_two_runs(tmp_path)
         assert ledgercli.main(["--ledger-dir", str(tmp_path), "list"]) == 0
         out = capsys.readouterr().out
-        assert "2 record(s)" in out and "HW/scalar" in out and "HW/batch" in out
+        assert "2 record(s)" in out and "HW/scalar" in out and "HW/vector" in out
         assert ledgercli.main(
             ["--ledger-dir", str(tmp_path), "show", keys[0][:12]]
         ) == 0
@@ -487,8 +487,8 @@ class TestLedgerCli:
             ["--ledger-dir", str(tmp_path), "diff", keys[0], keys[1]]
         ) == 0
         out = capsys.readouterr().out
-        # scalar and batch runs are bit-identical except for provenance
-        # (the engine knob enters the config hash).
+        # scalar and vector runs differ at least in provenance (the
+        # engine knob enters the config hash).
         assert "differing field" in out
         assert "config_hash" in out
 

@@ -227,7 +227,7 @@ def _sim_task(i: int):
 
     loop = parallel_nonpriv_loop(f"pool-sim-{i}", elements=64, iterations=8)
     config = RunConfig(
-        engine="batch",
+        engine="scalar",
         schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK),
     )
     result = run_hw(loop, small_test_params(2), config)
@@ -304,4 +304,4 @@ class TestProfiledPool:
         assert all(q >= 0 for q in rollup["queue_wait_s"].values()
                    if q is not None)
         assert 0 < rollup["worker_utilization"] <= 1.0
-        assert "batch" in rollup["phase_breakdown_s"]
+        assert "scalar" in rollup["phase_breakdown_s"]

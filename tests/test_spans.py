@@ -134,16 +134,16 @@ class TestNullPath:
         loop = _small_loop()
         params = small_test_params(2)
         assert spans.current() is None
-        for engine in ("scalar", "batch", "vector"):
+        for engine in ("scalar", "vector"):
             result = run_hw(loop, params, _config(engine))
             assert result.passed
 
 
 class TestAmbientProfile:
-    def test_batch_run_span_hierarchy(self):
+    def test_scalar_run_span_hierarchy(self):
         spans.install(SpanProfiler())
         try:
-            result = run_hw(_small_loop(), small_test_params(2), _config("batch"))
+            result = run_hw(_small_loop(), small_test_params(2), _config("scalar"))
         finally:
             prof = spans.current()
             spans.uninstall()
@@ -151,34 +151,19 @@ class TestAmbientProfile:
         recorded = prof.snapshot()["spans"]
         by_sid = {s["sid"]: s for s in recorded}
         names = [s["name"] for s in recorded]
-        assert "run" in names and "engine:batch" in names
+        assert "run" in names and "engine:scalar" in names
         assert "phase:loop" in names and "epoch#0" in names
         run = next(s for s in recorded if s["name"] == "run")
-        tier = next(s for s in recorded if s["name"] == "engine:batch")
+        tier = next(s for s in recorded if s["name"] == "engine:scalar")
         phase = next(s for s in recorded if s["name"] == "phase:loop")
         assert tier["parent"] == run["sid"]
         assert phase["parent"] == tier["sid"]
         epochs = [s for s in recorded if s["cat"] == "epoch"]
+        assert epochs
         assert all(by_sid[s["parent"]]["cat"] == "phase" for s in epochs)
-        # The batch fast loop counts its bursts on the enclosing epochs.
-        bursts = sum(
-            s["counters"].get("batch.fast_bursts", 0) for s in epochs
-        )
-        assert bursts > 0
-        assert run["args"]["engine"] == "batch"
-        assert phase["args"]["engine"] == "batch"
+        assert run["args"]["engine"] == "scalar"
+        assert phase["args"]["engine"] == "scalar"
         assert phase["counters"]["engine.events"] > 0
-
-    def test_fine_profiler_records_burst_spans(self):
-        spans.install(SpanProfiler(fine=True))
-        try:
-            run_hw(_small_loop(), small_test_params(2), _config("batch"))
-        finally:
-            prof = spans.current()
-            spans.uninstall()
-        bursts = [s for s in prof.spans if s["name"] == "fast-burst"]
-        assert bursts
-        assert all(s["cat"] == "batch" for s in bursts)
 
     def test_vector_run_records_kernel_spans(self):
         spans.install(SpanProfiler())
@@ -216,9 +201,9 @@ class TestAmbientProfile:
             s for s in snap["spans"] if s["name"] == "vector.delegate"
         )
         assert delegate["args"]["reason"] == "dynamic-schedule"
-        # The delegated batch run nests inside the delegate span.
+        # The delegated scalar run nests inside the delegate span.
         runs = [s for s in snap["spans"] if s["name"] == "run"]
-        assert any(s["args"]["engine"] == "batch" for s in runs)
+        assert any(s["args"]["engine"] == "scalar" for s in runs)
         assert snap["counters"].get("vector.delegations") == 1
 
 
@@ -227,7 +212,7 @@ class TestWorkerCapture:
         cap = WorkerCapture(label="t0")
         cap.install()
         try:
-            run_hw(_small_loop(), small_test_params(2), _config("batch"))
+            run_hw(_small_loop(), small_test_params(2), _config("scalar"))
         finally:
             cap.uninstall()
         snap = cap.snapshot()
@@ -258,7 +243,7 @@ class TestWorkerCapture:
         cap.install()
         try:
             config = RunConfig(
-                engine="batch",
+                engine="scalar",
                 schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK),
                 telemetry=telemetry,
             )
@@ -274,11 +259,11 @@ class TestWorkerCapture:
 
     def test_capture_does_not_change_results(self):
         loop, params = _small_loop(), small_test_params(2)
-        plain = run_hw(loop, params, _config("batch"))
+        plain = run_hw(loop, params, _config("scalar"))
         cap = WorkerCapture(label="t2")
         cap.install()
         try:
-            captured = run_hw(loop, params, _config("batch"))
+            captured = run_hw(loop, params, _config("scalar"))
         finally:
             cap.uninstall()
         assert captured.passed == plain.passed
@@ -393,16 +378,16 @@ class TestProfileSession:
         assert rollup["pool"]["jobs"] == 1
         assert rollup["task_wall_s"]["p50"] is not None
         assert rollup["inline_tasks"] == 3
-        # batch phases aggregated per tier
-        assert "batch" in rollup["phase_breakdown_s"]
+        # scalar phases aggregated per tier
+        assert "scalar" in rollup["phase_breakdown_s"]
         doc = session.merged_trace()
         assert any(e.get("cat") == "pool" for e in doc["traceEvents"])
         from repro.experiments.report import render_profile_rollup
 
         text = render_profile_rollup(rollup)
-        assert "task wall" in text and "batch" in text
+        assert "task wall" in text and "scalar" in text
 
 
 def _profiled_task(i):
-    run_hw(_small_loop(), small_test_params(2), _config("batch"))
+    run_hw(_small_loop(), small_test_params(2), _config("scalar"))
     return i * i
