@@ -40,21 +40,19 @@ class DirectMappedCache:
         # Flat residency index (line address -> line).  The per-set LRU
         # lists stay authoritative for replacement; this dict makes the
         # lookup path — the simulator's single hottest operation — one
-        # dictionary probe instead of a set scan.
+        # dictionary probe instead of a set scan.  It is cleared in
+        # place, never rebound, so the bound probe below stays valid.
         self._where: Dict[int, CacheLine] = {}
-
-    def _set_of(self, line_addr: int) -> List[CacheLine]:
-        index = (line_addr // self._line_bytes) % self._num_sets
-        ways = self._sets.get(index)
-        if ways is None:
-            ways = []
-            self._sets[index] = ways
-        return ways
+        if self._max_ways == 1:
+            # Direct-mapped (the paper's geometry): no LRU order to bump,
+            # so a lookup is the bare residency probe.
+            self.lookup = self._where.get  # type: ignore[method-assign]
 
     def lookup(self, line_addr: int) -> Optional[CacheLine]:
         line = self._where.get(line_addr)
-        if line is not None and self._max_ways > 1:
-            # LRU bump (a direct-mapped set has no replacement order).
+        if line is not None:
+            # LRU bump (set-associative geometries only: a direct-mapped
+            # cache replaces this method with the bare probe).
             ways = self._sets[(line_addr // self._line_bytes) % self._num_sets]
             if ways[0] is not line:
                 ways.remove(line)
@@ -66,6 +64,19 @@ class DirectMappedCache:
         line_addr = line.line_addr
         index = (line_addr // self._line_bytes) % self._num_sets
         ways = self._sets.get(index)
+        if self._max_ways == 1:
+            # Direct-mapped: the set's one slot holds the victim, if any.
+            where = self._where
+            where[line_addr] = line
+            if not ways:
+                self._sets[index] = [line]
+                return None
+            victim = ways[0]
+            ways[0] = line
+            if victim.line_addr == line_addr:
+                return None
+            del where[victim.line_addr]
+            return victim
         if ways is None:
             ways = []
             self._sets[index] = ways
@@ -96,7 +107,7 @@ class DirectMappedCache:
             line for ways in self._sets.values() for line in ways if line.dirty
         ]
         self._sets = {}
-        self._where = {}
+        self._where.clear()
         return dirty
 
     def resident_lines(self) -> Iterator[CacheLine]:

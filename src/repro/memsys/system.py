@@ -45,8 +45,10 @@ from .line import CacheLine
 class SpeculationHooks:
     """Interface the speculation engine implements (all optional).
 
-    The default implementations are no-ops so a :class:`MemorySystem`
-    without speculation behaves as a plain CC-NUMA machine.
+    The default implementations are no-ops, so an implementation
+    overrides only the hooks it needs.  A :class:`MemorySystem` with no
+    hooks attached (``hooks=None``) skips the calls and behaves as a
+    plain CC-NUMA machine.
     """
 
     def on_cache_hit(
@@ -178,7 +180,9 @@ class MemorySystem:
     ) -> None:
         self.params = params
         self.space = address_space
-        self.hooks = hooks or SpeculationHooks()
+        #: the attached speculation hooks; None (no speculation engine)
+        #: lets the per-access paths skip the hook calls altogether
+        self.hooks = hooks
         self.caches: List[CacheHierarchy] = [
             CacheHierarchy(params.l1, params.l2) for _ in range(params.num_processors)
         ]
@@ -225,13 +229,25 @@ class MemorySystem:
         return self.directories[self.space.home_node(line_addr)]
 
     def set_hooks(self, hooks: Optional[SpeculationHooks]) -> None:
-        self.hooks = hooks or SpeculationHooks()
+        self.hooks = hooks
 
     # ------------------------------------------------------------------
     # Public access API
     # ------------------------------------------------------------------
     def read(self, proc: int, addr: int, now: float) -> AccessResult:
         """Simulate a load.  The processor stalls for the returned time."""
+        stall, level = self._read(proc, addr, now)
+        return AccessResult(1, stall, level)
+
+    def write(self, proc: int, addr: int, now: float) -> AccessResult:
+        """Simulate a store.  Non-blocking via the write buffer."""
+        stall, level = self._write(proc, addr, now)
+        return AccessResult(1, stall, level)
+
+    # The processor's per-access entry points: ``(stall_cycles,
+    # hit_level)`` without the AccessResult allocation (the issue cost is
+    # always one cycle).
+    def _read(self, proc: int, addr: int, now: float) -> Tuple[int, HitLevel]:
         stats = self.stats
         stats.reads += 1
         line_addr = addr - (addr % self._line_bytes)
@@ -258,26 +274,25 @@ class MemorySystem:
                 # (same object still in the L2) needs no handling.
                 hier.l1.insert(line)
         if line is not None:
-            self.hooks.on_cache_hit(proc, line, addr, AccessKind.READ, now)
+            hooks = self.hooks
+            if hooks is not None:
+                hooks.on_cache_hit(proc, line, addr, AccessKind.READ, now)
             stall = int(wb_stall) + (base - 1)
             stats.read_stall_cycles += stall
-            result = AccessResult(1, stall, level)
             bus = self.bus
             if bus is not None and bus.wants_access:
-                self._trace(now, proc, AccessKind.READ, addr, result)
-            return result
+                self._trace(now, proc, AccessKind.READ, addr, level, stall)
+            return stall, level
 
         latency = self._fetch(proc, line_addr, addr, AccessKind.READ, now)
         stall = int(wb_stall) + (latency - 1)
         stats.read_stall_cycles += stall
-        result = AccessResult(1, stall, HitLevel.MEMORY)
         bus = self.bus
         if bus is not None and bus.wants_access:
-            self._trace(now, proc, AccessKind.READ, addr, result)
-        return result
+            self._trace(now, proc, AccessKind.READ, addr, HitLevel.MEMORY, stall)
+        return stall, HitLevel.MEMORY
 
-    def write(self, proc: int, addr: int, now: float) -> AccessResult:
-        """Simulate a store.  Non-blocking via the write buffer."""
+    def _write(self, proc: int, addr: int, now: float) -> Tuple[int, HitLevel]:
         stats = self.stats
         stats.writes += 1
         line_addr = addr - (addr % self._line_bytes)
@@ -299,12 +314,13 @@ class MemorySystem:
             else:
                 stats.l1_hits += 1
                 base = self._lat_l1_hit
-            self.hooks.on_cache_hit(proc, line, addr, AccessKind.WRITE, now)
-            result = AccessResult(1, base - 1, level)
+            hooks = self.hooks
+            if hooks is not None:
+                hooks.on_cache_hit(proc, line, addr, AccessKind.WRITE, now)
             bus = self.bus
             if bus is not None and bus.wants_access:
-                self._trace(now, proc, AccessKind.WRITE, addr, result)
-            return result
+                self._trace(now, proc, AccessKind.WRITE, addr, level, base - 1)
+            return base - 1, level
 
         # Needs a coherence transaction: upgrade (line CLEAN here) or a
         # fetch-exclusive (miss).  Non-blocking: the processor pays only
@@ -319,7 +335,9 @@ class MemorySystem:
             # travels to the home where the directory-side check runs.
             if level is HitLevel.L2:
                 hier.l1.insert(line)
-            self.hooks.on_cache_hit(proc, line, addr, AccessKind.WRITE, now)
+            hooks = self.hooks
+            if hooks is not None:
+                hooks.on_cache_hit(proc, line, addr, AccessKind.WRITE, now)
             latency = self._upgrade(proc, line, addr, start)
             hit = level
             if level is HitLevel.L1:
@@ -331,19 +349,17 @@ class MemorySystem:
             hit = HitLevel.MEMORY
 
         buf.push(start + latency, line_addr)
-        stats.write_stall_cycles += int(slot_stall)
-        result = AccessResult(1, int(slot_stall), hit)
+        stall = int(slot_stall)
+        stats.write_stall_cycles += stall
         bus = self.bus
         if bus is not None and bus.wants_access:
-            self._trace(now, proc, AccessKind.WRITE, addr, result)
-        return result
+            self._trace(now, proc, AccessKind.WRITE, addr, hit, stall)
+        return stall, hit
 
-    def _trace(self, now, proc, kind, addr, result) -> None:
+    def _trace(self, now, proc, kind, addr, level, stall) -> None:
         # Callers have already checked ``bus.wants_access`` — no event
         # object is allocated unless a subscriber wants it.
-        self.bus.emit(
-            AccessEvent(now, proc, kind, addr, result.hit_level, result.total)
-        )
+        self.bus.emit(AccessEvent(now, proc, kind, addr, level, 1 + stall))
 
     def drain_write_buffer(self, proc: int, now: float) -> float:
         """Cycles until all of ``proc``'s pending writes retire.
@@ -359,7 +375,12 @@ class MemorySystem:
         self, proc: int, line_addr: int, addr: int, kind: AccessKind, now: float
     ) -> int:
         """Miss: obtain the line from its home (and owner, if dirty)."""
-        home_node = self.space.home_node(line_addr)
+        # AddressSpace.home_node's page memo and Directory.entry, probed
+        # inline; the methods fill them on a first touch.
+        space = self.space
+        home_node = space._home_cache.get(line_addr // space.page_bytes)
+        if home_node is None:
+            home_node = space.home_node(line_addr)
         my_node = self._node_of[proc]
         local = home_node == my_node
         if local:
@@ -371,7 +392,9 @@ class MemorySystem:
         home = self.directories[home_node]
         queue = home.occupy(arrival)
 
-        entry = home.entry(line_addr)
+        entry = home._entries.get(line_addr)
+        if entry is None:
+            entry = home.entry(line_addr)
         prev_state = entry.state
         extra = 0
         if entry.state is DirState.DIRTY and entry.owner is not None:
@@ -416,7 +439,9 @@ class MemorySystem:
 
         # Speculation: directory-side checks (may raise through the
         # controller) and possible extra transactions (read-in).
-        extra += self.hooks.on_dir_access(proc, line_addr, addr, kind, now)
+        hooks = self.hooks
+        if hooks is not None:
+            extra += hooks.on_dir_access(proc, line_addr, addr, kind, now)
 
         # Update directory and install the line.
         if kind is AccessKind.READ:
@@ -436,7 +461,8 @@ class MemorySystem:
                 )
             )
         line = CacheLine(line_addr, state)
-        self.hooks.fill_line_bits(proc, line, now)
+        if hooks is not None:
+            hooks.fill_line_bits(proc, line, now)
         # CacheHierarchy.fill inlined (no FillResult on the hot path):
         # install in both levels, purging the L2 victim from the L1 for
         # inclusion before handling its writeback/replacement hint.
@@ -478,7 +504,11 @@ class MemorySystem:
         others = {s for s in entry.sharers if s != proc}
         if others:
             extra += self._invalidate_sharers(proc, line_addr, others, now)
-        extra += self.hooks.on_dir_access(proc, line_addr, addr, AccessKind.WRITE, now)
+        hooks = self.hooks
+        if hooks is not None:
+            extra += hooks.on_dir_access(
+                proc, line_addr, addr, AccessKind.WRITE, now
+            )
         entry.state = DirState.DIRTY
         entry.owner = proc
         entry.sharers = set()
@@ -498,7 +528,8 @@ class MemorySystem:
             )
         # Fig 6-(d) ends by refreshing the requester's tag state from the
         # directory for every word of the line.
-        self.hooks.fill_line_bits(proc, line, now)
+        if hooks is not None:
+            hooks.fill_line_bits(proc, line, now)
         return base + queue + extra
 
     def _recall_owner(
@@ -508,7 +539,8 @@ class MemorySystem:
         self.stats.writebacks += 1
         line = self.caches[owner].invalidate(line_addr)
         if line is not None:
-            self.hooks.on_writeback(owner, line, now)
+            if self.hooks is not None:
+                self.hooks.on_writeback(owner, line, now)
             if not invalidate:
                 # Downgrade: owner keeps a CLEAN copy.
                 line.state = LineState.CLEAN
@@ -534,7 +566,8 @@ class MemorySystem:
     def _victim_writeback(self, proc: int, victim: CacheLine, now: float) -> None:
         """A dirty line displaced from the L2 returns to its home."""
         self.stats.writebacks += 1
-        self.hooks.on_writeback(proc, victim, now)
+        if self.hooks is not None:
+            self.hooks.on_writeback(proc, victim, now)
         home = self.home_of(victim.line_addr)
         home.occupy(now + self._net_one_way)
         entry = home.entry(victim.line_addr)
@@ -630,7 +663,7 @@ class MemorySystem:
         """
         for proc, hierarchy in enumerate(self.caches):
             dirty = hierarchy.flush()
-            if merge_spec_state:
+            if merge_spec_state and self.hooks is not None:
                 for line in dirty:
                     self.hooks.on_writeback(proc, line, now)
         for directory in self.directories:

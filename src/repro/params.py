@@ -32,6 +32,10 @@ class CacheGeometry:
     ways: int = 1
 
     def __post_init__(self) -> None:
+        if self.size_bytes < 1:
+            raise ConfigurationError(f"cache size {self.size_bytes} must be >= 1")
+        if self.line_bytes < 1:
+            raise ConfigurationError(f"line size {self.line_bytes} must be >= 1")
         if self.size_bytes % self.line_bytes:
             raise ConfigurationError(
                 f"cache size {self.size_bytes} not a multiple of the "
@@ -178,6 +182,12 @@ class MachineParams:
             )
         if self.l1.line_bytes != self.l2.line_bytes:
             raise ConfigurationError("L1 and L2 must share a line size")
+        if self.page_bytes < 1:
+            raise ConfigurationError(f"page size {self.page_bytes} must be >= 1")
+        if self.write_buffer_entries < 1:
+            raise ConfigurationError(
+                f"write buffer needs >= 1 entry, got {self.write_buffer_entries}"
+            )
         if self.page_bytes % self.l1.line_bytes:
             raise ConfigurationError("page size must be a multiple of line size")
 

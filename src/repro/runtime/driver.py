@@ -570,9 +570,8 @@ def run_ideal(
 
     def instrument(proc, op, virt):
         if op.array in privatized:
-            yield type(op)(op.kind, private_copy_name(op.array, proc), op.index)
-        else:
-            yield op
+            return (type(op)(op.kind, private_copy_name(op.array, proc), op.index),)
+        return (op,)
 
     phases: Dict[str, float] = {}
     streams = loop_streams(

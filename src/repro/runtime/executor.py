@@ -14,7 +14,7 @@ The same generator skeleton serves all scenarios; what differs is the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import dataclasses
 
@@ -31,7 +31,8 @@ from ..sim.processor import (
     MutexOp,
 )
 from ..trace.loop import Loop
-from ..trace.ops import AccessOp, ComputeOp, compute, read, write
+from ..trace.ops import AccessOp, ComputeOp, compute
+from ..types import AccessKind
 from .schedule import (
     Block,
     ChunkQueue,
@@ -42,11 +43,13 @@ from .schedule import (
     virtual_of,
 )
 
-Instrumenter = Callable[[int, AccessOp, int], Iterator[object]]
+#: Maps one body access ``(proc, op, virtual iteration)`` to the
+#: sequence of ops actually issued for it.
+Instrumenter = Callable[[int, AccessOp, int], Sequence[object]]
 
 
-def identity_instrument(proc: int, op: AccessOp, virt: int) -> Iterator[object]:
-    yield op
+def identity_instrument(proc: int, op: AccessOp, virt: int) -> Sequence[object]:
+    return (op,)
 
 
 def shadow_name(array: str, kind: str, proc: int) -> str:
@@ -65,12 +68,21 @@ def private_copy_name(array: str, proc: int) -> str:
 class SWInstrumenter:
     """Marking instrumentation of the software LRPD scheme (§2.2).
 
-    For every access to an array under test it emits the marking
+    For every access to an array under test it returns the marking
     instructions (compute cycles) and the shadow-array memory accesses,
     updates the logical :class:`LRPDState`, and redirects data accesses
     of privatized arrays to the processor's private copy.  With the
     processor-wise test, shadow entries are bits packed 64 to a word,
     so shadow accesses are scaled down accordingly (§2.2.3).
+
+    A call returns the op sequence for one access (a list, or a
+    1-tuple for an array not under test).  The shadow marks are updated
+    when the call returns, before the processor issues the ops: each
+    shadow belongs to one processor, which consumes its ops in order,
+    so marking eagerly leaves every mark and every op as marking
+    between the ops would.  The two marking ``compute`` ops are built
+    once per instrumenter, and the shadow and private-copy names once
+    per (array, processor).
     """
 
     def __init__(
@@ -88,44 +100,56 @@ class SWInstrumenter:
         self._privatized: Dict[str, bool] = {
             a.name: a.privatized for a in loop.arrays_under_test()
         }
+        self._mark_read = compute(cost.sw_mark_read_instrs)
+        self._mark_write = compute(cost.sw_mark_write_instrs)
+        #: (array, proc) -> (shadow, privatized, Aw, Ar, Anp, Awmin, private copy)
+        self._per_proc: Dict[Tuple[str, int], tuple] = {}
 
-    def __call__(self, proc: int, op: AccessOp, virt: int) -> Iterator[object]:
+    def _bind(self, name: str, proc: int) -> tuple:
+        names = (
+            self.state.shadow(name, proc),
+            self._privatized[name],
+            shadow_name(name, "Aw", proc),
+            shadow_name(name, "Ar", proc),
+            shadow_name(name, "Anp", proc),
+            shadow_name(name, "Awmin", proc) if self.state.with_awmin else None,
+            private_copy_name(name, proc),
+        )
+        self._per_proc[(name, proc)] = names
+        return names
+
+    def __call__(self, proc: int, op: AccessOp, virt: int) -> Sequence[object]:
         name = op.array
         if name not in self._under_test:
-            yield op
-            return
-        shadow = self.state.shadow(name, proc)
+            return (op,)
+        names = self._per_proc.get((name, proc)) or self._bind(name, proc)
+        shadow, privatized, aw, ar, anp, awmin, private = names
         index = op.index
         sidx = index // self.pack
-        privatized = self._privatized[name]
-        if op.is_read:
-            yield compute(self.cost.sw_mark_read_instrs)
-            yield read(shadow_name(name, "Aw", proc), sidx)
+        if op.kind is AccessKind.READ:
+            out = [self._mark_read, AccessOp(AccessKind.READ, aw, sidx)]
             covered = shadow.written_in(index, virt)
             shadow.markread(index, virt)
             if not covered:
-                yield write(shadow_name(name, "Ar", proc), sidx)
-                yield write(shadow_name(name, "Anp", proc), sidx)
+                out.append(AccessOp(AccessKind.WRITE, ar, sidx))
+                out.append(AccessOp(AccessKind.WRITE, anp, sidx))
             if privatized and shadow.ever_written(index):
-                yield read(private_copy_name(name, proc), index)
+                out.append(AccessOp(AccessKind.READ, private, index))
             else:
-                yield read(name, index)
-        else:
-            yield compute(self.cost.sw_mark_write_instrs)
-            yield read(shadow_name(name, "Aw", proc), sidx)
-            first_in_iter = not shadow.written_in(index, virt)
-            first_in_loop = not shadow.ever_written(index)
-            shadow.markwrite(index, virt)
-            if first_in_iter:
-                yield write(shadow_name(name, "Aw", proc), sidx)
-                if self.state.with_awmin and first_in_loop:
-                    # §2.2.3 extension: record the element's first
-                    # writing iteration in the Awmin shadow array.
-                    yield write(shadow_name(name, "Awmin", proc), sidx)
-            if privatized:
-                yield write(private_copy_name(name, proc), index)
-            else:
-                yield write(name, index)
+                out.append(op)
+            return out
+        out = [self._mark_write, AccessOp(AccessKind.READ, aw, sidx)]
+        first_in_iter = not shadow.written_in(index, virt)
+        first_in_loop = not shadow.ever_written(index)
+        shadow.markwrite(index, virt)
+        if first_in_iter:
+            out.append(AccessOp(AccessKind.WRITE, aw, sidx))
+            if awmin is not None and first_in_loop:
+                # §2.2.3 extension: record the element's first
+                # writing iteration in the Awmin shadow array.
+                out.append(AccessOp(AccessKind.WRITE, awmin, sidx))
+        out.append(AccessOp(AccessKind.WRITE, private, index) if privatized else op)
+        return out
 
 
 def block_ops(
@@ -149,9 +173,8 @@ def block_ops(
             yield from loop.iterations[iteration - 1]
         else:
             for op in loop.iterations[iteration - 1]:
-                if isinstance(op, AccessOp):
-                    for out in instrument(proc, op, virt):
-                        yield out
+                if op.__class__ is AccessOp:
+                    yield from instrument(proc, op, virt)
                 else:
                     yield op
         if iter_end_cycles:
@@ -209,10 +232,9 @@ def loop_streams(
                 block = queue.pop(proc)
                 if block is None:
                     return
-                for op in block_ops(
+                yield from block_ops(
                     proc, loop, block, spec, overhead, instrument, iter_end_cycles
-                ):
-                    yield op
+                )
 
         return {p: dynamic_stream(p) for p in range(num_procs)}
 
@@ -223,10 +245,9 @@ def loop_streams(
             yield BusyCostOp(setup_cycles)
         yield BusyCostOp(cost.sched_static_per_proc)
         for block in blocks:
-            for op in block_ops(
+            yield from block_ops(
                 proc, loop, block, spec, overhead, instrument, iter_end_cycles
-            ):
-                yield op
+            )
 
     return {
         p: static_stream(p, blocks)
@@ -279,11 +300,10 @@ def _epoch_streams(
                 effective = dataclasses.replace(
                     block, ordinal=((block.ordinal - 1) % capacity) + 1
                 )
-                for op in block_ops(
+                yield from block_ops(
                     proc, loop, effective, spec, overhead, instrument,
                     iter_end_cycles,
-                ):
-                    yield op
+                )
             if epoch < num_epochs - 1:
                 yield BarrierOp(barriers[epoch])
                 yield EpochSyncOp(epoch + 1)
@@ -295,5 +315,4 @@ def serial_stream(loop: Loop, cost: CostModel) -> Iterator[object]:
     """All iterations in order on one processor, no test, no marking."""
     for iteration in range(1, loop.num_iterations + 1):
         yield IterBeginOp(iteration, iteration, cost.loop_iter_overhead)
-        for op in loop.iterations[iteration - 1]:
-            yield op
+        yield from loop.iterations[iteration - 1]

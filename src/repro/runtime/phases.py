@@ -134,5 +134,4 @@ def sparse_copy_ops(
 
 def chain(*streams: Iterable[object]) -> Iterator[object]:
     for stream in streams:
-        for op in stream:
-            yield op
+        yield from stream

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from heapq import heappop
 from typing import Callable, Dict, Iterator, List, Optional
 
-from ..address import AddressSpace
+from ..address import AddressSpace, ArrayDecl
 from ..core.controller import SpeculationController
 from ..core.engine import SpeculationEngine
 from ..core.messages import Scheduler
@@ -67,6 +68,8 @@ class Engine(Scheduler):
         #: None keeps the hot paths free of profiling work
         self.profiler = None
         self._epoch_span = None
+        #: array name -> ArrayDecl, filled by resolve() on first use
+        self._decls: Dict[str, ArrayDecl] = {}
 
     # ------------------------------------------------------------------
     # Scheduler interface (used by the speculation protocols)
@@ -127,20 +130,21 @@ class Engine(Scheduler):
         return self.spec.controller if self.spec is not None else None
 
     def resolve(self, proc: int, array: str, index: int, kind: AccessKind) -> int:
-        if self.spec is not None and self.spec.controller.armed:
-            return self.spec.resolve(proc, array, index, kind)
-        return self.space.array(array).addr_of(index)
+        spec = self.spec
+        if spec is not None and spec.controller.armed:
+            return spec.resolve(proc, array, index, kind)
+        decl = self._decls.get(array)
+        if decl is None:
+            # Decls are immutable and names are never reused, so the
+            # first lookup of a name stays valid for the engine's life.
+            decl = self._decls[array] = self.space.array(array)
+        if 0 <= index < decl.length:
+            return decl.base + index * decl.elem_bytes
+        return decl.addr_of(index)  # raises AddressError
 
     def set_iteration(self, proc: int, virtual_iteration: int) -> None:
         if self.spec is not None:
             self.spec.set_iteration(proc, virtual_iteration)
-
-    def should_abort(self) -> bool:
-        return (
-            self._abort_on_failure
-            and self.spec is not None
-            and self.spec.controller.failed
-        )
 
     def abort_time(self) -> float:
         controller = self.controller
@@ -230,31 +234,45 @@ class Engine(Scheduler):
             callback(time)
 
     def _run_to_quiescence(self) -> None:
-        # _abort_on_failure and spec are fixed for the phase; inline
-        # should_abort() to one attribute test per event.
+        # _abort_on_failure and spec are fixed for the phase, so the
+        # abort test is one attribute test per event.
         ctrl = (
             self.spec.controller
             if self._abort_on_failure and self.spec is not None
             else None
         )
-        pop = self._pop_next
+        # _pop_next inlined.  Sequence numbers are unique, so comparing
+        # whole entries never reaches the callbacks and equals the
+        # (time, seq) comparison there.
+        heap = self._heap
+        msg_heap = self._msg_heap
         max_events = self.max_events
-        while True:
-            item = pop()
-            if item is None:
-                break
-            self.events_processed += 1
-            if self.events_processed > max_events:
-                raise ConfigurationError(
-                    f"simulation exceeded {self.max_events} events; "
-                    "suspected livelock"
-                )
-            time, _, callback = item
-            if time > self.now:
-                self.now = time
-            callback(time)
-            if ctrl is not None and ctrl.failure is not None and not self._abort_handled:
-                self._handle_abort()
+        processed = self.events_processed
+        try:
+            while True:
+                if msg_heap and (not heap or msg_heap[0] < heap[0]):
+                    time, _, callback = heappop(msg_heap)
+                elif heap:
+                    time, _, callback = heappop(heap)
+                else:
+                    break
+                processed += 1
+                if processed > max_events:
+                    raise ConfigurationError(
+                        f"simulation exceeded {max_events} events; "
+                        "suspected livelock"
+                    )
+                if time > self.now:
+                    self.now = time
+                callback(time)
+                if (
+                    ctrl is not None
+                    and ctrl.failure is not None
+                    and not self._abort_handled
+                ):
+                    self._handle_abort()
+        finally:
+            self.events_processed = processed
         if self._remaining > 0 and not self._abort_handled:
             stuck = [
                 p.id for p in self.processors if p.state is ProcState.BLOCKED

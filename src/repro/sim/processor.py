@@ -5,12 +5,18 @@ runtime's executor).  Pure compute and private accesses are batched;
 every shared-memory access, barrier or mutex acquisition is a separate
 engine event, so accesses from different processors interleave in
 global time order.
+
+Ops dispatch on their exact class (``op.__class__ is AccessOp``, ...),
+not through ``isinstance``: op classes are never subclassed, and a
+subclass or any other object raises :class:`TypeError` rather than
+being run as its base class.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+from heapq import heappush
 from typing import Iterator, List, Optional, TYPE_CHECKING
 
 from ..trace.ops import AccessOp, ComputeOp, LocalOp
@@ -210,24 +216,34 @@ class Processor:
         self.engine.proc_finished(self)
 
     def _resume(self, now: float) -> None:
-        if self.state in (ProcState.DONE, ProcState.ABORTED):
+        # The simulator's inner loop (one call per processor event): the
+        # engine's abort test and post() are inlined.
+        state = self.state
+        if state is ProcState.DONE or state is ProcState.ABORTED:
             return
-        if self.engine.should_abort():
-            self.abort(max(now, self.engine.abort_time()))
+        engine = self.engine
+        if (
+            engine._abort_on_failure
+            and engine.spec is not None
+            and engine.spec.controller.failure is not None
+        ):
+            self.abort(max(now, engine.abort_time()))
             return
-        assert self._ops is not None
-        memsys = self.engine.memsys
+        ops = self._ops
+        assert ops is not None
+        stats = self.stats
         t = now
         while True:
-            if self._pending_op is not None:
-                op = self._pending_op
+            op = self._pending_op
+            if op is not None:
                 self._pending_op = None
             else:
                 try:
-                    op = next(self._ops)
+                    op = next(ops)
                 except StopIteration:
                     self._finish(t)
                     return
+            cls = op.__class__
             # Ops with shared side effects (memory accesses, barriers,
             # mutexes) must execute at their true global time: if locally
             # batched compute advanced our clock past the event time,
@@ -235,78 +251,76 @@ class Processor:
             # first — otherwise protocol state would mutate out of order.
             # Pure compute also yields past BATCH_CYCLES so aborts are
             # noticed promptly (hardware squashes within a few cycles).
-            if t > now and (
-                isinstance(op, (AccessOp, BarrierOp, MutexOp))
-                or t - now >= self.BATCH_CYCLES
-            ):
+            if cls is AccessOp or cls is BarrierOp or cls is MutexOp:
+                defer = t > now
+            else:
+                defer = t - now >= self.BATCH_CYCLES
+            if defer:
                 self._pending_op = op
-                self.engine.post(t, self._resume)
+                heappush(engine._heap, (t, next(engine._seq), self._resume))
                 return
-            if isinstance(op, AccessOp):
+            if cls is AccessOp:
                 # Resolve through the speculation engine's comparator
                 # (identity when speculation is off).
-                addr = self.engine.resolve(self.id, op.array, op.index, op.kind)
-                if op.kind is AccessKind.READ:
-                    res = memsys.read(self.id, addr, t)
+                kind = op.kind
+                addr = engine.resolve(self.id, op.array, op.index, kind)
+                if kind is AccessKind.READ:
+                    stall = engine.memsys._read(self.id, addr, t)[0]
                 else:
-                    res = memsys.write(self.id, addr, t)
-                self.stats.busy += res.issue_cycles
-                self.stats.mem += res.stall_cycles
-                t += res.total
+                    stall = engine.memsys._write(self.id, addr, t)[0]
+                # One issue cycle (Busy) plus the memory stall (Mem).
+                stats.busy += 1
+                stats.mem += stall
                 # Yield the engine after every shared access so accesses
                 # interleave across processors in global time order.
-                self.engine.post(t, self._resume)
+                heappush(engine._heap, (t + (1 + stall), next(engine._seq), self._resume))
                 return
-            if isinstance(op, ComputeOp):
-                self.stats.busy += op.cycles
+            if cls is ComputeOp:
+                stats.busy += op.cycles
                 t += op.cycles
-                continue
-            if isinstance(op, LocalOp):
-                self.stats.busy += 1
+            elif cls is LocalOp:
+                stats.busy += 1
                 t += 1
-                continue
-            if isinstance(op, IterBeginOp):
+            elif cls is IterBeginOp:
                 self.current_iteration = op.iteration
-                self.engine.set_iteration(self.id, op.virtual)
+                engine.set_iteration(self.id, op.virtual)
                 if op.overhead_cycles:
-                    self.stats.busy += op.overhead_cycles
+                    stats.busy += op.overhead_cycles
                     t += op.overhead_cycles
-                continue
-            if isinstance(op, BusyCostOp):
-                self.stats.busy += op.cycles
+            elif cls is BusyCostOp:
+                stats.busy += op.cycles
                 t += op.cycles
-                continue
-            if isinstance(op, AggregateCostOp):
-                self.stats.busy += op.busy
-                self.stats.mem += op.mem
+            elif cls is AggregateCostOp:
+                stats.busy += op.busy
+                stats.mem += op.mem
                 t += op.busy + op.mem
-                continue
-            if isinstance(op, SyncCostOp):
-                self.stats.sync += op.cycles
+            elif cls is SyncCostOp:
+                stats.sync += op.cycles
                 t += op.cycles
-                continue
-            if isinstance(op, EpochSyncOp):
-                self.engine.epoch_sync(op.epoch)
-                self.stats.sync += op.cycles
+            elif cls is EpochSyncOp:
+                engine.epoch_sync(op.epoch)
+                stats.sync += op.cycles
                 t += op.cycles
-                continue
-            if isinstance(op, MutexOp):
+            elif cls is MutexOp:
                 wait = op.mutex.acquire(t, op.hold_cycles)
-                self.stats.sync += wait
-                self.stats.busy += op.hold_cycles
+                stats.sync += wait
+                stats.busy += op.hold_cycles
                 t += wait + op.hold_cycles
-                self.engine.post(t, self._resume)
+                engine.post(t, self._resume)
                 return
-            if isinstance(op, BarrierOp):
+            elif cls is BarrierOp:
                 # Fence before synchronizing.
-                drain = memsys.drain_write_buffer(self.id, t)
-                self.stats.mem += drain
+                drain = engine.memsys.drain_write_buffer(self.id, t)
+                stats.mem += drain
                 t += drain
-                release = op.barrier.arrive(self, t, self.engine.bus)
+                release = op.barrier.arrive(self, t, engine.bus)
                 if release is None:
                     self.state = ProcState.BLOCKED
                     self._blocked_on = op.barrier
                     return
-                self.engine.post(release, self._resume)
+                engine.post(release, self._resume)
                 return
-            raise TypeError(f"unknown op {op!r}")
+            else:
+                raise TypeError(
+                    f"unknown op {op!r}: ops dispatch on their exact class"
+                )

@@ -228,6 +228,94 @@ class TestSWInstrumenter:
         assert not any(isinstance(o, AccessOp) and o.array == awmin for o in second)
 
 
+def _reference_instrument(state, loop, cost, processor_wise, proc, op, virt):
+    """The marking sequence as a lazy generator that marks the shadow
+    between ops: the reference the eager SWInstrumenter must match."""
+    under_test = {a.name: a.privatized for a in loop.arrays_under_test()}
+    name = op.array
+    if name not in under_test:
+        yield op
+        return
+    shadow = state.shadow(name, proc)
+    index = op.index
+    sidx = index // (cost.sw_bitmap_word_elems if processor_wise else 1)
+    privatized = under_test[name]
+    if op.is_read:
+        yield compute(cost.sw_mark_read_instrs)
+        yield read(shadow_name(name, "Aw", proc), sidx)
+        covered = shadow.written_in(index, virt)
+        shadow.markread(index, virt)
+        if not covered:
+            yield write(shadow_name(name, "Ar", proc), sidx)
+            yield write(shadow_name(name, "Anp", proc), sidx)
+        if privatized and shadow.ever_written(index):
+            yield read(private_copy_name(name, proc), index)
+        else:
+            yield read(name, index)
+    else:
+        yield compute(cost.sw_mark_write_instrs)
+        yield read(shadow_name(name, "Aw", proc), sidx)
+        first_in_iter = not shadow.written_in(index, virt)
+        first_in_loop = not shadow.ever_written(index)
+        shadow.markwrite(index, virt)
+        if first_in_iter:
+            yield write(shadow_name(name, "Aw", proc), sidx)
+            if state.with_awmin and first_in_loop:
+                yield write(shadow_name(name, "Awmin", proc), sidx)
+        if privatized:
+            yield write(private_copy_name(name, proc), index)
+        else:
+            yield write(name, index)
+
+
+@pytest.mark.parametrize(
+    "protocol", [ProtocolKind.NONPRIV, ProtocolKind.PRIV, ProtocolKind.PRIV_SIMPLE]
+)
+@pytest.mark.parametrize("with_awmin", [False, True])
+@pytest.mark.parametrize("processor_wise", [False, True])
+def test_sw_instrumenter_matches_reference(protocol, with_awmin, processor_wise):
+    """A random read/write sequence over two processors (plus accesses
+    to an array not under test) yields the reference op lists, Awmin
+    marks and privatized redirects included, and the same shadows."""
+    import random
+
+    import numpy as np
+
+    loop = Loop(
+        "t", [ArraySpec("A", 200, 8, protocol), ArraySpec("B", 16)],
+        [[read("B", 0), write("A", 0)]],
+    )
+    states = []
+    for _ in range(2):
+        state = LRPDState(2, with_awmin=with_awmin)
+        for spec in loop.arrays_under_test():
+            state.register(spec.name, spec.length, spec.privatized)
+        states.append(state)
+    ref_state, state = states
+    inst = SWInstrumenter(state, loop, COST, processor_wise)
+    rng = random.Random(7)
+    virt = [1, 1]
+    for _ in range(1500):
+        proc = rng.randrange(2)
+        if rng.random() < 0.15:
+            virt[proc] += 1
+        if rng.random() < 0.1:
+            op = read("B", rng.randrange(16))
+        else:
+            index = rng.randrange(200)
+            op = read("A", index) if rng.random() < 0.5 else write("A", index)
+        want = list(_reference_instrument(
+            ref_state, loop, COST, processor_wise, proc, op, virt[proc]
+        ))
+        assert list(inst(proc, op, virt[proc])) == want
+    for proc in range(2):
+        got, ref = state.shadow("A", proc), ref_state.shadow("A", proc)
+        for field in ("aw", "ar", "anp", "awmin"):
+            if getattr(ref, field) is not None:
+                assert np.array_equal(getattr(got, field), getattr(ref, field))
+        assert got.atw == ref.atw
+
+
 class TestSerialStream:
     def test_all_iterations_in_order(self):
         loop = tiny_loop()

@@ -1,5 +1,9 @@
 """Tests for the direct-mapped caches and the two-level hierarchy."""
 
+import random
+
+import pytest
+
 from repro.memsys.cache import CacheHierarchy, DirectMappedCache, HitLevel
 from repro.memsys.line import CacheLine
 from repro.params import CacheGeometry
@@ -135,3 +139,84 @@ class TestSetAssociativity:
 
     def test_num_sets(self):
         assert CacheGeometry(512, 64, ways=2).num_sets == 4
+
+
+class _ReferenceCache:
+    """Set-associative LRU cache as plain per-set lists (MRU first)."""
+
+    def __init__(self, geometry):
+        self.line_bytes = geometry.line_bytes
+        self.num_sets = geometry.num_sets
+        self.ways = geometry.ways
+        self.sets = {}
+
+    def _set(self, line_addr):
+        return self.sets.setdefault((line_addr // self.line_bytes) % self.num_sets, [])
+
+    def lookup(self, line_addr):
+        ways = self._set(line_addr)
+        for line in ways:
+            if line.line_addr == line_addr:
+                ways.remove(line)
+                ways.insert(0, line)
+                return line
+        return None
+
+    def insert(self, line):
+        ways = self._set(line.line_addr)
+        for old in ways:
+            if old.line_addr == line.line_addr:
+                ways.remove(old)
+                ways.insert(0, line)
+                return None
+        ways.insert(0, line)
+        return ways.pop() if len(ways) > self.ways else None
+
+    def remove(self, line_addr):
+        ways = self._set(line_addr)
+        for line in ways:
+            if line.line_addr == line_addr:
+                ways.remove(line)
+                return line
+        return None
+
+    def flush(self):
+        dirty = [l for ways in self.sets.values() for l in ways if l.dirty]
+        self.sets = {}
+        return dirty
+
+    def resident(self):
+        return {l.line_addr: l for ways in self.sets.values() for l in ways}
+
+
+@pytest.mark.parametrize("ways", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_cache_matches_reference_model(ways, seed):
+    """Random insert/lookup/remove/flush traffic over 8 lines' worth of
+    sets: the cache (direct-mapped fast path for ways=1) returns the
+    same victims, hits and dirty flush lists as the reference model."""
+    rng = random.Random(seed)
+    geometry = CacheGeometry(8 * 64, 64, ways)
+    cache = DirectMappedCache(geometry)
+    ref = _ReferenceCache(geometry)
+    addrs = [64 * i for i in range(32)]  # four lines per set slot
+    for _ in range(2000):
+        op = rng.random()
+        addr = rng.choice(addrs)
+        if op < 0.45:
+            state = rng.choice([LineState.CLEAN, LineState.DIRTY])
+            new = line(addr, state)
+            assert cache.insert(new) is ref.insert(new)
+        elif op < 0.8:
+            assert cache.lookup(addr) is ref.lookup(addr)
+        elif op < 0.97:
+            assert cache.remove(addr) is ref.remove(addr)
+        else:
+            got = cache.flush()
+            want = ref.flush()
+            assert sorted(l.line_addr for l in got) == sorted(l.line_addr for l in want)
+        resident = {l.line_addr: l for l in cache.resident_lines()}
+        assert resident.keys() == ref.resident().keys()
+        assert all(resident[a] is l for a, l in ref.resident().items())
+        for addr in addrs:
+            assert (cache._where.get(addr) is not None) == (addr in resident)

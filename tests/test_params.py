@@ -29,6 +29,18 @@ class TestCacheGeometry:
         with pytest.raises(ConfigurationError):
             CacheGeometry(960, 48)
 
+    @pytest.mark.parametrize("size", [0, -64])
+    def test_rejects_non_positive_size(self, size):
+        # A zero-line cache used to be accepted and then divide by zero
+        # in the first insert.
+        with pytest.raises(ConfigurationError):
+            CacheGeometry(size)
+
+    @pytest.mark.parametrize("line", [0, -64])
+    def test_rejects_non_positive_line(self, line):
+        with pytest.raises(ConfigurationError):
+            CacheGeometry(64, line_bytes=line)
+
 
 class TestLatencyTable:
     def test_paper_defaults(self):
@@ -70,6 +82,36 @@ class TestMachineParams:
             MachineParams(
                 l1=CacheGeometry(1024, 32), l2=CacheGeometry(4096, 64)
             )
+
+    @pytest.mark.parametrize("page", [0, -4096])
+    def test_rejects_non_positive_page(self, page):
+        # page_bytes=0 used to pass the multiple-of-line check and divide
+        # by zero in AddressSpace.home_node.
+        with pytest.raises(ConfigurationError):
+            MachineParams(page_bytes=page)
+
+    @pytest.mark.parametrize("entries", [0, -3])
+    def test_rejects_empty_write_buffer(self, entries):
+        with pytest.raises(ConfigurationError):
+            MachineParams(write_buffer_entries=entries)
+
+    def test_impossible_geometry_never_reaches_a_run(self):
+        """Each of these once built a machine that failed deep inside a
+        run (or ran on a write buffer with no entries)."""
+        from dataclasses import replace
+
+        from repro.runtime import run_hw
+        from repro.workloads.synthetic import parallel_nonpriv_loop
+
+        loop = parallel_nonpriv_loop("geom", elements=64, iterations=8)
+        base = small_test_params(2)
+        for make in (
+            lambda: replace(base, l1=CacheGeometry(0), l2=CacheGeometry(0)),
+            lambda: replace(base, page_bytes=0),
+            lambda: replace(base, write_buffer_entries=0),
+        ):
+            with pytest.raises(ConfigurationError):
+                run_hw(loop, make())
 
     def test_small_test_params(self):
         p = small_test_params(4)

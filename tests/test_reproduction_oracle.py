@@ -1,0 +1,186 @@
+"""Every SW and HW verdict of the quick reproduction, checked against
+the independent oracles.
+
+The figures are only as trustworthy as their pass/FAIL verdicts.  This
+test records every ``run_sw``/``run_hw`` call a quick-preset
+reproduction makes -- the shared :data:`~repro.experiments.figures.RunStore`
+that Figs 11, 12 and 14 read, plus Fig 13's forced failures -- and
+re-derives each verdict from the loop's access trace and the run's
+realized iteration-to-processor assignment:
+
+* HW: :func:`repro.lrpd.analysis.serial_access_verdict` per array under
+  test (the protocols' iteration-serial predicate);
+* SW: :class:`repro.trace.oracle.DependenceOracle` at the virtual
+  iteration numbering the software test marks with, reduced to the
+  LRPD criterion (doall, or privatizable when the array is privatized,
+  or read-in/copy-out when the ``Awmin`` extension is on).
+"""
+
+from typing import Dict, List, Tuple
+
+import pytest
+
+from repro.experiments import figures, scenarios
+from repro.lrpd.analysis import serial_access_verdict
+from repro.runtime.schedule import (
+    SchedulePolicy,
+    VirtualMode,
+    cyclic_blocks,
+    static_chunks,
+)
+from repro.trace.oracle import DependenceOracle
+from repro.trace.ops import AccessOp
+from repro.types import AccessKind, ProtocolKind, Scenario
+
+PRESET = "quick"
+SEED = 2026
+
+
+def _placement(loop, config, result) -> Dict[int, Tuple[int, int]]:
+    """Iteration -> (processor, virtual iteration) of the realized run."""
+    schedule = config.schedule
+    n = loop.num_iterations
+    if schedule.policy is SchedulePolicy.STATIC_CHUNK:
+        blocks = static_chunks(n, result.num_processors)
+    else:
+        blocks = cyclic_blocks(n, schedule.chunk_iterations)
+    ordinal = {it: b.ordinal for b in blocks for it in b.iterations()}
+    placement = {}
+    for proc, iterations in enumerate(result.assignment):
+        for it in iterations:
+            if schedule.virtual_mode is VirtualMode.ITERATION:
+                virt = it
+            elif schedule.virtual_mode is VirtualMode.CHUNK:
+                virt = ordinal[it]
+            else:
+                virt = proc + 1
+            placement[it] = (proc, virt)
+    return placement
+
+
+def hw_oracle_verdict(loop, config, result) -> bool:
+    """The serial predicate over the iterations the run was assigned.
+
+    A run that aborts on a FAIL under dynamic scheduling has assigned
+    only the blocks grabbed before the abort.  The predicate is
+    monotone in the accesses (more accesses can only add a violation),
+    so a FAIL the hardware saw among the executed accesses must also
+    show over the grabbed iterations' full access lists."""
+    assert not config.per_line_bits
+    placement = _placement(loop, config, result)
+    if len(placement) != loop.num_iterations:
+        assert not result.passed, "a passing run left iterations unassigned"
+    rows: Dict[str, List[Tuple[int, int, int, int]]] = {
+        spec.name: [] for spec in loop.arrays_under_test()
+    }
+    for proc, iterations in enumerate(result.assignment):
+        for it in sorted(iterations):
+            virt = placement[it][1]
+            for op in loop.iterations[it - 1]:
+                if isinstance(op, AccessOp) and op.array in rows:
+                    rows[op.array].append(
+                        (proc, virt, op.index, op.kind is AccessKind.WRITE)
+                    )
+    return all(
+        serial_access_verdict(spec.protocol, rows[spec.name])
+        for spec in loop.arrays_under_test()
+    )
+
+
+def sw_oracle_verdict(loop, config, result) -> bool:
+    placement = _placement(loop, config, result)
+    # The software test always runs the whole loop before analyzing.
+    assert sorted(placement) == list(range(1, loop.num_iterations + 1))
+    report = DependenceOracle(
+        loop, iteration_map={it: virt for it, (_, virt) in placement.items()}
+    ).analyze()
+    for spec in loop.arrays_under_test():
+        verdict = report.arrays[spec.name]
+        if verdict.is_doall:
+            continue
+        if spec.privatized and (
+            verdict.is_privatizable or (config.sw_read_in and verdict.is_priv_rico)
+        ):
+            continue
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def recorded_runs():
+    """``(source, scenario, loop, config, result)`` for every SW and HW
+    run of the quick RunStore and of Fig 13."""
+    calls = []
+    patch = pytest.MonkeyPatch()
+
+    def recording(module, name, source):
+        fn = getattr(module, name)
+
+        def call(loop, params, config=None, **kwargs):
+            result = fn(loop, params, config, **kwargs)
+            calls.append((source, result.scenario, loop, config, result))
+            return result
+
+        patch.setattr(module, name, call)
+
+    for name in ("run_sw", "run_hw"):
+        recording(scenarios, name, "store")
+        recording(figures, name, "fig13")
+    try:
+        runs: figures.RunStore = {}
+        figures.fig11_speedups(PRESET, seed=SEED, runs=runs)
+        figures.fig14_scalability(PRESET, seed=SEED, runs=runs)
+        figures.fig13_failure(PRESET, seed=SEED)
+    finally:
+        patch.undo()
+    return runs, calls
+
+
+def test_every_verdict_is_recorded(recorded_runs):
+    runs, calls = recorded_runs
+    store = [c for c in calls if c[0] == "store"]
+    fig13 = [c for c in calls if c[0] == "fig13"]
+    expected = sum(
+        2 * figures.preset_executions(name, PRESET) for name, *_ in runs
+    )
+    assert len(runs) == 7
+    assert len(store) == expected == 28
+    assert len(fig13) == 8
+    assert all(c[3] is not None for c in calls)
+    # Fig 13 forces every speculative run to fail.
+    assert not any(c[4].passed for c in fig13)
+
+
+def test_verdicts_match_oracles(recorded_runs):
+    _, calls = recorded_runs
+    mismatches = []
+    for source, scenario, loop, config, result in calls:
+        assert result.assignment is not None
+        if scenario is Scenario.HW:
+            expected = hw_oracle_verdict(loop, config, result)
+        else:
+            assert scenario is Scenario.SW
+            expected = sw_oracle_verdict(loop, config, result)
+        if expected != result.passed:
+            mismatches.append(
+                f"{source} {scenario.value} {loop.name}: simulated "
+                f"{'pass' if result.passed else 'FAIL'}, oracle "
+                f"{'pass' if expected else 'FAIL'}"
+            )
+    assert not mismatches, mismatches
+
+
+def test_oracles_are_not_vacuous(recorded_runs):
+    """The store holds passing runs of every protocol family the paper
+    uses, and Fig 13 failing ones, so both outcomes are exercised."""
+    _, calls = recorded_runs
+    protocols = {
+        spec.protocol
+        for _, _, loop, _, result in calls
+        if result.passed
+        for spec in loop.arrays_under_test()
+    }
+    assert ProtocolKind.NONPRIV in protocols
+    assert protocols & {ProtocolKind.PRIV, ProtocolKind.PRIV_SIMPLE}
+    assert any(c[4].passed for c in calls)
+    assert any(not c[4].passed for c in calls)

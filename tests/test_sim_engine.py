@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import AddressError, ConfigurationError
 from repro.params import small_test_params
 from repro.sim.machine import Machine
 from repro.sim.processor import Barrier, BarrierOp, BusyCostOp, Mutex, MutexOp, SyncCostOp
-from repro.trace.ops import compute, local, read, write
+from repro.trace.ops import AccessOp, ComputeOp, compute, local, read, write
+from repro.types import AccessKind
 
 
 @pytest.fixture
@@ -141,6 +142,37 @@ class TestAbort:
             {0: iter(ops0), 1: iter(ops1)}, abort_on_failure=True
         )
         assert result.aborted
+
+
+class TestOpDispatch:
+    """Ops dispatch on their exact class: anything else is an error,
+    never run as the op class it derives from."""
+
+    def test_unknown_op_raises(self, m):
+        with pytest.raises(TypeError, match="unknown op"):
+            m.engine.run_phase({0: iter([compute(5), object()])})
+
+    def test_access_op_subclass_raises(self, m):
+        class TracedAccess(AccessOp):
+            pass
+
+        op = TracedAccess(AccessKind.READ, "A", 0)
+        with pytest.raises(TypeError, match="unknown op"):
+            m.engine.run_phase({0: iter([op])})
+
+    def test_compute_op_subclass_raises(self, m):
+        class Stall(ComputeOp):
+            pass
+
+        with pytest.raises(TypeError, match="unknown op"):
+            m.engine.run_phase({0: iter([Stall(3)])})
+
+    def test_out_of_range_access_raises_address_error(self, m):
+        m.engine.run_phase({0: iter([read("A", 255)])})  # table now warm
+        with pytest.raises(AddressError):
+            m.engine.run_phase({0: iter([read("A", 256)])})
+        with pytest.raises(AddressError):
+            m.engine.run_phase({0: iter([read("A", -1)])})
 
 
 class TestDrain:

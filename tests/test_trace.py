@@ -24,6 +24,24 @@ class TestOps:
         with pytest.raises(ValueError):
             compute(-1)
 
+    def test_ops_stay_frozen_value_objects(self):
+        import dataclasses
+        import pickle
+
+        from repro.trace.ops import AccessOp, ComputeOp
+
+        r = read("A", 3)
+        assert r == AccessOp(kind=AccessKind.READ, array="A", index=3)
+        assert hash(r) == hash(read("A", 3)) and r != write("A", 3)
+        assert repr(r) == "AccessOp(kind=<AccessKind.READ: 'read'>, array='A', index=3)"
+        assert dataclasses.replace(r, index=4) == read("A", 4)
+        assert [f.name for f in dataclasses.fields(r)] == ["kind", "array", "index"]
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert compute(5) == ComputeOp(cycles=5) and dataclasses.astuple(compute(5)) == (5,)
+        for op, field in ((r, "index"), (compute(5), "cycles")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(op, field, 0)
+
     def test_local_default_kind(self):
         assert local().kind is AccessKind.READ
 
