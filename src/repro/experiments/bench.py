@@ -41,7 +41,7 @@ bare-level only and keyed as pseudo-engines (``vector-fail`` etc.) so
 The top-level ``bare``/``telemetry``/``monitors`` keys mirror the
 scalar engine for continuity with the PR3-era document shape.  The CI
 perf job runs this, diffs ``iters_per_s`` per cell against the
-committed baseline (``BENCH_PR10.json``) and warns — non-gating — on a
+committed baseline (``BENCH_BASELINE.json``) and warns — non-gating — on a
 >15% drop; the hard <3% telemetry-off gate lives in
 ``benchmarks/bench_simulator_throughput.py`` and is unaffected.
 
@@ -196,7 +196,7 @@ def _bench_scenario_times(engine: str, scenario: str, reps: int) -> List[float]:
 
 
 def run_bench(
-    out: str = "BENCH_PR10.json",
+    out: str = "BENCH_BASELINE.json",
     reps: int = 7,
     jobs: int = 1,
     profile=None,

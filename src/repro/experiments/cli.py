@@ -290,7 +290,7 @@ def main(argv: "List[str] | None" = None) -> int:
         help="doctor: processor count for the monitored self-check runs",
     )
     parser.add_argument(
-        "--bench-out", default="BENCH_PR10.json",
+        "--bench-out", default="BENCH_BASELINE.json",
         help="bench: output path for the throughput JSON",
     )
     parser.add_argument(
