@@ -128,7 +128,6 @@ def _measure_span_run(with_profiler: bool) -> float:
 
     loop = parallel_nonpriv_loop("span-gate", elements=512, iterations=24)
     config = RunConfig(
-        engine="scalar",
         schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK),
     )
     if with_profiler:
@@ -171,7 +170,6 @@ def _measure_ledger_run(loop, ledger) -> float:
     from repro.runtime.schedule import SchedulePolicy, ScheduleSpec
 
     config = RunConfig(
-        engine="scalar",
         schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK),
         ledger=ledger,
     )

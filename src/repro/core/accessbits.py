@@ -316,90 +316,3 @@ def tag_bits_per_element() -> "dict[str, int]":
     """Cache-tag state per element: 2 (First) + 1 (Priv) + 1 (ROnly)
     for the non-privatization test; 2 (Read1st/Write) for privatization."""
     return {"nonpriv": 4, "priv": 2}
-
-
-# ----------------------------------------------------------------------
-# Whole-phase kernels (the vector engine)
-#
-# The vector tier replays an entire quiescent loop phase as numpy
-# reductions over the flat access record (one row per access, in
-# per-processor program order).  These helpers fold the per-access bit
-# updates of the protocols above into group-wise boolean reductions; the
-# protocol-specific verdict/fill kernels live next to their scalar
-# counterparts in ``nonpriv.py`` / ``privatization.py``.
-# ----------------------------------------------------------------------
-def read_first_rows(
-    procs: np.ndarray, virts: np.ndarray, elems: np.ndarray, writes: np.ndarray
-) -> np.ndarray:
-    """Boolean mask of the rows that are *read-first* events.
-
-    A row is a read-first when it is the first access of its
-    ``(processor, virtual iteration, element)`` group — the condition
-    under which the scalar protocols' per-iteration ``Read1st`` tag bit
-    is set and a read-first signal travels to the directories — and that
-    first access is a read.  Rows must be in per-processor program
-    order; groups never span processors, so concatenation order across
-    processors does not matter.
-    """
-    n = len(procs)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    order = np.lexsort((np.arange(n), virts, elems, procs))
-    p, v, e = procs[order], virts[order], elems[order]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    first[1:] = (p[1:] != p[:-1]) | (v[1:] != v[:-1]) | (e[1:] != e[:-1])
-    mask = np.zeros(n, dtype=bool)
-    mask[order[first]] = True
-    return mask & ~writes
-
-
-def scatter_max(values: np.ndarray, index: np.ndarray, length: int,
-                fill: int = 0) -> np.ndarray:
-    """Per-element maximum of ``values`` grouped by ``index``."""
-    out = np.full(length, fill, dtype=np.int64)
-    np.maximum.at(out, index, values)
-    return out
-
-
-def scatter_min(values: np.ndarray, index: np.ndarray, length: int,
-                fill: int) -> np.ndarray:
-    """Per-element minimum of ``values`` grouped by ``index``."""
-    out = np.full(length, fill, dtype=np.int64)
-    np.minimum.at(out, index, values)
-    return out
-
-
-def scatter_or(index: np.ndarray, length: int) -> np.ndarray:
-    """Boolean mask of the elements that appear in ``index``."""
-    out = np.zeros(length, dtype=bool)
-    out[index] = True
-    return out
-
-
-def distinct_procs(procs: np.ndarray, elems: np.ndarray,
-                   length: int) -> np.ndarray:
-    """Number of distinct processors touching each element."""
-    out = np.zeros(length, dtype=np.int64)
-    if len(procs) == 0:
-        return out
-    pairs = np.unique(elems.astype(np.int64) * 2**32 + procs)
-    np.add.at(out, (pairs >> 32).astype(np.intp), 1)
-    return out
-
-
-def last_row_per_group(keys: np.ndarray, order_within: np.ndarray) -> np.ndarray:
-    """Row index of the greatest ``order_within`` per ``keys`` group.
-
-    Used for the "last writer wins" folds of the loop-end commit: the
-    directory/copy-out state an element ends the loop with is the state
-    its greatest-ordinal write would have installed.  Returns the
-    selected row indices, one per distinct key, keys ascending.
-    """
-    n = len(keys)
-    order = np.lexsort((order_within, keys))
-    k = keys[order]
-    last = np.empty(n, dtype=bool)
-    last[-1] = True
-    last[:-1] = k[1:] != k[:-1]
-    return order[last]

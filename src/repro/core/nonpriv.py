@@ -408,62 +408,3 @@ class NonPrivProtocol:
             detected_at=now,
             processor=proc,
         )
-
-
-# ----------------------------------------------------------------------
-# Whole-phase kernel (the vector engine)
-# ----------------------------------------------------------------------
-def nonpriv_vector_verdict(
-    procs, elems, writes, length: int
-) -> "Tuple[bool, object, object, object]":
-    """Fold the whole loop's non-privatization test into reductions.
-
-    ``procs``/``elems``/``writes`` are one row per access to the array
-    (meta-element indexes in the per-line-bit mode), in per-processor
-    program order.  The element-wise FAIL condition of §3.2 — neither
-    read-only nor accessed by a single processor — reduces to *touched
-    by two or more distinct processors and written at least once*; the
-    scalar protocol detects exactly those elements, through whichever of
-    the Fig 6/7 paths the interleaving takes (tag check, directory
-    check, First_update race or writeback merge at the loop-end commit).
-
-    Returns ``(passed, first, priv, ronly)`` where the three arrays are
-    the directory-table end state for a passing run: ``first`` is the
-    processor of each element's earliest access in row order, ``priv``
-    marks written elements and ``ronly`` elements read by two or more
-    processors.  (On FAIL the vector tier re-runs the case op-by-op for
-    exact attribution, so the fill arrays are unused.)
-    """
-    import numpy as np
-
-    from .accessbits import distinct_procs, scatter_or
-
-    nproc = distinct_procs(procs, elems, length)
-    written = scatter_or(elems[writes], length)
-    passed = not bool(((nproc >= 2) & written).any())
-    first = np.full(length, NO_PROC, dtype=np.int32)
-    if len(elems):
-        n = len(elems)
-        order = np.lexsort((np.arange(n), elems))
-        e = elems[order]
-        head = np.empty(n, dtype=bool)
-        head[0] = True
-        head[1:] = e[1:] != e[:-1]
-        first[e[head]] = procs[order[head]]
-    ronly = (nproc >= 2) & ~written
-    return passed, first, written, ronly
-
-
-def nonpriv_vector_fail_candidates(procs, elems, writes, length: int):
-    """Element indexes (meta-element indexes in the per-line-bit mode)
-    that fail the non-privatization test: touched by two or more
-    distinct processors and written at least once.  The scalar
-    protocol's FAIL is always attributed to one of these, so the vector
-    tier's exact-attribution replay cross-checks against this set."""
-    import numpy as np
-
-    from .accessbits import distinct_procs, scatter_or
-
-    nproc = distinct_procs(procs, elems, length)
-    written = scatter_or(elems[writes], length)
-    return np.nonzero((nproc >= 2) & written)[0]

@@ -674,152 +674,3 @@ class PrivSimpleProtocol:
             processor=proc,
             iteration=iteration,
         )
-
-
-# ----------------------------------------------------------------------
-# Whole-phase kernels (the vector engine)
-#
-# One row per access (per-processor program order).  ``virts`` are *raw*
-# chunk ordinals spanning the whole loop; with ``timestamp_bits`` the
-# scalar engine numbers each epoch's iterations effectively
-# (``eff = ((virt-1) % capacity) + 1``) and resets ``MaxR1st``/``MinW``
-# at every epoch barrier, carrying earlier writes as the sticky
-# ``written_past`` bit.  Comparing raw ordinals is equivalent: within an
-# epoch both orderings agree, and a read-first in a later epoch than any
-# write has a strictly greater raw ordinal — exactly the
-# ``written_past`` FAIL.
-# ----------------------------------------------------------------------
-def priv_vector_verdict(rf_rows, virts, elems, writes, length: int) -> bool:
-    """One ``MaxR1st > MinW`` mask for the whole phase (§3.3)."""
-    import numpy as np
-
-    from .accessbits import scatter_max, scatter_min
-
-    big = np.int64(2**62)
-    max_r1st = scatter_max(virts[rf_rows], elems[rf_rows], length)
-    min_w = scatter_min(virts[writes], elems[writes], length, fill=int(big))
-    return not bool((max_r1st > min_w).any())
-
-
-def priv_vector_fail_candidates(rf_rows, virts, elems, writes, length: int):
-    """Element indexes whose ``MaxR1st > MinW`` mask is set — the set
-    the scalar privatization FAIL is always attributed to."""
-    import numpy as np
-
-    from .accessbits import scatter_max, scatter_min
-
-    big = np.int64(2**62)
-    max_r1st = scatter_max(virts[rf_rows], elems[rf_rows], length)
-    min_w = scatter_min(virts[writes], elems[writes], length, fill=int(big))
-    return np.nonzero(max_r1st > min_w)[0]
-
-
-def priv_vector_fill_tables(
-    shared, privates, procs, rf_rows, virts, elems, writes, epochs, effs,
-) -> None:
-    """Fill one array's :class:`PrivSharedDirTable` and per-processor
-    :class:`PrivPrivateDirTable` list with the end state of a passing
-    run (see :func:`priv_vector_verdict` for the row conventions)."""
-    import numpy as np
-
-    from .accessbits import last_row_per_group, scatter_max, scatter_min
-
-    length = shared.length
-    final = int(epochs.max()) if len(epochs) else 0
-    in_final = epochs == final
-    rf_final = rf_rows & in_final
-    w_final = writes & in_final
-    big = np.int64(2**62)
-    shared.max_r1st[:] = scatter_max(effs[rf_final], elems[rf_final], length)
-    min_w = scatter_min(effs[w_final], elems[w_final], length, fill=int(big))
-    min_w[min_w == big] = NO_ITER
-    shared.min_w[:] = min_w
-    shared.written_past[:] = False
-    past_w = writes & ~in_final
-    shared.written_past[elems[past_w]] = True
-
-    shared.last_w_iter[:] = 0
-    shared.last_w_epoch[:] = 0
-    shared.last_w_proc[:] = -1
-    if writes.any():
-        we, wp = elems[writes], procs[writes]
-        # Last write per element under the scalar ordering key
-        # (epoch, effective iteration): ties on the key keep the row
-        # encountered first, matching ``note_write``'s >= update rule
-        # applied in per-processor program order only for the
-        # *attribution* fields (timing is out of the relaxed contract).
-        stamp = epochs[writes] * np.int64(2**32) + effs[writes]
-        pick = last_row_per_group(we.astype(np.int64), stamp)
-        shared.last_w_epoch[we[pick]] = epochs[writes][pick]
-        shared.last_w_iter[we[pick]] = effs[writes][pick]
-        shared.last_w_proc[we[pick]] = wp[pick]
-
-    for proc, table in enumerate(privates):
-        mine = (procs == proc) & in_final
-        table.pmax_r1st[:] = scatter_max(
-            effs[rf_rows & mine], elems[rf_rows & mine], length
-        )
-        table.pmax_w[:] = scatter_max(
-            effs[writes & mine], elems[writes & mine], length
-        )
-
-
-def priv_simple_vector_verdict(rf_rows, elems, writes, length: int) -> bool:
-    """Reduced-state variant (§4.1): FAIL iff any element has both a
-    read-first event and a write anywhere in the loop."""
-    from .accessbits import scatter_or
-
-    any_r1st = scatter_or(elems[rf_rows], length)
-    any_w = scatter_or(elems[writes], length)
-    return not bool((any_r1st & any_w).any())
-
-
-def priv_simple_vector_fail_candidates(rf_rows, elems, writes, length: int):
-    """Element indexes with both a read-first event and a write — the
-    reduced-state FAIL set the scalar attribution always lands in."""
-    import numpy as np
-
-    from .accessbits import scatter_or
-
-    any_r1st = scatter_or(elems[rf_rows], length)
-    any_w = scatter_or(elems[writes], length)
-    return np.nonzero(any_r1st & any_w)[0]
-
-
-def priv_simple_vector_fill_tables(
-    shared, privates, procs, rf_rows, virts, elems, writes
-) -> None:
-    """Fill one array's :class:`PrivSimpleSharedTable` and per-processor
-    :class:`PrivSimplePrivateTable` list for a passing run."""
-    import numpy as np
-
-    from .accessbits import last_row_per_group, scatter_or
-
-    length = shared.length
-    shared.any_r1st[:] = scatter_or(elems[rf_rows], length)
-    shared.any_w[:] = scatter_or(elems[writes], length)
-    for proc, table in enumerate(privates):
-        mine = procs == proc
-        table.write_any[:] = scatter_or(elems[writes & mine], length)
-        table.read1st[:] = False
-        table.write[:] = False
-        table.epoch[:] = -1
-        # Per-iteration bits: the last (element, iteration) group of this
-        # processor that sent a signal (a read-first or a write) leaves
-        # its bits valid for that iteration.
-        ev = mine & (rf_rows | writes)
-        if not ev.any():
-            continue
-        e, v = elems[ev], virts[ev]
-        pick = last_row_per_group(e.astype(np.int64), v)
-        last_virt = np.zeros(length, dtype=np.int64)
-        last_virt[e[pick]] = v[pick]
-        table.epoch[e[pick]] = v[pick]
-        # Within that group: read1st iff the group's first access was a
-        # read, write iff the group wrote at all.
-        grp = np.zeros(length, dtype=bool)
-        grp[elems[mine & rf_rows & (virts == last_virt[elems])]] = True
-        table.read1st[:] = grp & (table.epoch >= 0)
-        wg = np.zeros(length, dtype=bool)
-        wg[elems[mine & writes & (virts == last_virt[elems])]] = True
-        table.write[:] = wg & (table.epoch >= 0)

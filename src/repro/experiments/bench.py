@@ -1,13 +1,9 @@
 """The ``bench`` subcommand: simulator-throughput regression harness.
 
 Measures host wall-clock time of one representative speculative run
-across the full engine x instrumentation matrix — both execution
-tiers (``scalar``, the reference; ``vector``, the whole-phase numpy
-kernel tier) under three
-instrumentation levels: bare (no bus attached), telemetry (full
-event recording) and monitors (invariant monitors + forensics
-recorder).  Every matrix cell runs under the same static-chunk
-schedule so the scalar/vector columns compare like for like.
+under three instrumentation levels: bare (no bus attached), telemetry
+(full event recording) and monitors (invariant monitors + forensics
+recorder).  Every level runs under the same static-chunk schedule.
 Repetitions are interleaved so host-load drift hits every cell
 equally, and the result is a machine-readable JSON document::
 
@@ -19,27 +15,24 @@ equally, and the result is a machine-readable JSON document::
         "scalar": {"bare": {"best_s": ..., "iters_per_s": ...},
                    "telemetry": {"best_s": ..., "overhead_pct": ...},
                    "monitors":  {"best_s": ..., "overhead_pct": ...}},
-        "vector": {...},
         "scalar-fail":    {"bare": {...}},   # scenario rows, bare only
-        "vector-fail":    {"bare": {...}},
-        "scalar-dynamic": {"bare": {...}},
-        "vector-dynamic": {"bare": {...}}
+        "scalar-dynamic": {"bare": {...}}
       },
       "bare": {...}, "telemetry": {...}, "monitors": {...},   # scalar
       "provenance": {"config_hash": ..., "code_version": ...}
     }
 
-Beyond the matrix, two *scenario* rows time the vector tier against
-scalar off its static PASS path: ``fail`` (the same workload with one
-injected cross-processor flow dependence, so every run aborts and
-re-executes serially; the vector tier localizes the FAIL natively) and
-``dynamic`` (dynamic self-scheduling on a contention-free machine,
-which the vector tier delegates to scalar).  Scenario rows are
-bare-level only and keyed as pseudo-engines (``vector-fail`` etc.) so
-``benchdiff`` picks them up without a schema change.
+Beyond the matrix, two *scenario* rows time runs off the static PASS
+path: ``fail`` (the same workload with one injected cross-processor
+flow dependence, so every run aborts and re-executes serially) and
+``dynamic`` (dynamic self-scheduling on a contention-free machine).
+Scenario rows are bare-level only and keyed as pseudo-engines
+(``scalar-fail`` etc.) so ``benchdiff`` and the ledger's bench history
+read them without a schema change; the ``engines`` key keeps the shape
+of the older multi-engine documents for the same reason.
 
 The top-level ``bare``/``telemetry``/``monitors`` keys mirror the
-scalar engine for continuity with the PR3-era document shape.  The CI
+scalar cells for continuity with the PR3-era document shape.  The CI
 perf job runs this, diffs ``iters_per_s`` per cell against the
 committed baseline (``BENCH_BASELINE.json``) and warns — non-gating — on a
 >15% drop; the hard <3% telemetry-off gate lives in
@@ -58,7 +51,7 @@ import dataclasses
 import gc
 import json
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from ..obs import MonitorSuite, Telemetry
 from ..params import ContentionModel, small_test_params
@@ -70,23 +63,17 @@ from .pool import PoolTask, run_tasks
 BENCH_ITERATIONS = 48
 BENCH_ELEMENTS = 1024
 BENCH_PROCESSORS = 4
-ENGINES = ("scalar", "vector")
 LEVELS = ("bare", "telemetry", "monitors")
-#: Scenario rows: scalar vs vector off the static PASS path —
-#: every-run-FAILs (localized natively) and dynamic self-scheduling
-#: (delegated to scalar).
+#: Scenario rows off the static PASS path: every run FAILs, and
+#: dynamic self-scheduling.
 SCENARIOS = ("fail", "dynamic")
-SCENARIO_ENGINES = ENGINES
 
 
-def _bench_config(engine: str, **extra) -> RunConfig:
-    # Static-chunk for every matrix cell so the scalar/vector
-    # columns measure the same schedule (the scenario rows below cover
-    # the dynamic-schedule comparison explicitly).
+def _bench_config(**extra) -> RunConfig:
+    # Static-chunk for every matrix cell (the scenario rows below cover
+    # the dynamic schedule explicitly).
     return RunConfig(
-        engine=engine,
-        schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK),
-        **extra,
+        schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK), **extra
     )
 
 
@@ -103,28 +90,26 @@ def _make_bench_workload():
     return loop, small_test_params(BENCH_PROCESSORS)
 
 
-def _run_cell(engine: str, level: str, loop, params) -> None:
+def _run_cell(level: str, loop, params) -> None:
     if level == "bare":
-        run_hw(loop, params, _bench_config(engine))
+        run_hw(loop, params, _bench_config())
     elif level == "telemetry":
-        run_hw(loop, params, _bench_config(engine, telemetry=Telemetry()))
+        run_hw(loop, params, _bench_config(telemetry=Telemetry()))
     else:
-        result = run_hw(
-            loop, params, _bench_config(engine, monitors=MonitorSuite())
-        )
+        result = run_hw(loop, params, _bench_config(monitors=MonitorSuite()))
         assert result.violations == []
 
 
-def _bench_cell_times(engine: str, level: str, reps: int) -> List[float]:
+def _bench_cell_times(level: str, reps: int) -> List[float]:
     """Pool task: warm up and time one matrix cell, wholly in-worker."""
     loop, params = _make_bench_workload()
-    _run_cell(engine, level, loop, params)  # warmup, not measured
+    _run_cell(level, loop, params)  # warmup, not measured
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         return [
-            _measure(lambda: _run_cell(engine, level, loop, params))
+            _measure(lambda: _run_cell(level, loop, params))
             for _ in range(reps)
         ]
     finally:
@@ -133,7 +118,7 @@ def _bench_cell_times(engine: str, level: str, reps: int) -> List[float]:
 
 
 def _make_scenario_workload(scenario: str):
-    """``(loop, params, config_factory, expect_passed)`` for a scenario row."""
+    """``(loop, params, config, expect_passed)`` for a scenario row."""
     if scenario == "fail":
         # Inject the flow dependence across the static-chunk boundary
         # between processors 1 and 2 (12 iterations per chunk on 4
@@ -160,34 +145,26 @@ def _make_scenario_workload(scenario: str):
         expect_passed = True
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
-
-    def config(engine: str) -> RunConfig:
-        return RunConfig(engine=engine, schedule=schedule)
-
-    return loop, params, config, expect_passed
+    return loop, params, RunConfig(schedule=schedule), expect_passed
 
 
-def _run_scenario_cell(engine, scenario, loop, params, config, expect_passed):
-    result = run_hw(loop, params, config(engine))
+def _run_scenario_cell(scenario, loop, params, config, expect_passed):
+    result = run_hw(loop, params, config)
     # A wrong verdict means the cell is not measuring the path it
     # claims to (e.g. the FAIL row silently passing).
-    assert result.passed is expect_passed, (engine, scenario)
+    assert result.passed is expect_passed, scenario
 
 
-def _bench_scenario_times(engine: str, scenario: str, reps: int) -> List[float]:
+def _bench_scenario_times(scenario: str, reps: int) -> List[float]:
     """Pool task: warm up and time one scenario row, wholly in-worker."""
-    loop, params, config, expect_passed = _make_scenario_workload(scenario)
-    _run_scenario_cell(engine, scenario, loop, params, config, expect_passed)
+    workload = _make_scenario_workload(scenario)
+    _run_scenario_cell(scenario, *workload)
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         return [
-            _measure(
-                lambda: _run_scenario_cell(
-                    engine, scenario, loop, params, config, expect_passed
-                )
-            )
+            _measure(lambda: _run_scenario_cell(scenario, *workload))
             for _ in range(reps)
         ]
     finally:
@@ -215,37 +192,29 @@ def run_bench(
     ``repro ledger trend`` and ``benchdiff --from-ledger``.
     """
     loop, params = _make_bench_workload()
-    cells: List[Tuple[str, str]] = [
-        (engine, level) for engine in ENGINES for level in LEVELS
-    ]
-    scenario_cells: List[Tuple[str, str]] = [
-        (engine, scenario)
-        for scenario in SCENARIOS
-        for engine in SCENARIO_ENGINES
-    ]
     if (jobs is not None and jobs != 1) or profile is not None:
         outputs = run_tasks(
             [
-                PoolTask(_bench_cell_times, cell + (reps,),
-                         label=f"bench:{cell[0]}/{cell[1]}")
-                for cell in cells
+                PoolTask(_bench_cell_times, (level, reps),
+                         label=f"bench:scalar/{level}")
+                for level in LEVELS
             ]
             + [
-                PoolTask(_bench_scenario_times, cell + (reps,),
-                         label=f"bench:{cell[0]}-{cell[1]}")
-                for cell in scenario_cells
+                PoolTask(_bench_scenario_times, (scenario, reps),
+                         label=f"bench:scalar-{scenario}")
+                for scenario in SCENARIOS
             ],
             jobs=jobs,
             profile=profile,
         )
-        times = dict(zip(cells + scenario_cells, outputs))
+        times = dict(zip(LEVELS + SCENARIOS, outputs))
     else:
-        times = {cell: [] for cell in cells + scenario_cells}
+        times = {cell: [] for cell in LEVELS + SCENARIOS}
         scenarios = {s: _make_scenario_workload(s) for s in SCENARIOS}
-        for engine, level in cells:  # warmup round, not measured
-            _run_cell(engine, level, loop, params)
-        for engine, scenario in scenario_cells:
-            _run_scenario_cell(engine, scenario, *scenarios[scenario])
+        for level in LEVELS:  # warmup round, not measured
+            _run_cell(level, loop, params)
+        for scenario in SCENARIOS:
+            _run_scenario_cell(scenario, *scenarios[scenario])
         # Collector pauses land randomly inside the short timed runs and
         # dominate rep-to-rep variance; pause collection while measuring
         # (the simulator allocates heavily but builds no cycles).
@@ -256,15 +225,15 @@ def run_bench(
             # Repetitions interleave across cells so host-load drift
             # hits every cell equally.
             for _ in range(reps):
-                for engine, level in cells:
-                    times[(engine, level)].append(
-                        _measure(lambda: _run_cell(engine, level, loop, params))
+                for level in LEVELS:
+                    times[level].append(
+                        _measure(lambda: _run_cell(level, loop, params))
                     )
-                for engine, scenario in scenario_cells:
-                    times[(engine, scenario)].append(
+                for scenario in SCENARIOS:
+                    times[scenario].append(
                         _measure(
                             lambda: _run_scenario_cell(
-                                engine, scenario, *scenarios[scenario]
+                                scenario, *scenarios[scenario]
                             )
                         )
                     )
@@ -274,28 +243,24 @@ def run_bench(
 
     best = {cell: min(ts) for cell, ts in times.items()}
 
-    def _cell_doc(engine: str, level: str) -> Dict[str, float]:
-        cell = {"best_s": best[(engine, level)]}
+    def _cell_doc(level: str) -> Dict[str, float]:
+        cell = {"best_s": best[level]}
         if level == "bare":
-            cell["iters_per_s"] = BENCH_ITERATIONS / best[(engine, level)]
+            cell["iters_per_s"] = BENCH_ITERATIONS / best[level]
         else:
-            cell["overhead_pct"] = 100.0 * (
-                best[(engine, level)] / best[(engine, "bare")] - 1.0
-            )
+            cell["overhead_pct"] = 100.0 * (best[level] / best["bare"] - 1.0)
         return cell
 
-    engines_doc = {
-        engine: {level: _cell_doc(engine, level) for level in LEVELS}
-        for engine in ENGINES
-    }
-    for engine, scenario in scenario_cells:
-        engines_doc[f"{engine}-{scenario}"] = {
+    scalar = {level: _cell_doc(level) for level in LEVELS}
+    engines_doc = {"scalar": scalar}
+    for scenario in SCENARIOS:
+        engines_doc[f"scalar-{scenario}"] = {
             "bare": {
-                "best_s": best[(engine, scenario)],
-                "iters_per_s": BENCH_ITERATIONS / best[(engine, scenario)],
+                "best_s": best[scenario],
+                "iters_per_s": BENCH_ITERATIONS / best[scenario],
             }
         }
-    provenance = run_hw(loop, params, _bench_config("scalar")).provenance
+    provenance = run_hw(loop, params, _bench_config()).provenance
     doc = {
         "benchmark": "simulator-throughput",
         "workload": {
@@ -306,10 +271,10 @@ def run_bench(
         },
         "reps": reps,
         "engines": engines_doc,
-        # Scalar-engine mirror of the PR3-era top-level shape.
-        "bare": engines_doc["scalar"]["bare"],
-        "telemetry": engines_doc["scalar"]["telemetry"],
-        "monitors": engines_doc["scalar"]["monitors"],
+        # Mirror of the PR3-era top-level shape.
+        "bare": scalar["bare"],
+        "telemetry": scalar["telemetry"],
+        "monitors": scalar["monitors"],
         "provenance": provenance.as_dict() if provenance is not None else None,
     }
     with open(out, "w") as fh:
@@ -318,25 +283,13 @@ def run_bench(
 
     lines = [
         f"bench: {loop.name} on {BENCH_PROCESSORS} procs, best of {reps}",
+        f"  bare: {scalar['bare']['best_s'] * 1e3:8.1f} ms "
+        f"({scalar['bare']['iters_per_s']:,.0f} loop iterations/s)  "
+        f"telemetry {scalar['telemetry']['overhead_pct']:+.1f}%  "
+        f"monitors {scalar['monitors']['overhead_pct']:+.1f}%",
     ]
-    for engine in ENGINES:
-        e = engines_doc[engine]
-        lines.append(
-            f"  {engine:6s} bare: {e['bare']['best_s'] * 1e3:8.1f} ms "
-            f"({e['bare']['iters_per_s']:,.0f} loop iterations/s)  "
-            f"telemetry {e['telemetry']['overhead_pct']:+.1f}%  "
-            f"monitors {e['monitors']['overhead_pct']:+.1f}%"
-        )
-    lines.append(
-        "  bare speedup: "
-        f"vector/scalar {best[('scalar', 'bare')] / best[('vector', 'bare')]:.2f}x"
-    )
     for scenario in SCENARIOS:
-        s, v = best[("scalar", scenario)], best[("vector", scenario)]
-        lines.append(
-            f"  {scenario:7s} scalar: {s * 1e3:8.1f} ms  "
-            f"vector: {v * 1e3:8.1f} ms  (vector/scalar {s / v:.2f}x)"
-        )
+        lines.append(f"  {scenario:7s} {best[scenario] * 1e3:8.1f} ms")
     if ledger is not None:
         key, deduped = ledger.record_bench(doc, label=out)
         lines.append(

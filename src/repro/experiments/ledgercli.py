@@ -54,7 +54,7 @@ def _cmd_list(ledger: RunLedger, args) -> int:
         if e["kind"] == "run":
             verdict = "pass" if e.get("passed") else "FAIL"
             extra = (
-                f"{e.get('scenario')}/{e.get('engine')} "
+                f"{e.get('scenario')} "
                 f"{e.get('loop')!r} {verdict} "
                 f"wall={e.get('wall_cycles'):.0f}"
             )

@@ -1,8 +1,7 @@
-"""The ``profile`` subcommand: a profiled pooled sweep across engine tiers.
+"""The ``profile`` subcommand: a profiled pooled sweep of HW runs.
 
-Runs a small matrix of speculative executions (every engine tier x a few
-repetitions) through the process pool with per-task profiling capture
-enabled, then writes:
+Runs a few repetitions of one speculative execution through the process
+pool with per-task profiling capture enabled, then writes:
 
 * one merged multi-track Chrome trace (``pid`` = worker process,
   ``tid`` 0 = that process's spans, ``tid`` ``proc + 1`` = simulated
@@ -17,23 +16,21 @@ on ``sweep`` / ``bench`` / ``diffsweep`` / ``trace`` via
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from ..obs.export import _ensure_parent
 from ..obs.spans import ProfileSession
 from .pool import PoolTask, derive_seed, run_tasks
 
-#: one profiled run per (engine, rep) cell — small by design: the verb
-#: is a smoke-profile, not a benchmark
-PROFILE_ENGINES = ("scalar", "vector")
-PROFILE_REPS = 2
+#: profiled runs — few by design: the verb is a smoke-profile, not a
+#: benchmark
+PROFILE_REPS = 4
 
 
 def _profile_point(
-    workload_name: str, preset: str, seed: int, engine: str, rep: int
+    workload_name: str, preset: str, seed: int, rep: int
 ) -> Dict[str, Any]:
     """One profiled simulation run (module-level: pool-picklable).
 
@@ -47,10 +44,8 @@ def _profile_point(
     w = make_workload(workload_name, preset, seed)
     loop = next(iter(w.executions(1)))
     params = default_params(w.num_processors)
-    config = dataclasses.replace(w.hw_config(), engine=engine)
-    result = run_hw(loop, params, config)
+    result = run_hw(loop, params, w.hw_config())
     return {
-        "engine": engine,
         "rep": rep,
         "passed": result.passed,
         "wall": result.wall,
@@ -90,27 +85,23 @@ def run_profile(
     workload: str = "Adm",
     out: str = "repro-profile.json",
     jobs: Optional[int] = 4,
-    engines: Sequence[str] = PROFILE_ENGINES,
     reps: int = PROFILE_REPS,
 ) -> str:
     """Profile a small pooled sweep and write the merged trace + rollup."""
     session = ProfileSession(label=f"profile:{workload}")
-    tasks = []
-    for engine in engines:
-        for rep in range(reps):
-            index = len(tasks)
-            tasks.append(
-                PoolTask(
-                    _profile_point,
-                    (workload, preset, seed, engine, rep),
-                    seed=derive_seed(seed, index),
-                    label=f"{engine}#{rep}",
-                )
-            )
+    tasks = [
+        PoolTask(
+            _profile_point,
+            (workload, preset, seed, rep),
+            seed=derive_seed(seed, rep),
+            label=f"run#{rep}",
+        )
+        for rep in range(reps)
+    ]
     results = run_tasks(tasks, jobs=jobs, profile=session)
     ok = sum(1 for r in results if r and r["passed"])
     header = (
-        f"profile: {workload} ({preset}) x {list(engines)} x {reps} reps, "
+        f"profile: {workload} ({preset}) x {reps} reps, "
         f"jobs={jobs} — {ok}/{len(results)} passed"
     )
     metadata = {"workload": workload, "preset": preset, "seed": seed}

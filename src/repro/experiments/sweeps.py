@@ -88,16 +88,15 @@ def _run_point(
     return RUNNERS[scenario](loop, params, config)
 
 
-def _serial_key(params: MachineParams, config: Optional[RunConfig]) -> str:
+def _serial_key(params: MachineParams) -> str:
     """Identity of the serial baseline a point run compares against.
 
     ``run_serial`` collapses the machine to one processor, so two
     points whose params differ only in fields that collapse away (e.g.
-    ``num_processors``) share one baseline; the engine is the only
-    config knob the serial scenario's timing can see.
+    ``num_processors``) share one baseline; no config knob reaches the
+    serial scenario's timing.
     """
-    engine = config.engine if config is not None else "scalar"
-    return fingerprint({"params": _serial_params(params), "engine": engine})
+    return fingerprint({"params": _serial_params(params)})
 
 
 def sweep_machine(
@@ -131,7 +130,7 @@ def sweep_machine(
     serial_reps: Dict[str, MachineParams] = {}
     if need_serial:
         for params in point_params:
-            key = _serial_key(params, config)
+            key = _serial_key(params)
             serial_keys.append(key)
             serial_reps.setdefault(key, params)
 

@@ -129,23 +129,6 @@ class Directory:
         self.queueing_cycles += delay
         return delay
 
-    def bulk_install(self, items) -> None:
-        """Install precomputed end-state entries (the vector engine's
-        loop-end commit).  ``items`` is an iterable of ``(line_addr,
-        state, owner, sharers)`` tuples, one per line homed here; each
-        replaces whatever entry the line had.  Untimed maintenance — no
-        occupancy, no transaction count, no events: the per-transaction
-        bookkeeping belongs to the op-by-op engine."""
-        entries = self._entries
-        for line_addr, state, owner, sharers in items:
-            ent = entries.get(line_addr)
-            if ent is None:
-                ent = DirectoryEntry()
-                entries[line_addr] = ent
-            ent.state = state
-            ent.owner = owner
-            ent.sharers = set(sharers)
-
     def reset_contention(self) -> None:
         self._busy_until = 0
 

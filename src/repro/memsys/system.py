@@ -29,9 +29,7 @@ Writes are non-blocking through a finite write buffer; reads stall.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from ..address import AddressSpace
 from ..obs.events import AccessEvent, DirTransitionEvent
@@ -598,61 +596,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def bulk_loop_commit(
-        self,
-        procs: np.ndarray,
-        line_addrs: np.ndarray,
-        writes: np.ndarray,
-    ) -> None:
-        """Install the coherence end-state of a whole loop at once (the
-        vector engine's argsort-based loop-end commit).
-
-        ``procs``/``line_addrs``/``writes`` are parallel arrays, one row
-        per access, in program (commit) order within each processor and
-        in the scalar engines' deterministic interleaving across
-        processors.  Rather than replaying every transaction, the final
-        owner/sharer sets are computed per line with one ``lexsort``:
-
-        * any write to a line -> directory DIRTY, owner = the processor
-          of the last write in row order, a DIRTY copy in the owner's
-          cache (mirroring write-buffer retirement + upgrade);
-        * reads only -> directory SHARED, sharers = every touching
-          processor, CLEAN copies in their caches.
-
-        Untimed maintenance, like :meth:`flush_caches`: no occupancy,
-        no stats, no events.  Capacity-evicted victims from the cache
-        installs are dropped silently (``_recall_owner`` tolerates a
-        directory owner whose line is gone).
-        """
-        n = len(line_addrs)
-        if n == 0:
-            return
-        rows = np.arange(n)
-        order = np.lexsort((rows, line_addrs))
-        la = line_addrs[order]
-        pr = procs[order]
-        wr = writes[order]
-        starts = np.nonzero(np.concatenate(([True], la[1:] != la[:-1])))[0]
-        ends = np.concatenate((starts[1:], [n]))
-        per_home: Dict[int, list] = {}
-        for s, e in zip(starts, ends):
-            line_addr = int(la[s])
-            group_w = wr[s:e]
-            if group_w.any():
-                owner = int(pr[s:e][group_w][-1])
-                state = DirState.DIRTY
-                sharers: Tuple[int, ...] = ()
-                self.caches[owner].fill(CacheLine(line_addr, LineState.DIRTY))
-                item = (line_addr, state, owner, sharers)
-            else:
-                sharers = tuple(int(p) for p in np.unique(pr[s:e]))
-                for sharer in sharers:
-                    self.caches[sharer].fill(CacheLine(line_addr, LineState.CLEAN))
-                item = (line_addr, DirState.SHARED, None, sharers)
-            per_home.setdefault(self.space.home_node(line_addr), []).append(item)
-        for node, items in per_home.items():
-            self.directories[node].bulk_install(items)
-
     def flush_caches(self, merge_spec_state: bool = False, now: float = 0.0) -> None:
         """Empty all caches and directories (cold start between loop
         executions, paper §5.2).  Untimed.

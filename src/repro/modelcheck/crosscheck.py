@@ -162,7 +162,6 @@ def engine_run(cfg: ModelConfig, loop: Loop):
     )
     config = RunConfig(
         schedule=_engine_schedule(cfg),
-        engine="scalar",
         timestamp_bits=cfg.timestamp_bits,
     )
     return run_hw(loop, params, config)

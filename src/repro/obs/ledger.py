@@ -279,7 +279,6 @@ class RunLedger:
         summary = {
             "scenario": result.scenario.value,
             "loop": result.loop_name,
-            "engine": (config.engine if config is not None else "scalar"),
             "passed": result.passed,
             "wall_cycles": result.wall,
             "host_wall_s": doc["host_wall_s"],

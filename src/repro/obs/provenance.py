@@ -98,7 +98,6 @@ def run_provenance(
     if config is not None:
         config_doc = {
             "schedule": _jsonable(config.schedule),
-            "engine": config.engine,
             "sparse_backup": config.sparse_backup,
             "sw_read_in": config.sw_read_in,
             "timestamp_bits": config.timestamp_bits,

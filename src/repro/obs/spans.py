@@ -2,8 +2,7 @@
 
 This module is the host-side (wall clock) companion to the simulated-time
 event bus: a :class:`SpanProfiler` records a tree of spans
-(run -> engine tier -> phase -> epoch, plus vector kernel/delegation spans
-and per-task pool spans) with attached counters and optional per-span
+(run -> engine tier -> phase -> epoch, plus per-task pool spans) with attached counters and optional per-span
 resource samples (RSS, CPU time, GC collections).
 
 Null-path discipline mirrors the EventBus contract: instrumented call

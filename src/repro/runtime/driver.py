@@ -34,7 +34,7 @@ from ..obs.events import (
 from ..obs import spans
 from ..obs.provenance import RunProvenance, run_provenance
 from ..params import MachineParams
-from ..sim.machine import Machine, check_engine
+from ..sim.machine import Machine
 from ..sim.processor import Mutex
 from ..sim.stats import TimeBreakdown
 from ..trace.loop import Loop
@@ -70,18 +70,6 @@ class RunConfig:
     """Knobs shared by the parallel scenarios."""
 
     schedule: ScheduleSpec = dataclasses.field(default_factory=ScheduleSpec)
-    #: execution tier: ``"scalar"`` (the reference) simulates every
-    #: phase op by op, one event per shared access, with per-word tag
-    #: objects.  ``"vector"`` (HW scenario) rebuilds the quiescent loop
-    #: phase as whole-phase numpy kernels (runtime/vector.py): verdict
-    #: and failure-attribution conformant with scalar, but free to relax
-    #: internal trace ordering and timing.  Static schedules are decided
-    #: natively (PASS and FAIL — failing runs are localized and replayed
-    #: on a scalar machine for exact attribution); dynamic schedules
-    #: delegate the whole run to scalar.  Pinned by
-    #: ``repro.testing.diffcheck`` in its ``verdict`` signature mode.
-    #: Any other value raises :class:`ConfigurationError` here.
-    engine: str = "scalar"
     #: dense backup copies whole arrays; sparse backs up only the lines
     #: that the loop will write (hash-table saves of §2.2.1).
     sparse_backup: bool = False
@@ -124,11 +112,13 @@ class RunConfig:
     ledger: Optional[object] = None
 
     def __post_init__(self) -> None:
-        check_engine(self.engine)
-
-
-def _engine_of(config: "Optional[RunConfig]") -> str:
-    return config.engine if config is not None else "scalar"
+        bits = self.timestamp_bits
+        if bits is not None and (
+            isinstance(bits, bool) or not isinstance(bits, int) or bits < 1
+        ):
+            raise ConfigurationError(
+                f"timestamp_bits must be None or an int >= 1, got {bits!r}"
+            )
 
 
 def _apply_hook(config: "Optional[RunConfig]", machine: Machine) -> None:
@@ -146,9 +136,7 @@ def _apply_hook(config: "Optional[RunConfig]", machine: Machine) -> None:
     if config is not None and config.machine_hook is not None:
         config.machine_hook(machine)
     if config is not None and config.ledger is not None:
-        # Host-wall anchor for the ledger record; per-machine (not a
-        # module global) so the vector tier's delegation re-entry keeps
-        # each run's timing separate.
+        # Host-wall anchor for the ledger record, kept per machine.
         machine._ledger_t0 = time.perf_counter()
 
 
@@ -230,7 +218,7 @@ def _run_phase(
         events0 = engine.events_processed
         phase_span = prof.begin(
             f"phase:{name}", cat="phase", sample=True,
-            phase=name, engine=machine.engine_mode,
+            phase=name, engine="scalar",
         )
     result = engine.run_phase(streams, start_time=start, abort_on_failure=abort_on_failure)
     finish = result.finish
@@ -451,10 +439,10 @@ def _begin_run(machine: Machine, scenario: Scenario, loop: Loop) -> None:
         run_span = prof.begin(
             "run", cat="run", sample=True,
             scenario=scenario.value, loop=loop.name,
-            engine=machine.engine_mode,
+            engine="scalar",
             procs=machine.params.num_processors,
         )
-        tier_span = prof.begin(f"engine:{machine.engine_mode}", cat="tier")
+        tier_span = prof.begin("engine:scalar", cat="tier")
         machine._prof_spans = (run_span, tier_span)
     bus = machine.bus
     if bus is not None and bus.active:
@@ -515,9 +503,7 @@ def run_serial(
     served = _ledger_serve(config, Scenario.SERIAL, loop, params)
     if served is not None:
         return served
-    machine = Machine(
-        _serial_params(params), with_speculation=False, engine=_engine_of(config)
-    )
+    machine = Machine(_serial_params(params), with_speculation=False)
     _apply_hook(config, machine)
     _begin_run(machine, Scenario.SERIAL, loop)
     _allocate_loop_arrays(machine, loop, local=True)
@@ -555,7 +541,7 @@ def run_ideal(
     served = _ledger_serve(config, Scenario.IDEAL, loop, params)
     if served is not None:
         return served
-    machine = Machine(params, with_speculation=False, engine=_engine_of(config))
+    machine = Machine(params, with_speculation=False)
     _apply_hook(config, machine)
     _begin_run(machine, Scenario.IDEAL, loop)
     _allocate_loop_arrays(machine, loop, local=False)
@@ -595,14 +581,21 @@ def run_ideal(
 # ----------------------------------------------------------------------
 # HW — the paper's scheme
 # ----------------------------------------------------------------------
-def _hw_setup(
-    machine: Machine, loop: Loop, params: MachineParams, config: RunConfig
-) -> bool:
-    """Allocate the loop's arrays (plus backups and per-processor
-    private copies) and register everything under test with the
-    speculation engine.  Shared by the op-by-op and vector tiers.
-    Returns whether any privatization protocol is in play (it adds the
-    per-iteration tag-clear overhead)."""
+def run_hw(
+    loop: Loop,
+    params: MachineParams,
+    config: Optional[RunConfig] = None,
+    serial_result: Optional[RunResult] = None,
+) -> RunResult:
+    """Hardware speculative run-time parallelization (§3/§4)."""
+    config = config or RunConfig()
+    served = _ledger_serve(config, Scenario.HW, loop, params)
+    if served is not None:
+        return served
+    machine = Machine(params, with_speculation=True)
+    _apply_hook(config, machine)
+    _begin_run(machine, Scenario.HW, loop)
+    assert machine.spec is not None
     _allocate_loop_arrays(machine, loop, local=False)
     for spec in loop.modified_arrays():
         machine.space.allocate(
@@ -610,6 +603,8 @@ def _hw_setup(
             home_policy="round_robin",
         )
 
+    # Register everything under test with the speculation engine; the
+    # privatization protocols add the per-iteration tag-clear overhead.
     has_priv = False
     for spec in loop.arrays_under_test():
         decl = machine.space.array(spec.name)
@@ -631,25 +626,9 @@ def _hw_setup(
             machine.spec.register_priv(
                 decl, privs, simple=(spec.protocol is ProtocolKind.PRIV_SIMPLE)
             )
-    return has_priv
 
-
-def _hw_attempt(
-    machine: Machine,
-    loop: Loop,
-    params: MachineParams,
-    config: RunConfig,
-    has_priv: bool,
-    phases: Dict[str, float],
-    breakdown: TimeBreakdown,
-):
-    """Backup + speculative doall on an already-set-up HW machine.
-
-    Runs the checkpoint phase and the speculative loop phase (aborted on
-    the first FAIL), commits the loop-end tag state and returns
-    ``(failure, detection_cycle, assignment)``.  Shared by :func:`run_hw`
-    and the vector tier's exact failure-attribution path."""
-    assert machine.spec is not None
+    phases: Dict[str, float] = {}
+    breakdown = TimeBreakdown()
     # Phase 1: checkpoint the modifiable shared arrays (§2.2.1).
     if loop.modified_arrays():
         breakdown.add(
@@ -691,44 +670,10 @@ def _hw_attempt(
     machine.spec.commit(machine.engine.now)
 
     failure = machine.spec.controller.failure
-    detection = None
-    if failure is not None and failure.detected_at is not None:
-        detection = failure.detected_at - loop_start
-    return failure, detection, assignment
-
-
-def run_hw(
-    loop: Loop,
-    params: MachineParams,
-    config: Optional[RunConfig] = None,
-    serial_result: Optional[RunResult] = None,
-) -> RunResult:
-    """Hardware speculative run-time parallelization (§3/§4)."""
-    config = config or RunConfig()
-    # Serve before the vector dispatch: the content address includes the
-    # engine, so a vector-keyed hit short-circuits even the delegation
-    # decision.
-    served = _ledger_serve(config, Scenario.HW, loop, params)
-    if served is not None:
-        return served
-    if _engine_of(config) == "vector":
-        from .vector import run_hw_vector
-
-        return run_hw_vector(loop, params, config, serial_result)
-    machine = Machine(params, with_speculation=True, engine=_engine_of(config))
-    _apply_hook(config, machine)
-    _begin_run(machine, Scenario.HW, loop)
-    assert machine.spec is not None
-    has_priv = _hw_setup(machine, loop, params, config)
-
-    phases: Dict[str, float] = {}
-    breakdown = TimeBreakdown()
-    failure, detection, assignment = _hw_attempt(
-        machine, loop, params, config, has_priv, phases, breakdown
-    )
-    cost = params.cost
-
     if failure is not None:
+        detection = None
+        if failure.detected_at is not None:
+            detection = failure.detected_at - loop_start
         machine.spec.disarm()
         breakdown = _append_failure_tail(
             machine, loop, phases, breakdown, serial_result, params,
@@ -817,7 +762,7 @@ def run_sw(
         raise ConfigurationError(
             "the processor-wise software test requires static chunk scheduling"
         )
-    machine = Machine(params, with_speculation=False, engine=_engine_of(config))
+    machine = Machine(params, with_speculation=False)
     _apply_hook(config, machine)
     _begin_run(machine, Scenario.SW, loop)
     cost = params.cost

@@ -6,27 +6,10 @@ from typing import Optional
 
 from ..address import AddressSpace
 from ..core.engine import SpeculationEngine
-from ..errors import ConfigurationError
 from ..memsys.system import MemorySystem
 from ..params import MachineParams
 from .engine import Engine
 from .processor import Barrier, Mutex
-
-#: The execution tiers a machine can be built for.  Both run every
-#: phase op by op on the same event loop; ``"vector"`` only labels a
-#: machine built by the whole-phase tier in ``runtime/vector.py``.
-ENGINES = ("scalar", "vector")
-
-
-def check_engine(engine: str) -> str:
-    """``engine`` unchanged, or :class:`ConfigurationError` if it names
-    no execution tier."""
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}: use 'scalar' or 'vector'"
-        )
-    return engine
-
 
 class Machine:
     """A fully wired simulated CC-NUMA multiprocessor.
@@ -43,10 +26,8 @@ class Machine:
         params: MachineParams,
         space: Optional[AddressSpace] = None,
         with_speculation: bool = True,
-        engine: str = "scalar",
     ) -> None:
         self.params = params
-        self.engine_mode = check_engine(engine)
         self.space = space or AddressSpace(
             params.num_nodes, params.page_bytes, params.line_bytes
         )

@@ -150,20 +150,6 @@ class BusyCostOp:
     cycles: int
 
 
-@dataclasses.dataclass(frozen=True)
-class AggregateCostOp:
-    """Precomputed cost of a whole run of ops (the vector engine).
-
-    The vector tier replays an entire epoch segment of a processor's
-    loop work as one op carrying the Busy and Mem cycles its ops would
-    have charged.  No shared side effects: memory-system and protocol
-    state for the segment are installed in bulk by the vector kernels,
-    so the op only advances the clock and the stat buckets."""
-
-    busy: float
-    mem: float
-
-
 class Processor:
     """One simulated processor: pulls ops, issues memory accesses."""
 
@@ -290,10 +276,6 @@ class Processor:
             elif cls is BusyCostOp:
                 stats.busy += op.cycles
                 t += op.cycles
-            elif cls is AggregateCostOp:
-                stats.busy += op.busy
-                stats.mem += op.mem
-                t += op.busy + op.mem
             elif cls is SyncCostOp:
                 stats.sync += op.cycles
                 t += op.cycles

@@ -1,9 +1,11 @@
 """Test-support tooling shipped with the package.
 
-The one resident so far is the differential conformance harness
-(:mod:`repro.testing.diffcheck`), which checks that the vector tier
-reaches the scalar engine's verdicts and failure attributions on
-randomized workloads.  It lives in the package (not under ``tests/``)
+The residents are the kernel verdict oracle
+(:mod:`repro.testing.vector_oracle`), which evaluates the paper's FAIL
+conditions as whole-loop array reductions, and the differential
+conformance harness (:mod:`repro.testing.diffcheck`), which holds the
+scalar engine's verdicts and failure elements to that oracle on
+randomized workloads.  They live in the package (not under ``tests/``)
 so a failing seed can be replayed from any checkout with::
 
     python -m repro.testing.diffcheck --seed 12345

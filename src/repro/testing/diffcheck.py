@@ -1,27 +1,33 @@
-"""Differential conformance harness: scalar engine vs vector tier.
+"""Differential conformance harness: scalar engine vs kernel oracle.
 
-The vector tier (``RunConfig(engine="vector")``) decides the quiescent
-loop phase with whole-phase numpy kernels instead of simulating it op
-by op.  Its correctness contract is *verdict/failure-attribution
-conformance* with the scalar reference engine, and this module is the
-machine check of that contract: build a seeded random case (loop shape
-x schedule x protocol x injected dependence), run it through both
-engines, and compare the relaxed ``verdict`` *signature*
-(:func:`verdict_signature`): pass/fail, failure
-reason/element/iteration/processor, detection cycle and iteration
-assignment, with timing, tables and trace ordering left free.
+The hardware scheme's FAIL conditions are whole-loop predicates over
+the access trace, and :mod:`repro.testing.vector_oracle` evaluates them
+as numpy reductions — an implementation independent of the op-by-op
+protocols.  This module is the machine check that the two agree: build
+a seeded random case (loop shape x schedule x protocol x injected
+dependence), run it once on the scalar engine, and hold the run to the
+oracle's failing-element sets:
 
-The full signature (:func:`conformance_signature`) additionally covers
+* the scalar verdict equals the oracle verdict;
+* on FAIL, the scalar ``failure.element`` lies in the oracle's set for
+  its array;
+* the realized assignment is the static plan.
+
+The oracle decides static schedules only; a dynamic self-scheduled
+case's grab order emerges from the simulated timing, so the oracle
+declines it (counting one ``vector.delegations``) and the case
+conforms trivially.
+
+The full signature (:func:`conformance_signature`) covers the verdict,
 the final speculation-directory and coherence-directory state, the
 timing surface and the memory-system counters; tests use it to pin the
-scalar engine's own behaviour.  :func:`signature_mode_of` names the
-mode a candidate engine is held to, and every mismatch message names
-it too.
+scalar engine's own behaviour, and :func:`verdict_signature` projects
+it to the outcome.
 
-Every mismatch message embeds the seed and engine, so a failing
-randomized test reproduces with one line::
+Every mismatch message embeds the seed, so a failing randomized test
+reproduces with one line::
 
-    python -m repro.testing.diffcheck --seed 12345 --engine vector --verbose
+    python -m repro.testing.diffcheck --seed 12345 --verbose
 
 ``tests/test_differential.py`` sweeps seeds 0..N (N >= 200) through
 :func:`check_seed`.  :func:`run_seeds` fans a seed batch out across
@@ -36,7 +42,7 @@ import argparse
 import dataclasses
 import json
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -49,10 +55,16 @@ from ..params import (
     small_test_params,
 )
 from ..runtime.driver import RunConfig, RunResult, run_hw
-from ..runtime.schedule import SchedulePolicy, ScheduleSpec, VirtualMode
+from ..runtime.schedule import (
+    SchedulePolicy,
+    ScheduleSpec,
+    VirtualMode,
+    static_assignment,
+)
 from ..trace.loop import ArraySpec, Loop
 from ..trace.ops import compute, read, write
 from ..types import ProtocolKind
+from . import vector_oracle
 
 
 # ----------------------------------------------------------------------
@@ -148,8 +160,8 @@ def _random_body(
 #: 0..N cases are byte-identical across releases — baselines depend on
 #: that).  ``dynamic-nocontention`` reshapes every case, *after* all
 #: RNG draws, into a dynamically self-scheduled run on a contention-free
-#: machine: a corpus on which the vector tier delegates every case to
-#: scalar (one ``dynamic-schedule`` delegation each).
+#: machine: a corpus on which the kernel oracle declines every case (one
+#: ``vector.delegations`` count each).
 VARIANTS = ("baseline", "dynamic-nocontention")
 
 
@@ -311,89 +323,101 @@ def result_signature(result: RunResult) -> dict:
     }
 
 
-#: Signature fields the relaxed ``verdict`` mode compares: the
-#: vector tier's contract (see runtime/vector.py) — everything a user
-#: observes about the *outcome* of the speculation, nothing about how
-#: the simulation got there.
+#: Signature fields the ``verdict`` projection keeps: everything a
+#: user observes about the *outcome* of the speculation, nothing about
+#: how the simulation got there.
 VERDICT_KEYS = ("passed", "failure", "detection_cycle", "assignment")
 
 
 def verdict_signature(sig: dict) -> dict:
-    """Project a full conformance signature down to the relaxed
+    """Project a full conformance signature down to the
     verdict/failure-attribution subset."""
     return {key: sig[key] for key in VERDICT_KEYS}
 
 
-def signature_mode_of(engine: str) -> str:
-    """Which signature a candidate engine is held to against scalar:
-    ``full`` (bit-identical; only scalar itself) or ``verdict`` (the
-    vector contract)."""
-    return "verdict" if engine == "vector" else "full"
-
-
-def _project(sig: dict, mode: str) -> dict:
-    return verdict_signature(sig) if mode == "verdict" else sig
-
-
 class DiffMismatch(AssertionError):
-    """Raised when the two engines disagree; message carries the repro."""
+    """Raised when scalar and the kernel oracle disagree; the message
+    carries the one-line repro."""
 
 
-def run_case(case: CaseSpec, engine: str = "vector") -> Tuple[dict, dict]:
-    """Run one case through scalar and ``engine``; return both *full*
-    signatures (callers project to the engine's signature mode)."""
-    sigs = []
-    for eng in ("scalar", engine):
-        captured: List[object] = []
-        config = RunConfig(
-            engine=eng,
-            schedule=case.schedule,
-            timestamp_bits=case.timestamp_bits,
-            per_line_bits=case.per_line_bits,
-            machine_hook=captured.append,
-        )
-        result = run_hw(case.loop, case.params, config)
-        sigs.append(conformance_signature(result, captured[0]))
-    return sigs[0], sigs[1]
-
-
-def _diff_keys(scalar_sig: dict, other_sig: dict, engine: str) -> List[str]:
-    label = f"{engine}:".ljust(8)
-    lines = []
-    for key in scalar_sig:
-        if scalar_sig[key] != other_sig[key]:
-            lines.append(
-                f"  {key}:\n    scalar: {scalar_sig[key]!r}\n"
-                f"    {label}{other_sig[key]!r}"
-            )
-    return lines
-
-
-def _mismatch_message(
-    case: CaseSpec, scalar_sig: dict, other_sig: dict, engine: str = "vector"
-) -> str:
-    mode = signature_mode_of(engine)
-    detail = "\n".join(_diff_keys(scalar_sig, other_sig, engine))
-    return (
-        f"scalar/{engine} divergence on {case.describe()} "
-        f"(signature mode: {mode})\n{detail}\n"
-        f"reproduce: python -m repro.testing.diffcheck "
-        f"--seed {case.seed} --engine {engine} --verbose"
+def case_config(case: CaseSpec, **extra) -> RunConfig:
+    """The :class:`RunConfig` a case runs under."""
+    return RunConfig(
+        schedule=case.schedule,
+        timestamp_bits=case.timestamp_bits,
+        per_line_bits=case.per_line_bits,
+        **extra,
     )
 
 
-def check_seed(
-    seed: int, engine: str = "vector", variant: str = "baseline"
-) -> CaseSpec:
-    """Build, run and compare one seed under ``engine``'s signature
-    mode; raise :class:`DiffMismatch` with a one-line repro on any
-    disagreement."""
+def run_case(case: CaseSpec) -> Tuple[dict, Optional[Dict[str, Set[int]]]]:
+    """Run one case on scalar; return its full conformance signature and
+    the kernel oracle's failing-element sets (``None`` when the oracle
+    declines a dynamic schedule)."""
+    captured: List[object] = []
+    config = case_config(case, machine_hook=captured.append)
+    result = run_hw(case.loop, case.params, config)
+    sig = conformance_signature(result, captured[0])
+    return sig, vector_oracle.failing_elements(case.loop, case.params, config)
+
+
+def _sorted(failing: Dict[str, Set[int]]) -> Dict[str, List[int]]:
+    return {name: sorted(elems) for name, elems in failing.items()}
+
+
+def disagreements(
+    case: CaseSpec, sig: dict, failing: Optional[Dict[str, Set[int]]]
+) -> List[str]:
+    """Every way the scalar signature contradicts the oracle, as
+    message lines; empty when they agree or the oracle declined.
+
+    Checked: the verdicts are equal; a FAIL's element lies in the
+    oracle's set for its array; the assignment is the static plan.
+    """
+    if failing is None:
+        return []
+    problems = []
+    oracle_passed = not any(failing.values())
+    if sig["passed"] != oracle_passed:
+        problems.append(
+            f"  passed:\n    scalar: {sig['passed']!r}\n"
+            f"    oracle: {oracle_passed!r} (failing elements {_sorted(failing)})"
+        )
+    elif not sig["passed"]:
+        element = sig["failure"][1]
+        if element is None or element[1] not in failing.get(element[0], ()):
+            problems.append(
+                f"  failure element:\n    scalar: {element!r}\n"
+                f"    oracle: not in {_sorted(failing)}"
+            )
+    expected = static_assignment(
+        case.schedule, case.loop.num_iterations, case.params.num_processors
+    )
+    if sig["assignment"] != expected:
+        problems.append(
+            f"  assignment:\n    scalar: {sig['assignment']!r}\n"
+            f"    static plan: {expected!r}"
+        )
+    return problems
+
+
+def _mismatch_message(case: CaseSpec, problems: List[str]) -> str:
+    variant = "" if case.variant == "baseline" else f" --variant {case.variant}"
+    detail = "\n".join(problems)
+    return (
+        f"scalar/kernel-oracle divergence on {case.describe()}\n{detail}\n"
+        f"reproduce: python -m repro.testing.diffcheck "
+        f"--seed {case.seed}{variant} --verbose"
+    )
+
+
+def check_seed(seed: int, variant: str = "baseline") -> CaseSpec:
+    """Build, run and check one seed against the kernel oracle; raise
+    :class:`DiffMismatch` with a one-line repro on any disagreement."""
     case = build_case(seed, variant)
-    scalar_sig, other_sig = run_case(case, engine)
-    mode = signature_mode_of(engine)
-    a, b = _project(scalar_sig, mode), _project(other_sig, mode)
-    if a != b:
-        raise DiffMismatch(_mismatch_message(case, a, b, engine))
+    problems = disagreements(case, *run_case(case))
+    if problems:
+        raise DiffMismatch(_mismatch_message(case, problems))
     return case
 
 
@@ -402,23 +426,25 @@ def seed_verdict(
 ) -> Dict[str, object]:
     """One seed's sweep record, as plain data (pool-task friendly).
 
-    Keys: ``seed``, ``describe``, ``conforms`` (the engines agree under
-    ``engine``'s signature mode), ``passed`` (the scalar run's verdict),
-    and — on a mismatch only — ``message`` carrying the detail plus the
-    one-line repro.
+    ``engine`` names the checker and must be ``"vector"`` (the kernel
+    oracle).  Keys: ``seed``, ``describe``, ``conforms`` (scalar agrees
+    with the oracle), ``passed`` (the scalar run's verdict), and — on a
+    mismatch only — ``message`` carrying the detail plus the one-line
+    repro.
     """
+    if engine != "vector":
+        raise ValueError(f"unknown diffcheck engine {engine!r}: use 'vector'")
     case = build_case(seed, variant)
-    scalar_sig, other_sig = run_case(case, engine)
-    mode = signature_mode_of(engine)
-    a, b = _project(scalar_sig, mode), _project(other_sig, mode)
+    sig, failing = run_case(case)
+    problems = disagreements(case, sig, failing)
     verdict: Dict[str, object] = {
         "seed": seed,
         "describe": case.describe(),
-        "conforms": a == b,
-        "passed": bool(scalar_sig["passed"]),
+        "conforms": not problems,
+        "passed": bool(sig["passed"]),
     }
-    if not verdict["conforms"]:
-        verdict["message"] = _mismatch_message(case, a, b, engine)
+    if problems:
+        verdict["message"] = _mismatch_message(case, problems)
     return verdict
 
 
@@ -427,7 +453,6 @@ def run_seeds(
     jobs: int = 1,
     timeout: Optional[float] = None,
     bus=None,
-    engine: str = "vector",
     profile=None,
     variant: str = "baseline",
 ) -> List[Dict[str, object]]:
@@ -437,7 +462,7 @@ def run_seeds(
     ``repro.obs.spans.ProfileSession``) enables per-task profiling
     capture without changing any verdict."""
     tasks = [
-        PoolTask(seed_verdict, (seed, engine, variant), label=f"seed:{seed}")
+        PoolTask(seed_verdict, (seed, "vector", variant), label=f"seed:{seed}")
         for seed in seeds
     ]
     return run_tasks(tasks, jobs=jobs, timeout=timeout, bus=bus,
@@ -451,20 +476,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.testing.diffcheck",
         description="Replay differential conformance cases "
-        "(scalar vs vector).",
+        "(scalar engine vs kernel oracle).",
     )
     parser.add_argument("--seed", type=int, help="run one specific seed")
-    parser.add_argument(
-        "--engine", choices=("vector",), default="vector",
-        help="candidate engine compared against scalar under the relaxed "
-        "verdict/failure-attribution signature",
-    )
     parser.add_argument(
         "--variant", choices=VARIANTS, default="baseline",
         help="corpus variant: baseline keeps each seed's generated "
         "schedule/machine; dynamic-nocontention reshapes every case "
         "into dynamic self-scheduling on a contention-free machine "
-        "(which the vector tier delegates to scalar)",
+        "(which the kernel oracle declines)",
     )
     parser.add_argument(
         "--count", type=int, default=50,
@@ -500,8 +520,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else list(range(args.start, args.start + args.count))
     )
     verdicts = run_seeds(
-        seeds, jobs=args.jobs, timeout=args.timeout, engine=args.engine,
-        variant=args.variant,
+        seeds, jobs=args.jobs, timeout=args.timeout, variant=args.variant,
     )
     failures = 0
     for verdict in verdicts:
@@ -510,17 +529,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"FAIL {verdict['message']}")
         elif args.verbose:
             print(f"ok   {verdict['describe']}")
-    mode = signature_mode_of(args.engine)
     print(
         f"{len(seeds) - failures}/{len(seeds)} cases conform "
-        f"(scalar vs {args.engine}, {mode} signature)"
+        f"(scalar vs kernel oracle)"
     )
     if args.verdicts_out:
         doc = {
             "harness": "diffcheck",
-            "engine": args.engine,
             "variant": args.variant,
-            "signature_mode": mode,
             "seeds": [seeds[0], seeds[-1]] if seeds else [],
             "verdicts": {
                 str(v["seed"]): {"conforms": v["conforms"], "passed": v["passed"]}

@@ -1,16 +1,17 @@
-"""Differential conformance suite: the scalar engine and the vector tier.
+"""Differential conformance suite: the scalar engine and the kernel oracle.
 
 Sweeps seeded randomized cases through ``repro.testing.diffcheck``.
 The scalar reference engine is checked against the independent
 dependence oracle (a PASS must never hide a dependence the run's
-protocol is meant to catch), and the vector tier is held to the
-relaxed ``verdict`` signature (pass/fail, failure attribution,
-detection cycle, assignment) against scalar over the same corpus.
+protocol is meant to catch), and against the kernel verdict oracle
+(``repro.testing.vector_oracle``) over the same corpus: equal
+verdicts, a FAIL element inside the oracle's failing set, and the
+static assignment.
 
 Any mismatch raises ``DiffMismatch`` whose message embeds the failing
-seed, engine and signature mode, and the one-line repro::
+seed and the one-line repro::
 
-    python -m repro.testing.diffcheck --seed <N> --engine <E> --verbose
+    python -m repro.testing.diffcheck --seed <N> --verbose
 """
 
 from __future__ import annotations
@@ -21,22 +22,22 @@ import pytest
 
 from repro.obs import spans
 from repro.obs.spans import SpanProfiler
-from repro.runtime.driver import RunConfig, run_hw
+from repro.runtime.driver import run_hw
 from repro.runtime.schedule import (
     SchedulePolicy,
     cyclic_blocks,
     plan_static,
     virtual_of,
 )
-from repro.testing import diffcheck
+from repro.testing import diffcheck, vector_oracle
 from repro.testing.diffcheck import (
     DiffMismatch,
     build_case,
+    case_config,
     check_seed,
     run_case,
     run_seeds,
     seed_verdict,
-    signature_mode_of,
     verdict_signature,
 )
 from repro.trace.oracle import DependenceOracle
@@ -101,12 +102,7 @@ def test_conformance_sweep(base):
     (FAILs may be conservative: per-line bits, time-stamp epochs)."""
     for seed in range(base, base + GROUP):
         case = build_case(seed)
-        result = run_hw(case.loop, case.params, RunConfig(
-            engine="scalar",
-            schedule=case.schedule,
-            timestamp_bits=case.timestamp_bits,
-            per_line_bits=case.per_line_bits,
-        ))
+        result = run_hw(case.loop, case.params, case_config(case))
         if result.passed:
             assert _oracle_allows_pass(case, result), (
                 f"scalar PASS hides a dependence: {case.describe()}"
@@ -114,7 +110,7 @@ def test_conformance_sweep(base):
 
 
 def test_randomized_seed_sweep(seeded_rng: random.Random):
-    """Property-style extension of the fixed vector sweep: fresh seeds
+    """Property-style extension of the fixed oracle sweep: fresh seeds
     drawn from the shared deterministic fixture, so this block explores
     seeds outside 0..239 while still replaying exactly on failure."""
     for _ in range(20):
@@ -161,23 +157,35 @@ def test_sweep_exercises_both_verdicts():
 _REAL_RUN_CASE = diffcheck.run_case
 
 
-def _shift_detection(case, engine="vector"):
-    """``run_case`` with the candidate's detection cycle corrupted."""
-    scalar_sig, other_sig = _REAL_RUN_CASE(case, engine)
-    other_sig = dict(other_sig)
-    other_sig["detection_cycle"] = (scalar_sig["detection_cycle"] or 0) + 1
-    return scalar_sig, other_sig
+def _shift_assignment(case):
+    """``run_case`` with scalar's realized assignment corrupted."""
+    scalar_sig, failing = _REAL_RUN_CASE(case)
+    scalar_sig = dict(scalar_sig)
+    scalar_sig["assignment"] = list(reversed(scalar_sig["assignment"]))
+    return scalar_sig, failing
+
+
+def _first_static_seed(passed: bool, start: int = 0) -> int:
+    """The first baseline seed on a static schedule with this verdict."""
+    for seed in range(start, 240):
+        case = build_case(seed)
+        if case.schedule.policy is SchedulePolicy.DYNAMIC:
+            continue
+        if run_case(case)[0]["passed"] is passed:
+            return seed
+    raise AssertionError(f"no static seed with passed={passed}")
 
 
 def test_mismatch_message_carries_the_repro_line(monkeypatch):
     """A divergence must print the failing seed for one-line repro."""
-    monkeypatch.setattr(diffcheck, "run_case", _shift_detection)
+    seed = _first_static_seed(True)
+    monkeypatch.setattr(diffcheck, "run_case", _shift_assignment)
     with pytest.raises(DiffMismatch) as excinfo:
-        diffcheck.check_seed(777)
+        diffcheck.check_seed(seed)
     message = str(excinfo.value)
-    assert "python -m repro.testing.diffcheck --seed 777 --engine vector" in message
-    assert "signature mode: verdict" in message
-    assert "detection_cycle" in message
+    assert f"python -m repro.testing.diffcheck --seed {seed} --verbose" in message
+    assert "scalar/kernel-oracle divergence" in message
+    assert "assignment" in message
 
 
 def test_parallel_seed_sweep_matches_serial():
@@ -193,10 +201,69 @@ def test_parallel_seed_sweep_matches_serial():
 def test_seed_verdict_preserves_the_repro_line(monkeypatch):
     """A mismatching seed's verdict must carry the one-line repro, so
     parallel sweeps lose nothing over the serial FAIL output."""
-    monkeypatch.setattr(diffcheck, "run_case", _shift_detection)
-    verdict = seed_verdict(42)
+    seed = _first_static_seed(True, start=42)
+    monkeypatch.setattr(diffcheck, "run_case", _shift_assignment)
+    verdict = seed_verdict(seed)
     assert not verdict["conforms"]
-    assert "python -m repro.testing.diffcheck --seed 42" in verdict["message"]
+    assert f"python -m repro.testing.diffcheck --seed {seed}" in verdict["message"]
+
+
+def test_seed_verdict_rejects_other_engines():
+    with pytest.raises(ValueError, match="'scalar'"):
+        seed_verdict(0, "scalar")
+
+
+# ----------------------------------------------------------------------
+# Oracle disagreements are reported, never masked
+# ----------------------------------------------------------------------
+def _static_nonpriv_seed(passed: bool) -> int:
+    for seed in range(240):
+        case = build_case(seed)
+        if (
+            case.schedule.policy is not SchedulePolicy.DYNAMIC
+            and case.protocol is ProtocolKind.NONPRIV
+            and run_case(case)[0]["passed"] is passed
+        ):
+            return seed
+    raise AssertionError(f"no static NONPRIV seed with passed={passed}")
+
+
+def test_spurious_kernel_fail_on_a_scalar_pass_is_a_mismatch(monkeypatch):
+    """The non-privatization kernel reports an element scalar never
+    fails on: the scalar PASS must be reported against it."""
+    seed = _static_nonpriv_seed(True)
+    real = vector_oracle.nonpriv_failing
+    monkeypatch.setattr(
+        vector_oracle, "nonpriv_failing",
+        lambda procs, elems, writes, length: real(procs, elems, writes, length)
+        | {length - 1},
+    )
+    with pytest.raises(DiffMismatch, match="passed"):
+        check_seed(seed)
+    verdict = seed_verdict(seed)
+    assert verdict["conforms"] is False
+    assert verdict["passed"] is True
+
+
+def test_scalar_fail_element_outside_the_kernel_set_is_a_mismatch(monkeypatch):
+    """The kernel still FAILs but leaves out scalar's element: the
+    attribution must be reported, not accepted."""
+    seed = _static_nonpriv_seed(False)
+    sig, failing = run_case(build_case(seed))
+    element = sig["failure"][1]
+    assert element[1] in failing[element[0]]
+    real = vector_oracle.nonpriv_failing
+    monkeypatch.setattr(
+        vector_oracle, "nonpriv_failing",
+        lambda procs, elems, writes, length: (
+            real(procs, elems, writes, length) - {element[1]}
+        ) or {element[1] + 1},
+    )
+    with pytest.raises(DiffMismatch, match="failure element"):
+        check_seed(seed)
+    verdict = seed_verdict(seed)
+    assert verdict["conforms"] is False
+    assert verdict["passed"] is False
 
 
 def test_diffcheck_cli_jobs_and_verdicts_out(tmp_path, capsys):
@@ -219,7 +286,7 @@ def test_diffcheck_cli_jobs_and_verdicts_out(tmp_path, capsys):
 def test_signature_includes_directory_state():
     """The full conformance signature must capture protocol-table and
     coherence-directory end-state, not just the verdict."""
-    scalar_sig, vector_sig = run_case(build_case(3))
+    scalar_sig, failing = run_case(build_case(3))
     assert "coherence_dirs" in scalar_sig and scalar_sig["coherence_dirs"]
     tables = (
         scalar_sig["nonpriv_tables"]
@@ -227,37 +294,35 @@ def test_signature_includes_directory_state():
         or scalar_sig["priv_simple_tables"]
     )
     assert tables, "no element-state table captured"
-    assert verdict_signature(scalar_sig) == verdict_signature(vector_sig)
+    assert failing is None or not diffcheck.disagreements(
+        build_case(3), scalar_sig, failing
+    )
 
 
 # ----------------------------------------------------------------------
-# Vector conformance over the fixed corpus
+# Kernel-oracle conformance over the fixed corpus
 # ----------------------------------------------------------------------
 class TestThreeWayConformance:
-    """The vector tier's contract over the same fixed 240-seed corpus:
-    vector agrees with scalar on the relaxed verdict signature —
-    pass/fail, failure attribution, detection cycle, iteration
-    assignment — while scalar reproduces itself on the full one."""
+    """Scalar against the kernel oracle over the same fixed 240-seed
+    corpus — equal verdicts, FAIL element inside the oracle's set,
+    static assignment — while scalar reproduces itself on the full
+    signature."""
 
     @pytest.mark.parametrize("base", [g * GROUP for g in range(GROUPS)])
     def test_vector_verdict_sweep(self, base):
         for seed in range(base, base + GROUP):
-            check_seed(seed, engine="vector")
+            check_seed(seed)
 
     def test_three_way_agreement(self):
-        """Two scalar runs and one vector run of each case: scalar is
-        deterministic on the full signature, vector agrees with it on
-        the verdict signature."""
+        """Two scalar runs and one oracle pass of each case: scalar is
+        deterministic on the full signature and agrees with the oracle."""
         for seed in (0, 3, 7, 11, 19):
             case = build_case(seed)
-            scalar_sig, _ = run_case(case, engine="vector")
-            scalar_again, vector_sig = run_case(case, engine="vector")
+            scalar_sig, failing = run_case(case)
+            scalar_again, failing_again = run_case(case)
             assert scalar_sig == scalar_again
-            assert verdict_signature(vector_sig) == verdict_signature(scalar_sig)
-
-    def test_signature_modes(self):
-        assert signature_mode_of("scalar") == "full"
-        assert signature_mode_of("vector") == "verdict"
+            assert failing == failing_again
+            assert not diffcheck.disagreements(case, scalar_sig, failing)
 
     def test_verdict_signature_is_a_strict_projection(self):
         scalar_sig, _ = run_case(build_case(5))
@@ -268,52 +333,50 @@ class TestThreeWayConformance:
         assert "wall" in scalar_sig and "wall" not in relaxed
 
     def test_vector_mismatch_names_engine_and_mode(self, monkeypatch):
+        """A flipped oracle verdict is reported with the seed, the
+        kernel oracle and both verdicts."""
         real_run_case = diffcheck.run_case
+        seed = _first_static_seed(True, start=9)
 
-        def corrupted(case, engine="vector"):
-            scalar_sig, other_sig = real_run_case(case, engine)
-            other_sig = dict(other_sig)
-            other_sig["passed"] = not other_sig["passed"]
-            return scalar_sig, other_sig
+        def corrupted(case):
+            scalar_sig, failing = real_run_case(case)
+            return scalar_sig, {name: {0} for name in failing}
 
         monkeypatch.setattr(diffcheck, "run_case", corrupted)
         with pytest.raises(DiffMismatch) as excinfo:
-            diffcheck.check_seed(9, engine="vector")
+            diffcheck.check_seed(seed)
         message = str(excinfo.value)
-        assert "--seed 9 --engine vector" in message
-        assert "signature mode: verdict" in message
+        assert f"--seed {seed} --verbose" in message
+        assert "scalar/kernel-oracle divergence" in message
+        assert "scalar: True" in message and "oracle: False" in message
 
 
 # ----------------------------------------------------------------------
-# The vector fast path: static runs decided natively, dynamic delegated
+# The oracle decides static schedules and declines dynamic ones
 # ----------------------------------------------------------------------
 class TestVectorFastPathCoverage:
-    """The vector tier must *decide* — not delegate — every
-    static-schedule corpus case, PASS and FAIL alike, and must hand
-    every dynamic-schedule case to scalar exactly once: the emergent
-    grab order is known only to the op-by-op engine.  The delegate spans
-    prove which path ran."""
+    """The kernel oracle must *decide* every static-schedule corpus
+    case, PASS and FAIL alike, and must decline every dynamic-schedule
+    case exactly once, counting one ``vector.delegations``: the
+    emergent grab order is known only to the op-by-op engine."""
 
     GROUP = 30
 
     def _run(self, case):
-        """Check one case's verdict conformance; return the reasons of
-        its delegations and whether scalar passed."""
+        """Check one case; return the oracle's sets (None when declined),
+        its declination count and whether scalar passed."""
         prof = SpanProfiler()
         spans.install(prof)
         try:
-            scalar_sig, vector_sig = run_case(case, engine="vector")
+            scalar_sig, failing = run_case(case)
         finally:
             spans.uninstall()
-        assert verdict_signature(scalar_sig) == verdict_signature(
-            vector_sig
-        ), case.describe()
-        reasons = [
-            s["args"]["reason"] for s in prof.spans
-            if s["name"] == "vector.delegate"
-        ]
-        assert _counter_total(prof, "vector.delegations") == len(reasons)
-        return reasons, scalar_sig["passed"]
+        assert not diffcheck.disagreements(case, scalar_sig, failing), (
+            case.describe()
+        )
+        declined = _counter_total(prof, "vector.delegations")
+        assert declined == (failing is None)
+        return failing, scalar_sig["passed"]
 
     def _static_sweep(self, seeds):
         """Sweep the static-schedule baseline cases; return the FAILs."""
@@ -322,10 +385,11 @@ class TestVectorFastPathCoverage:
             case = build_case(seed, "baseline")
             if case.schedule.policy is SchedulePolicy.DYNAMIC:
                 continue  # the dynamic-nocontention sweep covers these
-            reasons, passed = self._run(case)
-            assert reasons == [], (
-                f"vector tier delegated a static case: {case.describe()}"
+            failing, passed = self._run(case)
+            assert failing is not None, (
+                f"oracle declined a static case: {case.describe()}"
             )
+            assert set(failing) == {case.loop.arrays[0].name}
             fails += not passed
         return fails
 
@@ -337,13 +401,32 @@ class TestVectorFastPathCoverage:
     def test_dynamic_nocontention_corpus_delegates(self, base):
         for seed in range(base, base + self.GROUP):
             case = build_case(seed, "dynamic-nocontention")
-            reasons, _ = self._run(case)
-            assert reasons == ["dynamic-schedule"], case.describe()
+            failing, _ = self._run(case)
+            assert failing is None, case.describe()
 
     def test_fail_cases_are_covered_without_delegation(self):
-        """The zero-delegation guarantee must include FAIL verdicts, or
-        the localized-FAIL claim is hollow."""
+        """The decided cases must include FAIL verdicts, or the
+        FAIL-element check is hollow."""
         assert self._static_sweep(range(0, 60)) > 0
+
+    def test_baseline_corpus_counts(self):
+        """Over the whole baseline corpus the oracle decides every static
+        case (32 of them FAIL) and declines the 127 dynamic ones."""
+        prof = SpanProfiler()
+        spans.install(prof)
+        decided = fails = 0
+        try:
+            for seed in range(GROUPS * GROUP):
+                case = build_case(seed)
+                scalar_sig, failing = run_case(case)
+                assert not diffcheck.disagreements(case, scalar_sig, failing)
+                if failing is not None:
+                    decided += 1
+                    fails += not scalar_sig["passed"]
+        finally:
+            spans.uninstall()
+        assert (decided, fails) == (113, 32)
+        assert _counter_total(prof, "vector.delegations") == 127
 
     def test_dynamic_variant_reshapes_only_the_schedule(self):
         base = build_case(17, "baseline")

@@ -16,7 +16,6 @@ from repro.runtime import (
     run_serial,
     run_sw,
 )
-from repro.sim.machine import Machine
 from repro.trace import ArraySpec, Loop, compute, read, write
 from repro.types import ProtocolKind, Scenario
 
@@ -213,21 +212,16 @@ class TestAccounting:
         assert abs(r.wall - sum(r.phases.values())) < 1.0
 
 
-class TestEngineValidation:
-    """An unknown engine is a configuration error when the config or
-    machine is built, not deep inside a run."""
+class TestRunConfigValidation:
+    """An impossible time-stamp width is a configuration error when the
+    config is built, not deep inside a run (where HW used to raise
+    ``SchedulingError`` and SW silently ran)."""
 
-    @pytest.mark.parametrize("engine", ["batch", "bogus"])
-    def test_run_config_rejects_unknown_engine(self, engine):
-        with pytest.raises(ConfigurationError, match=repr(engine)):
-            RunConfig(engine=engine)
+    @pytest.mark.parametrize("bits", [0, -1, True, False, 2.0, "3"])
+    def test_rejects_bad_timestamp_bits(self, bits):
+        with pytest.raises(ConfigurationError, match="timestamp_bits"):
+            RunConfig(timestamp_bits=bits)
 
-    def test_machine_rejects_unknown_engine(self):
-        with pytest.raises(ConfigurationError, match="'bogus'"):
-            Machine(MachineParams(num_processors=2), engine="bogus")
-
-    @pytest.mark.parametrize("engine", ["scalar", "vector"])
-    def test_known_engines_construct(self, engine):
-        assert RunConfig(engine=engine).engine == engine
-        machine = Machine(MachineParams(num_processors=2), engine=engine)
-        assert machine.engine_mode == engine
+    @pytest.mark.parametrize("bits", [None, 1, 16])
+    def test_accepts_valid_timestamp_bits(self, bits):
+        assert RunConfig(timestamp_bits=bits).timestamp_bits == bits

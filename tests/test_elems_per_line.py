@@ -7,7 +7,8 @@ and crashed ``gather_line_starts`` with a ``ZeroDivisionError``
 the per-line access-bit geometry in the protocols.  The shared helper
 ``MachineParams.elems_per_line`` clamps to one element per line (a wide
 element spans several lines; each line maps to the element it starts
-in), and these tests pin the end-to-end paths on both tiers.
+in), and these tests pin the end-to-end paths, each run also checked
+against the kernel verdict oracle.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ import pytest
 from repro.params import CacheGeometry, MachineParams, elems_per_line
 from repro.runtime.driver import RunConfig, run_hw, run_serial, run_sw
 from repro.runtime.schedule import SchedulePolicy, ScheduleSpec, VirtualMode
-from repro.testing.diffcheck import conformance_signature, verdict_signature
+from repro.testing.vector_oracle import failing_elements
 from repro.trace.loop import ArraySpec, Loop
 from repro.trace.ops import compute, read, write
 from repro.types import ProtocolKind
 
-ENGINES = ("scalar", "vector")
+#: ``scalar`` checks the engine's outcome; ``vector`` also holds it to
+#: the kernel oracle
+CHECKS = ("scalar", "vector")
 
 
 def _narrow_line_params(procs: int = 2) -> MachineParams:
@@ -60,17 +63,24 @@ def test_helper_clamps_to_one():
     assert params.elems_per_line(4) == 4
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+def _assert_oracle_agrees(result, loop, params, config):
+    failing = failing_elements(loop, params, config)
+    assert result.passed == (not any(failing.values())), failing
+    if not result.passed:
+        array, index = result.failure.element
+        assert index in failing[array]
+
+
+@pytest.mark.parametrize("check", CHECKS)
 @pytest.mark.parametrize(
     "protocol",
     [ProtocolKind.NONPRIV, ProtocolKind.PRIV, ProtocolKind.PRIV_SIMPLE],
 )
-def test_wide_elements_run_on_all_engines(engine, protocol):
+def test_wide_elements_run_on_all_engines(check, protocol):
     """Backup (sparse), the speculative loop, and copy-out all walk
     lines; none may die when one element spans multiple lines."""
     params = _narrow_line_params()
     config = RunConfig(
-        engine=engine,
         schedule=ScheduleSpec(
             policy=SchedulePolicy.STATIC_CHUNK,
             chunk_iterations=1,
@@ -79,29 +89,39 @@ def test_wide_elements_run_on_all_engines(engine, protocol):
         sparse_backup=True,
     )
     live_out = protocol is not ProtocolKind.NONPRIV
-    result = run_hw(_wide_elem_loop(protocol, live_out=live_out), params, config)
+    loop = _wide_elem_loop(protocol, live_out=live_out)
+    result = run_hw(loop, params, config)
     assert result.passed
+    if check == "vector":
+        _assert_oracle_agrees(result, loop, params, config)
 
 
 def test_wide_elements_engines_agree():
-    loop = _wide_elem_loop(ProtocolKind.PRIV_SIMPLE, live_out=True)
+    """Scalar and the kernel oracle agree on every protocol's wide-element
+    loop, and on a FAIL the oracle's set holds scalar's element."""
     params = _narrow_line_params()
-    sigs = {}
-    for engine in ENGINES:
-        captured = []
-        config = RunConfig(
-            engine=engine,
-            schedule=ScheduleSpec(
-                policy=SchedulePolicy.STATIC_CHUNK,
-                chunk_iterations=1,
-                virtual_mode=VirtualMode.ITERATION,
-            ),
-            sparse_backup=True,
-            machine_hook=captured.append,
-        )
-        result = run_hw(loop, params, config)
-        sigs[engine] = conformance_signature(result, captured[0])
-    assert verdict_signature(sigs["vector"]) == verdict_signature(sigs["scalar"])
+    config = RunConfig(
+        schedule=ScheduleSpec(
+            policy=SchedulePolicy.STATIC_CHUNK,
+            chunk_iterations=1,
+            virtual_mode=VirtualMode.ITERATION,
+        ),
+        sparse_backup=True,
+    )
+    for protocol in ProtocolKind:
+        if protocol is ProtocolKind.PLAIN:
+            continue
+        loop = _wide_elem_loop(protocol, live_out=True)
+        _assert_oracle_agrees(run_hw(loop, params, config), loop, params, config)
+    # One element written by two processors: a FAIL attributed to it.
+    loop = Loop(
+        "wide-elem-conflict",
+        [ArraySpec("A", 8, 32, ProtocolKind.NONPRIV)],
+        [[write("A", 3)], [read("A", 3)]],
+    )
+    result = run_hw(loop, params, config)
+    assert not result.passed and result.failure.element == ("A", 3)
+    _assert_oracle_agrees(result, loop, params, config)
 
 
 def test_wide_elements_per_line_bits_mode():
@@ -109,18 +129,18 @@ def test_wide_elements_per_line_bits_mode():
     from elems_per_line; a wide element must get one meta slot per
     element, not a zero-length table."""
     params = _narrow_line_params()
-    for engine in ENGINES:
-        config = RunConfig(
-            engine=engine,
-            schedule=ScheduleSpec(
-                policy=SchedulePolicy.STATIC_CHUNK,
-                chunk_iterations=1,
-                virtual_mode=VirtualMode.ITERATION,
-            ),
-            per_line_bits=True,
-        )
-        result = run_hw(_wide_elem_loop(ProtocolKind.NONPRIV), params, config)
-        assert result.passed
+    config = RunConfig(
+        schedule=ScheduleSpec(
+            policy=SchedulePolicy.STATIC_CHUNK,
+            chunk_iterations=1,
+            virtual_mode=VirtualMode.ITERATION,
+        ),
+        per_line_bits=True,
+    )
+    loop = _wide_elem_loop(ProtocolKind.NONPRIV)
+    result = run_hw(loop, params, config)
+    assert result.passed
+    _assert_oracle_agrees(result, loop, params, config)
 
 
 def test_wide_elements_software_scheme():

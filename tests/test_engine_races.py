@@ -1,9 +1,10 @@
-"""End-to-end race coverage under both execution tiers.
+"""End-to-end race coverage, checked by the engine and the kernel oracle.
 
 The machine-level protocol tests (test_nonpriv_protocol.py) drive the
 memory system directly, which bypasses the processor op loop.  These
 tests rebuild the two subtlest non-privatization interleavings as
-*scheduled loops* so both tiers execute them through ``run_hw``:
+*scheduled loops* so the scalar engine executes them through
+``run_hw``:
 
 * a dirty line evicted while a ``First_update`` is still in flight
   (the victim writeback must merge tag state without tripping a
@@ -11,9 +12,12 @@ tests rebuild the two subtlest non-privatization interleavings as
 * a tag-local write on a dirty line that escapes every directory check
   and is only revealed by the loop-end dirty-line commit sweep.
 
-Each scenario asserts the protocol outcome *and* that the vector tier
-agrees with scalar on the relaxed verdict signature (pass/fail, failure
-attribution, detection cycle, assignment).
+Each scenario asserts the protocol outcome *and* that the kernel
+verdict oracle (``repro.testing.vector_oracle``) agrees: the same
+verdict, and on FAIL a failing-element set that contains scalar's
+attribution.  ``CHECKS`` parametrizes the protocol-outcome tests:
+``scalar`` asserts the engine's outcome alone, ``vector`` adds the
+oracle cross-check to the same run.
 """
 
 from __future__ import annotations
@@ -27,12 +31,12 @@ from repro.obs.spans import SpanProfiler
 from repro.params import ContentionModel, small_test_params
 from repro.runtime.driver import RunConfig, run_hw
 from repro.runtime.schedule import SchedulePolicy, ScheduleSpec, VirtualMode
-from repro.testing.diffcheck import conformance_signature, verdict_signature
+from repro.testing.vector_oracle import failing_elements
 from repro.trace.loop import ArraySpec, Loop
 from repro.trace.ops import compute, read, write
 from repro.types import ProtocolKind
 
-ENGINES = ["scalar", "vector"]
+CHECKS = ["scalar", "vector"]
 
 # small_test_params: 64-byte lines (8 elements of 8 bytes), 64 L2 lines,
 # so element index 512 conflicts with element 0 in the L2.
@@ -47,30 +51,43 @@ STATIC_ONE = ScheduleSpec(
 )
 
 
+def assert_oracle_agrees(result, loop: Loop, params, config) -> None:
+    """The kernel oracle's verdict equals ``result``'s, and on FAIL its
+    failing set for the culprit array contains scalar's element."""
+    failing = failing_elements(loop, params, config)
+    assert failing is not None, "the oracle declined a static schedule"
+    assert result.passed == (not any(failing.values())), failing
+    if not result.passed:
+        array, index = result.failure.element
+        assert index in failing[array], (result.failure.element, failing)
+
+
 def _run(
-    loop: Loop, engine: str, procs: int = 2,
+    loop: Loop, check: str = "scalar", procs: int = 2,
     schedule: ScheduleSpec = STATIC_ONE, per_line_bits: bool = False,
 ):
+    """Run ``loop`` on scalar; with ``check="vector"`` also hold the
+    result to the kernel oracle (static schedules only)."""
     captured = []
     config = RunConfig(
-        engine=engine,
         schedule=schedule,
         per_line_bits=per_line_bits,
         machine_hook=captured.append,
     )
-    result = run_hw(loop, small_test_params(procs), config)
+    params = small_test_params(procs)
+    result = run_hw(loop, params, config)
+    if check == "vector":
+        assert_oracle_agrees(result, loop, params, config)
     return result, captured[0]
 
 
-def _all_engines(loop: Loop, *args, **kwargs):
-    """Run on both tiers (``_run``'s arguments) and assert that vector
-    matches scalar on the verdict projection."""
-    (scalar_result, scalar_machine) = _run(loop, "scalar", *args, **kwargs)
-    (vector_result, vector_machine) = _run(loop, "vector", *args, **kwargs)
-    scalar_sig = conformance_signature(scalar_result, scalar_machine)
-    vector_sig = conformance_signature(vector_result, vector_machine)
-    assert verdict_signature(vector_sig) == verdict_signature(scalar_sig)
-    return scalar_result, scalar_machine
+def _checked(loop: Loop, procs: int = 2, schedule=STATIC_ONE, **kwargs):
+    """Run on scalar (``_run``'s arguments) and, for static schedules,
+    assert that the kernel oracle agrees."""
+    dynamic = schedule.policy is SchedulePolicy.DYNAMIC
+    return _run(
+        loop, "scalar" if dynamic else "vector", procs, schedule, **kwargs
+    )
 
 
 def _dirty_eviction_loop() -> Loop:
@@ -112,10 +129,10 @@ def _commit_hole_loop() -> Loop:
     return Loop("commit-hole", [ArraySpec("A", 64, 8, ProtocolKind.NONPRIV)], body)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("check", CHECKS)
 class TestEvictionRacingFirstUpdate:
-    def test_dirty_victim_writeback_merges_without_spurious_fail(self, engine):
-        result, machine = _run(_dirty_eviction_loop(), engine)
+    def test_dirty_victim_writeback_merges_without_spurious_fail(self, check):
+        result, machine = _run(_dirty_eviction_loop(), check)
         assert result.passed
         table = machine.spec.nonpriv.table("A")
         # The evicted dirty line's write state reached the directory...
@@ -125,40 +142,40 @@ class TestEvictionRacingFirstUpdate:
         # The conflicting line was itself committed at loop end.
         assert bool(table.priv[L2_CONFLICT_STRIDE])
 
-    def test_clean_drop_with_update_in_flight(self, engine):
-        result, machine = _run(_clean_eviction_loop(), engine)
+    def test_clean_drop_with_update_in_flight(self, check):
+        result, machine = _run(_clean_eviction_loop(), check)
         assert result.passed
         table = machine.spec.nonpriv.table("A")
         assert int(table.first[1]) == 0
         assert not bool(table.priv[1])
 
-    def test_engines_agree_on_eviction_races(self, engine):
-        # engine param unused: the point is the explicit two-way check.
-        if engine != ENGINES[0]:
-            pytest.skip("two-way check runs once")
-        _all_engines(_dirty_eviction_loop())
-        _all_engines(_clean_eviction_loop())
+    def test_engines_agree_on_eviction_races(self, check):
+        # check param unused: the point is the explicit oracle check.
+        if check != CHECKS[0]:
+            pytest.skip("oracle check runs once")
+        _checked(_dirty_eviction_loop())
+        _checked(_clean_eviction_loop())
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("check", CHECKS)
 class TestLoopEndDirtyLineCommit:
-    def test_commit_reveals_tag_local_write(self, engine):
-        result, _ = _run(_commit_hole_loop(), engine)
+    def test_commit_reveals_tag_local_write(self, check):
+        result, _ = _run(_commit_hole_loop(), check)
         assert not result.passed
         failure = result.failure
         assert failure.element == ("A", 1)
         assert failure.processor == 1
         assert "writeback reveals" in failure.reason
 
-    def test_engines_agree_on_commit_verdict(self, engine):
-        if engine != ENGINES[0]:
-            pytest.skip("two-way check runs once")
-        result, _ = _all_engines(_commit_hole_loop())
+    def test_engines_agree_on_commit_verdict(self, check):
+        if check != CHECKS[0]:
+            pytest.skip("oracle check runs once")
+        result, _ = _checked(_commit_hole_loop())
         assert not result.passed
 
 
 # ----------------------------------------------------------------------
-# Exact FAIL attribution through the vector tier's localized replay
+# FAIL attribution inside the kernel oracle's failing set
 # ----------------------------------------------------------------------
 def _flow_dep_loop(protocol: ProtocolKind) -> Loop:
     """Every iteration reads A[5] before writing it, so *any* split of
@@ -172,15 +189,15 @@ def _flow_dep_loop(protocol: ProtocolKind) -> Loop:
     return Loop(f"flow-dep-{protocol.value}", [ArraySpec("A", 16, 8, protocol)], body)
 
 
-def _attribution(result):
-    failure = result.failure
-    return (
-        failure.reason,
-        failure.element,
-        failure.iteration,
-        failure.processor,
-        result.detection_cycle,
-    )
+def _declined(loop, params, config):
+    """The oracle's answer and how many cases it declined."""
+    prof = SpanProfiler()
+    spans.install(prof)
+    try:
+        failing = failing_elements(loop, params, config)
+    finally:
+        spans.uninstall()
+    return failing, prof.counters.get("vector.delegations", 0)
 
 
 @pytest.mark.parametrize(
@@ -188,45 +205,28 @@ def _attribution(result):
     [ProtocolKind.NONPRIV, ProtocolKind.PRIV, ProtocolKind.PRIV_SIMPLE],
 )
 class TestVectorFailAttribution:
-    """The vector tier's FAIL-localizing kernels + single op-by-op
-    attempt must reproduce scalar's exact attribution — reason, element,
-    iteration, processor, detection cycle — without wholesale
-    delegation on static schedules; dynamic schedules delegate once (the
+    """On a static schedule the kernel oracle decides the FAIL itself
+    and its failing set for the array is exactly the element scalar
+    attributes the FAIL to; on a dynamic schedule it declines once (the
     span counter proves which path ran)."""
-
-    def _run_vector_counted(self, loop, config):
-        prof = SpanProfiler()
-        spans.install(prof)
-        try:
-            result = run_hw(loop, small_test_params(2), dataclasses.replace(
-                config, engine="vector"
-            ))
-        finally:
-            spans.uninstall()
-        delegations = prof.counters.get("vector.delegations", 0) + sum(
-            s.get("counters", {}).get("vector.delegations", 0)
-            for s in prof.spans
-        )
-        return result, delegations
 
     def test_static_fail_attribution_matches_scalar(self, protocol):
         loop = _flow_dep_loop(protocol)
+        params = small_test_params(2)
         config = RunConfig(
-            engine="scalar",
             schedule=ScheduleSpec(
                 policy=SchedulePolicy.STATIC_CHUNK,
                 chunk_iterations=1,
                 virtual_mode=VirtualMode.ITERATION,
             ),
         )
-        scalar = run_hw(loop, small_test_params(2), config)
+        scalar = run_hw(loop, params, config)
         assert not scalar.passed
         assert scalar.failure.element == ("A", 5)
-        vector, delegations = self._run_vector_counted(loop, config)
-        assert not vector.passed
-        assert _attribution(vector) == _attribution(scalar)
-        assert vector.assignment == scalar.assignment
-        assert delegations == 0, "FAIL must be localized, not delegated"
+        failing, declined = _declined(loop, params, config)
+        assert failing == {"A": {5}}
+        assert declined == 0, "a static FAIL must be decided, not declined"
+        assert_oracle_agrees(scalar, loop, params, config)
 
     def test_dynamic_nocontention_fail_attribution_matches_scalar(self, protocol):
         loop = _flow_dep_loop(protocol)
@@ -234,29 +234,15 @@ class TestVectorFailAttribution:
             small_test_params(2), contention=ContentionModel(enabled=False)
         )
         config = RunConfig(
-            engine="scalar",
             schedule=ScheduleSpec(policy=SchedulePolicy.DYNAMIC,
                                   chunk_iterations=1),
         )
         scalar = run_hw(loop, params, config)
         assert not scalar.passed
-        prof = SpanProfiler()
-        spans.install(prof)
-        try:
-            vector = run_hw(
-                loop, params, dataclasses.replace(config, engine="vector")
-            )
-        finally:
-            spans.uninstall()
-        delegations = prof.counters.get("vector.delegations", 0) + sum(
-            s.get("counters", {}).get("vector.delegations", 0)
-            for s in prof.spans
-        )
-        assert not vector.passed
-        assert _attribution(vector) == _attribution(scalar)
-        # The emergent (aborted) grab order is part of the attribution.
-        assert vector.assignment == scalar.assignment
-        assert delegations == 1, "dynamic schedules delegate to scalar"
+        assert scalar.failure.element == ("A", 5)
+        failing, declined = _declined(loop, params, config)
+        assert failing is None
+        assert declined == 1, "dynamic schedules are declined once"
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +260,7 @@ def _body(spec: str):
 # (processors, elements, policy, chunk, body).  In each loop two
 # processors race First_updates to one line; the loser's
 # First_update_fail must turn its line tag OTHER/ROnly, so its later
-# write FAILs at the tag (Fig 6-(c)) in every engine.  ``line0`` races
+# write FAILs at the tag (Fig 6-(c)).  ``line0`` races
 # on the first line; the ``line3`` cases race on line 3, so the messages
 # must be addressed to line 3, not to element 3's line.
 LINE_BITS_RACES = {
@@ -302,7 +288,7 @@ def test_per_line_bits_first_update_fail_reaches_the_line_tag(name):
         [ArraySpec("A", elements, 8, ProtocolKind.NONPRIV)],
         _body(spec),
     )
-    result, _ = _all_engines(
+    result, _ = _checked(
         loop, procs, ScheduleSpec(policy, chunk, VirtualMode.ITERATION),
         per_line_bits=True,
     )

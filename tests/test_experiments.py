@@ -247,11 +247,10 @@ class TestCLI:
         assert "overhead_pct" in doc["telemetry"]
         assert "overhead_pct" in doc["monitors"]
         assert doc["provenance"]["config_hash"]
-        # The engine matrix covers both tiers at every level, plus the
+        # The matrix covers every instrumentation level, plus the
         # bare-only FAIL-heavy and dynamic scenario rows.
-        scenario_rows = {"scalar-fail", "vector-fail",
-                         "scalar-dynamic", "vector-dynamic"}
-        assert set(doc["engines"]) == {"scalar", "vector"} | scenario_rows
+        scenario_rows = {"scalar-fail", "scalar-dynamic"}
+        assert set(doc["engines"]) == {"scalar"} | scenario_rows
         for engine, levels in doc["engines"].items():
             if engine in scenario_rows:
                 assert set(levels) == {"bare"}
@@ -261,8 +260,8 @@ class TestCLI:
         # Top level mirrors the scalar engine (PR3-era shape).
         assert doc["bare"] == doc["engines"]["scalar"]["bare"]
         out = capsys.readouterr().out
-        assert "wrote" in out and "bare speedup: vector/scalar" in out
-        assert "(vector/scalar" in out
+        assert "wrote" in out and "loop iterations/s" in out
+        assert "vector" not in out
         assert "fail" in out and "dynamic" in out
 
     def test_cli_bench_parallel_cells(self, tmp_path, capsys):
@@ -275,8 +274,7 @@ class TestCLI:
                      "--bench-reps", "1", "--jobs", "2"]) == 0
         doc = json.loads(out_path.read_text())
         assert set(doc["engines"]) == {
-            "scalar", "vector",
-            "scalar-fail", "vector-fail", "scalar-dynamic", "vector-dynamic",
+            "scalar", "scalar-fail", "scalar-dynamic",
         }
         for levels in doc["engines"].values():
             assert levels["bare"]["iters_per_s"] > 0
@@ -342,7 +340,7 @@ class TestCLI:
                      "--profile-out", str(out_path)]) == 0
         doc = json.loads(out_path.read_text())
         events = doc["traceEvents"]
-        # Engine-matrix tasks captured in worker processes, merged here.
+        # Profiled tasks captured in worker processes, merged here.
         task_spans = [e for e in events if e.get("cat") == "task"]
         assert task_spans
         assert len({e["pid"] for e in task_spans}) >= 2
@@ -350,9 +348,8 @@ class TestCLI:
             (tmp_path / "profile-rollup.json").read_text()
         )
         assert rollup["tasks"] == len(task_spans)
-        # Track self-schedules dynamically, so its vector runs delegate
-        # to scalar and every phase lands under the scalar tier.
-        assert set(rollup["phase_breakdown_s"]) >= {"scalar"}
+        # Every phase runs on the scalar engine.
+        assert set(rollup["phase_breakdown_s"]) == {"scalar"}
         out = capsys.readouterr().out
         assert "wrote" in out and "task wall" in out
 

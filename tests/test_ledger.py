@@ -28,14 +28,9 @@ BENCH_SNAPSHOTS = [
     "BENCH_PR3.json", "BENCH_PR4.json", "BENCH_PR6.json", "BENCH_PR10.json",
 ]
 
-ENGINES = ("scalar", "vector")
-
-
-def _static(engine="scalar", **extra):
+def _static(**extra):
     return RunConfig(
-        engine=engine,
-        schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK),
-        **extra,
+        schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK), **extra
     )
 
 
@@ -106,7 +101,7 @@ class TestLedgerStore:
         base = ledger_key(Scenario.HW, _loop(), params, _static())
         assert base != ledger_key(Scenario.SW, _loop(), params, _static())
         assert base != ledger_key(
-            Scenario.HW, _loop(), params, _static(engine="vector")
+            Scenario.HW, _loop(), params, _static(sparse_backup=True)
         )
         assert base != ledger_key(
             Scenario.HW, _loop("other-name"), params, _static()
@@ -141,7 +136,7 @@ class TestLedgerStore:
 
         ledger = RunLedger(str(tmp_path))
         params = small_test_params(4)
-        config = _static(engine="scalar", ledger=ledger)
+        config = _static(ledger=ledger)
         spans.install(spans.SpanProfiler())
         try:
             run_hw(_loop(), params, config)
@@ -159,23 +154,19 @@ class TestLedgerStore:
 # the cache-read path
 # ----------------------------------------------------------------------
 class TestCacheHit:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_bit_identical_without_engine_invocation(
-        self, tmp_path, monkeypatch, engine
-    ):
+    def test_bit_identical_without_engine_invocation(self, tmp_path, monkeypatch):
         params = small_test_params(4)
         ledger = RunLedger(str(tmp_path))
-        fresh = run_hw(_loop(), params, _static(engine))
-        first = run_hw(_loop(), params, _static(engine, ledger=ledger))
-        # Prove the second run never builds a machine: every engine
-        # entry point constructs one, so a poisoned constructor shows
-        # any attempt to simulate.
+        fresh = run_hw(_loop(), params, _static())
+        first = run_hw(_loop(), params, _static(ledger=ledger))
+        # Prove the second run never builds a machine: every driver
+        # constructs one, so a poisoned constructor shows any attempt
+        # to simulate.
         def boom(*a, **k):
             raise AssertionError("simulation ran despite a ledger hit")
 
         monkeypatch.setattr("repro.runtime.driver.Machine", boom)
-        monkeypatch.setattr("repro.runtime.vector.Machine", boom)
-        served = run_hw(_loop(), params, _static(engine, ledger=ledger))
+        served = run_hw(_loop(), params, _static(ledger=ledger))
         # diffcheck's full-signature compare (result projection).
         assert result_signature(served) == result_signature(first)
         assert result_signature(served) == result_signature(fresh)
@@ -219,52 +210,6 @@ class TestCacheHit:
         assert not [e for e in t2.events if isinstance(e, RunStartEvent)]
         assert not [e for e in t2.events if isinstance(e, LedgerWriteEvent)]
 
-    def test_delegated_vector_run_archives_under_vector_key(
-        self, tmp_path, monkeypatch
-    ):
-        """Regression: a vector run that delegates used to let the inner
-        ``run_hw`` archive under the delegate config's content address
-        (with its provenance, restamped only afterwards), so
-        a repeat of the identical vector request never hit the cache.
-        The delegation must commit exactly one record, keyed by the
-        caller's vector config, and the repeat must be served."""
-        from repro.obs import spans
-        from repro.obs.spans import SpanProfiler
-
-        params = small_test_params(4)  # contention on: replay declines,
-        ledger = RunLedger(str(tmp_path))  # so this config delegates
-        config = RunConfig(
-            engine="vector",
-            schedule=ScheduleSpec(policy=SchedulePolicy.DYNAMIC),
-            ledger=ledger,
-        )
-        prof = SpanProfiler()
-        spans.install(prof)
-        try:
-            first = run_hw(_loop(), params, config)
-        finally:
-            spans.uninstall()
-        delegations = sum(
-            s["counters"].get("vector.delegations", 0) for s in prof.spans
-        ) + prof.counters.get("vector.delegations", 0)
-        assert delegations == 1, "case must exercise the delegation path"
-
-        records = list(ledger.records(kind="run"))
-        assert len(records) == 1, "inner scalar run must not archive itself"
-        expected = ledger_key(
-            Scenario.HW, _loop(), params, config, provenance=first.provenance
-        )
-        assert records[0]["key"] == expected
-
-        def boom(*a, **k):
-            raise AssertionError("simulation ran despite a ledger hit")
-
-        monkeypatch.setattr("repro.runtime.driver.Machine", boom)
-        monkeypatch.setattr("repro.runtime.vector.Machine", boom)
-        served = run_hw(_loop(), params, config)
-        assert served == first
-        assert served.provenance == first.provenance
-
     def test_monitors_and_hooks_disable_serving(self, tmp_path):
         from repro.obs import MonitorSuite
 
@@ -297,12 +242,12 @@ class TestCacheHit:
         ledger = RunLedger(str(tmp_path))
         first = run_hw(
             _loop(), params,
-            _static(engine="scalar", ledger=ledger, telemetry=Telemetry()),
+            _static(ledger=ledger, telemetry=Telemetry()),
         )
         assert first.metrics is not None
         served = run_hw(
             _loop(), params,
-            _static(engine="scalar", ledger=ledger, telemetry=Telemetry()),
+            _static(ledger=ledger, telemetry=Telemetry()),
         )
         assert served.metrics == first.metrics
         assert served == first
@@ -454,8 +399,7 @@ class TestBenchHistory:
         doc = ledger.lookup(entry["key"])["bench"]
         assert doc == json.loads(out.read_text())
         assert set(entry["bare_iters_per_s"]) == {
-            "scalar", "vector",
-            "scalar-fail", "vector-fail", "scalar-dynamic", "vector-dynamic",
+            "scalar", "scalar-fail", "scalar-dynamic",
         }
 
 
@@ -467,14 +411,14 @@ class TestLedgerCli:
         ledger = RunLedger(str(root))
         params = small_test_params(4)
         run_hw(_loop(), params, _static(ledger=ledger))
-        run_hw(_loop(), params, _static(engine="vector", ledger=ledger))
+        run_hw(_loop(), params, _static(sparse_backup=True, ledger=ledger))
         return [e["key"] for e in ledger.records()]
 
     def test_list_and_show(self, tmp_path, capsys):
         keys = self._record_two_runs(tmp_path)
         assert ledgercli.main(["--ledger-dir", str(tmp_path), "list"]) == 0
         out = capsys.readouterr().out
-        assert "2 record(s)" in out and "HW/scalar" in out and "HW/vector" in out
+        assert "2 record(s)" in out and out.count(" HW ") == 2
         assert ledgercli.main(
             ["--ledger-dir", str(tmp_path), "show", keys[0][:12]]
         ) == 0
@@ -487,8 +431,8 @@ class TestLedgerCli:
             ["--ledger-dir", str(tmp_path), "diff", keys[0], keys[1]]
         ) == 0
         out = capsys.readouterr().out
-        # scalar and vector runs differ at least in provenance (the
-        # engine knob enters the config hash).
+        # dense and sparse backup runs differ at least in provenance
+        # (the sparse_backup knob enters the config hash).
         assert "differing field" in out
         assert "config_hash" in out
 

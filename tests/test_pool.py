@@ -226,10 +226,7 @@ def _sim_task(i: int):
     from repro.workloads.synthetic import parallel_nonpriv_loop
 
     loop = parallel_nonpriv_loop(f"pool-sim-{i}", elements=64, iterations=8)
-    config = RunConfig(
-        engine="scalar",
-        schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK),
-    )
+    config = RunConfig(schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK))
     result = run_hw(loop, small_test_params(2), config)
     return (i, result.passed, result.wall)
 

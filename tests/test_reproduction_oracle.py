@@ -14,6 +14,10 @@ realized iteration-to-processor assignment:
   iteration numbering the software test marks with, reduced to the
   LRPD criterion (doall, or privatizable when the array is privatized,
   or read-in/copy-out when the ``Awmin`` extension is on).
+
+Static-schedule HW runs are also held to the kernel verdict oracle
+(:mod:`repro.testing.vector_oracle`): the same verdict, and a FAIL
+element inside the oracle's failing set.
 """
 
 from typing import Dict, List, Tuple
@@ -22,6 +26,7 @@ import pytest
 
 from repro.experiments import figures, scenarios
 from repro.lrpd.analysis import serial_access_verdict
+from repro.testing.vector_oracle import failing_elements
 from repro.runtime.schedule import (
     SchedulePolicy,
     VirtualMode,
@@ -108,8 +113,8 @@ def sw_oracle_verdict(loop, config, result) -> bool:
 
 @pytest.fixture(scope="module")
 def recorded_runs():
-    """``(source, scenario, loop, config, result)`` for every SW and HW
-    run of the quick RunStore and of Fig 13."""
+    """``(source, scenario, loop, config, result, params)`` for every SW
+    and HW run of the quick RunStore and of Fig 13."""
     calls = []
     patch = pytest.MonkeyPatch()
 
@@ -118,7 +123,7 @@ def recorded_runs():
 
         def call(loop, params, config=None, **kwargs):
             result = fn(loop, params, config, **kwargs)
-            calls.append((source, result.scenario, loop, config, result))
+            calls.append((source, result.scenario, loop, config, result, params))
             return result
 
         patch.setattr(module, name, call)
@@ -154,7 +159,7 @@ def test_every_verdict_is_recorded(recorded_runs):
 def test_verdicts_match_oracles(recorded_runs):
     _, calls = recorded_runs
     mismatches = []
-    for source, scenario, loop, config, result in calls:
+    for source, scenario, loop, config, result, _ in calls:
         assert result.assignment is not None
         if scenario is Scenario.HW:
             expected = hw_oracle_verdict(loop, config, result)
@@ -176,7 +181,7 @@ def test_oracles_are_not_vacuous(recorded_runs):
     _, calls = recorded_runs
     protocols = {
         spec.protocol
-        for _, _, loop, _, result in calls
+        for _, _, loop, _, result, _ in calls
         if result.passed
         for spec in loop.arrays_under_test()
     }
@@ -184,3 +189,31 @@ def test_oracles_are_not_vacuous(recorded_runs):
     assert protocols & {ProtocolKind.PRIV, ProtocolKind.PRIV_SIMPLE}
     assert any(c[4].passed for c in calls)
     assert any(not c[4].passed for c in calls)
+
+
+def test_static_hw_verdicts_match_kernel_oracle(recorded_runs):
+    """Every static-schedule HW run agrees with the kernel oracle.  In
+    the quick reproduction these are Ocean's and Adm's store runs and
+    Adm's forced failure (Ocean's forced failure self-schedules; P3m
+    and Track are dynamic), so both verdicts are checked."""
+    _, calls = recorded_runs
+    checked = []
+    for source, scenario, loop, config, result, params in calls:
+        if (
+            scenario is not Scenario.HW
+            or config.schedule.policy is SchedulePolicy.DYNAMIC
+        ):
+            continue
+        failing = failing_elements(loop, params, config)
+        label = f"{source} {loop.name}"
+        assert failing is not None, label
+        assert result.passed == (not any(failing.values())), label
+        if not result.passed:
+            array, index = result.failure.element
+            assert index in failing[array], (label, result.failure.element)
+        checked.append((source, loop.name.split(".")[0], result.passed))
+    assert any(passed for *_, passed in checked)
+    assert any(not passed for *_, passed in checked)
+    assert sorted(set(checked)) == [
+        ("fig13", "adm", False), ("store", "adm", True), ("store", "ocean", True),
+    ], checked

@@ -17,6 +17,7 @@ from repro.obs.spans import (
 from repro.params import ContentionModel, small_test_params
 from repro.runtime.driver import RunConfig, run_hw
 from repro.runtime.schedule import SchedulePolicy, ScheduleSpec
+from repro.testing.vector_oracle import failing_elements
 from repro.workloads.synthetic import parallel_nonpriv_loop
 
 
@@ -33,11 +34,8 @@ def _small_loop():
     return parallel_nonpriv_loop("span-test", elements=64, iterations=8)
 
 
-def _config(engine):
-    return RunConfig(
-        engine=engine,
-        schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK),
-    )
+def _config():
+    return RunConfig(schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK))
 
 
 class TestSpanProfiler:
@@ -134,16 +132,17 @@ class TestNullPath:
         loop = _small_loop()
         params = small_test_params(2)
         assert spans.current() is None
-        for engine in ("scalar", "vector"):
-            result = run_hw(loop, params, _config(engine))
-            assert result.passed
+        assert run_hw(loop, params, _config()).passed
+        assert failing_elements(loop, params, _config()) == {"A": set()}
+        dynamic = RunConfig(schedule=ScheduleSpec(policy=SchedulePolicy.DYNAMIC))
+        assert failing_elements(loop, params, dynamic) is None
 
 
 class TestAmbientProfile:
     def test_scalar_run_span_hierarchy(self):
         spans.install(SpanProfiler())
         try:
-            result = run_hw(_small_loop(), small_test_params(2), _config("scalar"))
+            result = run_hw(_small_loop(), small_test_params(2), _config())
         finally:
             prof = spans.current()
             spans.uninstall()
@@ -165,45 +164,26 @@ class TestAmbientProfile:
         assert phase["args"]["engine"] == "scalar"
         assert phase["counters"]["engine.events"] > 0
 
-    def test_vector_run_records_kernel_spans(self):
-        spans.install(SpanProfiler())
-        try:
-            result = run_hw(_small_loop(), small_test_params(2), _config("vector"))
-        finally:
-            prof = spans.current()
-            spans.uninstall()
-        assert result.passed
-        names = {s["name"] for s in prof.spans}
-        assert {"vector.extract", "vector.kernels", "vector.fill+commit"} <= names
-        assert "vector.delegate" not in names
-
     @pytest.mark.parametrize(
         "contention", [True, False], ids=["contention-on", "contention-off"]
     )
     def test_vector_dynamic_schedule_counts_delegation(self, contention):
-        spans.install(SpanProfiler())
-        config = RunConfig(
-            engine="vector",
-            schedule=ScheduleSpec(policy=SchedulePolicy.DYNAMIC),
-        )
+        """The kernel oracle declines a dynamic schedule and counts one
+        ``vector.delegations`` — the counter sweep-small reports — with
+        no span of its own."""
+        prof = SpanProfiler()
+        spans.install(prof)
+        config = RunConfig(schedule=ScheduleSpec(policy=SchedulePolicy.DYNAMIC))
         params = dataclasses.replace(
             small_test_params(2),
             contention=ContentionModel(enabled=contention),
         )
         try:
-            result = run_hw(_small_loop(), params, config)
+            assert failing_elements(_small_loop(), params, config) is None
         finally:
-            prof = spans.current()
             spans.uninstall()
-        assert result.passed
         snap = prof.snapshot()
-        delegate = next(
-            s for s in snap["spans"] if s["name"] == "vector.delegate"
-        )
-        assert delegate["args"]["reason"] == "dynamic-schedule"
-        # The delegated scalar run nests inside the delegate span.
-        runs = [s for s in snap["spans"] if s["name"] == "run"]
-        assert any(s["args"]["engine"] == "scalar" for s in runs)
+        assert snap["spans"] == []
         assert snap["counters"].get("vector.delegations") == 1
 
 
@@ -212,7 +192,7 @@ class TestWorkerCapture:
         cap = WorkerCapture(label="t0")
         cap.install()
         try:
-            run_hw(_small_loop(), small_test_params(2), _config("scalar"))
+            run_hw(_small_loop(), small_test_params(2), _config())
         finally:
             cap.uninstall()
         snap = cap.snapshot()
@@ -243,7 +223,6 @@ class TestWorkerCapture:
         cap.install()
         try:
             config = RunConfig(
-                engine="scalar",
                 schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK),
                 telemetry=telemetry,
             )
@@ -259,11 +238,11 @@ class TestWorkerCapture:
 
     def test_capture_does_not_change_results(self):
         loop, params = _small_loop(), small_test_params(2)
-        plain = run_hw(loop, params, _config("scalar"))
+        plain = run_hw(loop, params, _config())
         cap = WorkerCapture(label="t2")
         cap.install()
         try:
-            captured = run_hw(loop, params, _config("scalar"))
+            captured = run_hw(loop, params, _config())
         finally:
             cap.uninstall()
         assert captured.passed == plain.passed
@@ -389,5 +368,5 @@ class TestProfileSession:
 
 
 def _profiled_task(i):
-    run_hw(_small_loop(), small_test_params(2), _config("scalar"))
+    run_hw(_small_loop(), small_test_params(2), _config())
     return i * i

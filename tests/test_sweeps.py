@@ -114,7 +114,7 @@ class TestSerialBaseline:
 
     def test_baseline_receives_the_sweep_config(self, loop, monkeypatch):
         calls = self._counting_run_serial(monkeypatch)
-        config = RunConfig(engine="vector")
+        config = RunConfig(sparse_backup=True)
         sweep_machine(
             loop, "num_processors", [2, 4], scenario=Scenario.HW,
             base_params=default_params(2), config=config,
@@ -126,7 +126,7 @@ class TestSerialBaseline:
         not a default-config one (the dropped-RunConfig bug)."""
         from repro.runtime.driver import run_serial
 
-        config = RunConfig(engine="vector")
+        config = RunConfig(sparse_backup=True)
         points = sweep_machine(
             loop, "num_processors", [2], scenario=Scenario.HW,
             base_params=default_params(2), config=config,
