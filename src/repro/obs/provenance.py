@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["RunProvenance", "canonical_json", "fingerprint", "run_provenance"]
 
@@ -92,28 +93,53 @@ def run_provenance(
     """
     from .. import __version__
 
-    params_doc = _jsonable(params)
-    config_doc: Dict[str, Any] = {}
-    schedule_text = "default"
+    run_key = None
     if config is not None:
-        config_doc = {
-            "schedule": _jsonable(config.schedule),
-            "sparse_backup": config.sparse_backup,
-            "sw_read_in": config.sw_read_in,
-            "timestamp_bits": config.timestamp_bits,
-            "per_line_bits": config.per_line_bits,
-        }
-        spec = config.schedule
-        schedule_text = (
-            f"{spec.policy.value}/chunk={spec.chunk_iterations}"
-            f"/{spec.virtual_mode.value}"
+        run_key = (
+            config.schedule,
+            config.sparse_backup,
+            config.sw_read_in,
+            config.timestamp_bits,
+            config.per_line_bits,
         )
+    config_hash, params_hash, schedule_text = _hashes(params, run_key)
     return RunProvenance(
-        config_hash=fingerprint({"params": params_doc, "config": config_doc}),
-        params_hash=fingerprint(params_doc),
+        config_hash=config_hash,
+        params_hash=params_hash,
         schedule=schedule_text,
         package_version=__version__,
         scenario=scenario,
         loop_name=loop_name,
         seed=seed,
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _hashes(params, run_key) -> Tuple[str, str, str]:
+    """``(config_hash, params_hash, schedule text)`` for one
+    ``(params, run_key)`` pair, hashed once: a sweep's runs share a
+    handful of pairs.  The config document is built from the key
+    itself, so key and hash cannot drift apart.  Keys match by
+    equality, so equal values must render equally (which is why
+    ``ContentionModel`` stores its occupancy factor as a float)."""
+    params_doc = _jsonable(params)
+    config_doc: Dict[str, Any] = {}
+    schedule_text = "default"
+    if run_key is not None:
+        schedule, sparse_backup, sw_read_in, timestamp_bits, per_line_bits = run_key
+        config_doc = {
+            "schedule": _jsonable(schedule),
+            "sparse_backup": sparse_backup,
+            "sw_read_in": sw_read_in,
+            "timestamp_bits": timestamp_bits,
+            "per_line_bits": per_line_bits,
+        }
+        schedule_text = (
+            f"{schedule.policy.value}/chunk={schedule.chunk_iterations}"
+            f"/{schedule.virtual_mode.value}"
+        )
+    return (
+        fingerprint({"params": params_doc, "config": config_doc}),
+        fingerprint(params_doc),
+        schedule_text,
     )

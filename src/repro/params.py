@@ -110,6 +110,14 @@ class ContentionModel:
     #: would be several times slower per message.
     spec_occupancy_factor: float = 1.0
 
+    def __post_init__(self) -> None:
+        # Store an int factor as the float it equals: equal models must
+        # render to the same provenance document, which is memoized on
+        # equality (repro.obs.provenance).
+        object.__setattr__(
+            self, "spec_occupancy_factor", float(self.spec_occupancy_factor)
+        )
+
 
 @dataclasses.dataclass(frozen=True)
 class CostModel:

@@ -463,7 +463,8 @@ def _finish_run(
     result: "RunResult",
     loop: Optional[Loop] = None,
 ) -> "RunResult":
-    """Stamp provenance/metrics into a result and close out telemetry."""
+    """Stamp provenance/metrics into a result, close out telemetry, and
+    release the machine (its run is over)."""
     result.provenance = run_provenance(
         params,
         config,
@@ -490,6 +491,7 @@ def _finish_run(
     # record holds the result exactly as the caller receives it.
     if config is not None and config.ledger is not None:
         _ledger_commit(machine, config, params, result, loop, prof, handles)
+    machine.release()
     return result
 
 

@@ -70,6 +70,17 @@ class Engine(Scheduler):
         self._epoch_span = None
         #: array name -> ArrayDecl, filled by resolve() on first use
         self._decls: Dict[str, ArrayDecl] = {}
+        self._released = False
+
+    def release(self) -> None:
+        """Drop the back-references to this engine (each processor's and
+        the message scheduler's) so reference counting frees it once its
+        owner lets go.  Processor stats stay readable; running another
+        phase raises :class:`ConfigurationError`."""
+        self._released = True
+        self.message_scheduler._engine = None
+        for proc in self.processors:
+            proc.engine = None
 
     # ------------------------------------------------------------------
     # Scheduler interface (used by the speculation protocols)
@@ -176,6 +187,8 @@ class Engine(Scheduler):
             abort_on_failure: whether a speculation FAIL aborts the
                 phase (true during the speculative doall execution).
         """
+        if self._released:
+            raise ConfigurationError("run_phase on a released engine")
         if not op_sources:
             raise ConfigurationError("run_phase needs at least one processor")
         start = self.now if start_time is None else start_time

@@ -58,6 +58,18 @@ class Machine:
             self.spec.controller.bus = bus
 
     # ------------------------------------------------------------------
+    def release(self) -> None:
+        """End of run: drop every back-reference the constructor wired, so
+        reference counting frees the engine, memory system and speculation
+        state as soon as the caller drops the machine.  Directories,
+        protocol tables and per-processor stats stay readable; running
+        another phase raises :class:`~repro.errors.ConfigurationError`."""
+        self.engine.release()
+        if self.spec is not None:
+            self.spec.ctx.clock = None
+            self.spec.ctx.memsys = None
+
+    # ------------------------------------------------------------------
     def new_barrier(self, participants: Optional[int] = None) -> Barrier:
         n = participants or self.params.num_processors
         cost = self.params.cost

@@ -113,27 +113,38 @@ class Loop:
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:
+        # Exact classes, as the processor dispatches (repro.sim.processor):
+        # an op subclass or a non-int index is rejected here, not mid-run.
+        by_name = self._by_name
         for it_no, ops in enumerate(self.iterations, start=1):
             for op in ops:
-                if isinstance(op, AccessOp):
-                    spec = self._by_name.get(op.array)
+                cls = op.__class__
+                if cls is AccessOp:
+                    spec = by_name.get(op.array)
                     if spec is None:
                         raise ConfigurationError(
                             f"loop {self.name!r} iteration {it_no} touches "
                             f"undeclared array {op.array!r}"
                         )
-                    if not 0 <= op.index < spec.length:
+                    index = op.index
+                    if type(index) is not int:
                         raise ConfigurationError(
-                            f"loop {self.name!r}: {op.array}[{op.index}] out of "
+                            f"loop {self.name!r}: {op.array}[{index!r}] index "
+                            f"is a {type(index).__name__}, not an int"
+                        )
+                    if not 0 <= index < spec.length:
+                        raise ConfigurationError(
+                            f"loop {self.name!r}: {op.array}[{index}] out of "
                             f"bounds (length {spec.length})"
                         )
-                    if op.is_write and not spec.modified:
+                    if op.kind is AccessKind.WRITE and not spec.modified:
                         raise ConfigurationError(
                             f"loop {self.name!r} writes read-only array {op.array!r}"
                         )
-                elif not isinstance(op, (ComputeOp, LocalOp)):
+                elif cls is not ComputeOp and cls is not LocalOp:
                     raise ConfigurationError(
-                        f"loop {self.name!r}: unknown op type {type(op).__name__}"
+                        f"loop {self.name!r}: unknown op type {cls.__name__} "
+                        "(the engine runs exactly AccessOp, ComputeOp and LocalOp)"
                     )
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.bus import BoundedLog
-from repro.params import default_params, small_test_params
+from repro.params import CacheGeometry, default_params, small_test_params
 from repro.runtime.driver import RunConfig, run_hw, run_serial
 from repro.runtime.schedule import SchedulePolicy, ScheduleSpec, VirtualMode
 from repro.sim.machine import Machine
@@ -396,6 +396,114 @@ class TestMetricsSnapshot:
 # ----------------------------------------------------------------------
 # Provenance
 # ----------------------------------------------------------------------
+#: params_hash of default_params(16) / small_test_params(4)
+PINNED_PARAMS = {
+    16: "d11c7556572d9a707e4189779542a53b7cc9b52e70edc8718e84cb0c5eb2ed66",
+    4: "744878e93bee31627390eb8db18a07966a875cdb197edf8a7655b6904146fa1a",
+}
+#: (procs, config label) -> (config_hash, schedule text); ledger keys
+#: are built from these, so they must never change
+PINNED_CONFIGS = {
+    (16, "none"): ("5ac8dfa9046b9a21dd5ba4ca9fe38153899f9a0cbb09cb518fe56be3728ac69c", "default"),
+    (16, "default"): ("f3de9d584a36f8d98656ac5a7f5bdf909ef63cf8cfdc4bbf8861f84c0abde06e", "dynamic/chunk=4/chunk"),
+    (16, "static"): ("0ffc5af2188e91bad44ee96d72292ae581bee13dfecfba30e2872fafabcbc369", "static-chunk/chunk=2/processor"),
+    (16, "sparse"): ("87613c967a3dd4c652ae6f35f50c12db6498e94d994013c178e5ced9d0e58eb7", "dynamic/chunk=4/chunk"),
+    (16, "ts8"): ("d9eb644cb6626e35d8e7d3d91700e7048e8d6f3be7c0cb94a5fabd04cbda78f7", "dynamic/chunk=4/chunk"),
+    (4, "none"): ("84407110a7460f7e292647089d3f4547bae936ff43a344ea209ce82d7bce11df", "default"),
+    (4, "default"): ("35ffa4435763ee8f5efe9076a90d63b813f4608be0ec7acf3eff84f8545ebba4", "dynamic/chunk=4/chunk"),
+    (4, "static"): ("df70c11a9a1b50b94ac826fd2dc178eed77ac45c2a9edd60724df7055f72642f", "static-chunk/chunk=2/processor"),
+    (4, "sparse"): ("1d3dde37a7d7bad10ed2df6d1ec9b23d85535d0fb38a1d21ffa821bbaaa58a4f", "dynamic/chunk=4/chunk"),
+    (4, "ts8"): ("50618f085c479f695dd569dddd166ea7f95acff6b52f08ecb846d3aba61c1044", "dynamic/chunk=4/chunk"),
+    (4, "per-line"): ("17a9aa5c20dda8693aeb0e91d106beaa55da636d652bb5ab0b89787f91ffc14f", "dynamic/chunk=4/chunk"),
+    (4, "read-in"): ("bd90653da0e7dc03cf6111d0a89bea36961d0b0f9a79447fd5863e7c7e541270", "dynamic/chunk=4/chunk"),
+    (4, "cyclic"): ("701396796b4d214f11b0ad58615c1c78d118270954f87f0751949bb70d785a48", "block-cyclic/chunk=3/iteration"),
+}
+#: params_hash of small_test_params(4) with spec_occupancy_factor 2.0
+PINNED_FACTOR_2 = "56f33bf61c8b52757d1c3455b4d462c79334eee2a1f7f99d77c7c7c23080b8aa"
+PIN_CONFIGS = {
+    "none": None,
+    "default": RunConfig(),
+    "static": RunConfig(
+        schedule=ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 2, VirtualMode.PROCESSOR)
+    ),
+    "sparse": RunConfig(sparse_backup=True),
+    "ts8": RunConfig(timestamp_bits=8),
+    "per-line": RunConfig(per_line_bits=True),
+    "read-in": RunConfig(sw_read_in=True),
+    "cyclic": RunConfig(
+        schedule=ScheduleSpec(SchedulePolicy.BLOCK_CYCLIC, 3, VirtualMode.ITERATION)
+    ),
+}
+
+
+def _pin_params(procs):
+    return default_params(16) if procs == 16 else small_test_params(4)
+
+
+class TestProvenancePins:
+    @pytest.mark.parametrize(
+        "procs,label", sorted(PINNED_CONFIGS), ids=lambda v: str(v)
+    )
+    def test_hashes_pinned(self, procs, label):
+        config_hash, schedule = PINNED_CONFIGS[procs, label]
+        # Twice: the second call is served from the memo.
+        for _ in range(2):
+            prov = run_provenance(_pin_params(procs), PIN_CONFIGS[label])
+            assert prov.config_hash == config_hash
+            assert prov.params_hash == PINNED_PARAMS[procs]
+            assert prov.schedule == schedule
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"num_processors": 8},
+            {"page_bytes": 8192},
+            {"write_buffer_entries": 4},
+            {"l2": CacheGeometry(1024 * 1024)},
+        ],
+        ids=lambda c: next(iter(c)),
+    )
+    def test_replaced_params_rehash(self, change):
+        # The memo is keyed on params equality, so a replaced field must
+        # give a new hash, never the cached one.
+        base = default_params(16)
+        before = run_provenance(base, RunConfig())
+        after = run_provenance(dataclasses.replace(base, **change), RunConfig())
+        assert after.params_hash != before.params_hash
+        assert after.config_hash != before.config_hash
+        assert run_provenance(base, RunConfig()) == before
+
+    def test_replaced_nested_params_rehash(self):
+        base = default_params(16)
+        slower = dataclasses.replace(
+            base, latency=dataclasses.replace(base.latency, remote_2hop=300)
+        )
+        assert run_provenance(slower).params_hash != PINNED_PARAMS[16]
+
+    def test_replaced_config_rehash(self):
+        params = default_params(16)
+        seen = {
+            run_provenance(params, config).config_hash
+            for config in (
+                RunConfig(),
+                dataclasses.replace(RunConfig(), timestamp_bits=4),
+                dataclasses.replace(RunConfig(), per_line_bits=True),
+                dataclasses.replace(
+                    RunConfig(), schedule=ScheduleSpec(chunk_iterations=8)
+                ),
+            )
+        }
+        assert len(seen) == 4
+
+    def test_per_run_fields_not_memoized(self):
+        params = default_params(16)
+        a = run_provenance(params, RunConfig(), scenario="HW", loop_name="x", seed=1)
+        b = run_provenance(params, RunConfig(), scenario="SW", loop_name="y", seed=2)
+        assert (a.scenario, a.loop_name, a.seed) == ("HW", "x", 1)
+        assert (b.scenario, b.loop_name, b.seed) == ("SW", "y", 2)
+        assert a.config_hash == b.config_hash
+
+
 class TestProvenance:
     def test_hash_stable_across_identical_configs(self):
         p1, p2 = default_params(8), default_params(8)
@@ -422,6 +530,24 @@ class TestProvenance:
             params, RunConfig(machine_hook=lambda m: None, telemetry=Telemetry())
         )
         assert plain.config_hash == hooked.config_hash
+
+    def test_int_occupancy_factor_hashes_as_its_float(self):
+        # Provenance is memoized on params equality, and 2 == 2.0: the
+        # model stores the float so equal params render identically.
+        base = small_test_params(4)
+
+        def with_factor(factor):
+            return dataclasses.replace(
+                base,
+                contention=dataclasses.replace(
+                    base.contention, spec_occupancy_factor=factor
+                ),
+            )
+
+        as_int, as_float = with_factor(2), with_factor(2.0)
+        assert as_int.contention.spec_occupancy_factor.__class__ is float
+        assert run_provenance(as_int).params_hash == PINNED_FACTOR_2
+        assert run_provenance(as_float).params_hash == PINNED_FACTOR_2
 
     def test_run_result_is_stamped(self):
         result, _ = _hw_result_with_telemetry()

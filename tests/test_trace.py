@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.trace import ArraySpec, Loop, compute, local, read, write
+from repro.trace.ops import AccessOp
 from repro.types import AccessKind, ProtocolKind
 
 
@@ -93,6 +94,23 @@ class TestLoopValidation:
     def test_weights_length_checked(self):
         with pytest.raises(ConfigurationError):
             simple_loop(iteration_weights=[1, 2])
+
+    def test_access_op_subclass_rejected(self):
+        # The processor dispatches on exact op class, so a subclass
+        # would build here and raise TypeError mid-run.
+        class TracedAccess(AccessOp):
+            __slots__ = ()
+
+        op = TracedAccess(AccessKind.READ, "A", 0)
+        with pytest.raises(ConfigurationError, match="TracedAccess"):
+            Loop("l", [ArraySpec("A", 4)], [[op]])
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, "1"])
+    def test_non_int_index_rejected(self, index):
+        # A float index used to build and then fail with a numpy
+        # IndexError deep inside run_hw.
+        with pytest.raises(ConfigurationError, match="not an int"):
+            Loop("l", [ArraySpec("A", 4)], [[read("A", index)]])
 
 
 class TestLoopQueries:
