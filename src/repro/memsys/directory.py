@@ -56,16 +56,26 @@ def next_dir_state(prev: DirState, kind: AccessKind) -> DirState:
 
 @dataclasses.dataclass(slots=True)
 class DirectoryEntry:
-    """Directory state for one memory line."""
+    """Directory state for one memory line.
+
+    The sharers are a full-map presence bit vector: bit ``p`` of
+    ``sharer_mask`` is set while processor ``p`` holds a CLEAN copy.
+    """
 
     state: DirState = DirState.UNCACHED
     owner: Optional[int] = None
-    sharers: Set[int] = dataclasses.field(default_factory=set)
+    sharer_mask: int = 0
+
+    @property
+    def sharers(self) -> Set[int]:
+        """The processors whose presence bit is set (a fresh set)."""
+        mask = self.sharer_mask
+        return {p for p in range(mask.bit_length()) if mask >> p & 1}
 
     def reset(self) -> None:
         self.state = DirState.UNCACHED
         self.owner = None
-        self.sharers.clear()
+        self.sharer_mask = 0
 
 
 class Directory:

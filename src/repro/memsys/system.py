@@ -136,9 +136,6 @@ class _WriteBuffer:
             return 0.0
         return oldest - now
 
-    def push(self, completion: float, line_addr: int) -> None:
-        self._pending.append((completion, line_addr))
-
     def conflict(self, now: float, line_addr: int) -> float:
         """Cycles a read of ``line_addr`` must wait for a pending write."""
         if not self._pending:
@@ -346,7 +343,7 @@ class MemorySystem:
             latency = self._fetch(proc, line_addr, addr, AccessKind.WRITE, start)
             hit = HitLevel.MEMORY
 
-        buf.push(start + latency, line_addr)
+        buf._pending.append((start + latency, line_addr))
         stall = int(slot_stall)
         stats.write_stall_cycles += stall
         bus = self.bus
@@ -395,45 +392,45 @@ class MemorySystem:
             entry = home.entry(line_addr)
         prev_state = entry.state
         extra = 0
-        if entry.state is DirState.DIRTY and entry.owner is not None:
-            if entry.owner != proc:
+        three_hop = False
+        owner = entry.owner
+        if prev_state is DirState.DIRTY and owner is not None:
+            if owner != proc:
                 # Forward to the dirty owner, which supplies the line and
                 # writes back.  A true 3-hop only when the owner sits on
                 # another node; a same-node owner is a (cheaper)
                 # cache-to-cache transfer within the node.
-                owner_remote = self._node_of[entry.owner] != my_node
-                extra += self._recall_owner(
-                    entry.owner,
-                    line_addr,
-                    now,
-                    invalidate=(kind is AccessKind.WRITE),
+                self._recall_owner(
+                    owner, line_addr, now, invalidate=(kind is AccessKind.WRITE)
                 )
                 if kind is AccessKind.READ:
                     entry.state = DirState.SHARED
-                    entry.sharers = {entry.owner}
+                    entry.sharer_mask = 1 << owner
                     entry.owner = None
                 else:
                     entry.reset()
-                if owner_remote:
-                    self.stats.remote_3hop += 1
+                if self._node_of[owner] != my_node:
+                    three_hop = True
                     if local:
                         extra += self._dirty_forward  # two extra messages
                     else:
                         base = self._lat_remote_3hop
                 else:
-                    self._count_miss(local)
                     extra += self._dirty_forward // 2  # intra-node transfer
             else:
                 # Our own dirty line missed the cache?  It must have been
                 # evicted and written back already; treat as stale entry.
                 entry.reset()
-                self._count_miss(local)
+        if three_hop:
+            self.stats.remote_3hop += 1
+        elif local:
+            self.stats.local_misses += 1
         else:
-            self._count_miss(local)
+            self.stats.remote_2hop += 1
 
-        if kind is AccessKind.WRITE and entry.sharers:
-            extra += self._invalidate_sharers(proc, line_addr, entry.sharers, now)
-            entry.sharers = set()
+        if kind is AccessKind.WRITE and entry.sharer_mask:
+            extra += self._invalidate_sharers(proc, line_addr, entry.sharer_mask, now)
+            entry.sharer_mask = 0
 
         # Speculation: directory-side checks (may raise through the
         # controller) and possible extra transactions (read-in).
@@ -444,12 +441,12 @@ class MemorySystem:
         # Update directory and install the line.
         if kind is AccessKind.READ:
             entry.state = DirState.SHARED
-            entry.sharers.add(proc)
+            entry.sharer_mask |= 1 << proc
             state = LineState.CLEAN
         else:
             entry.state = DirState.DIRTY
             entry.owner = proc
-            entry.sharers = set()
+            entry.sharer_mask = 0
             state = LineState.DIRTY
         bus = self.bus
         if bus is not None and bus.wants_dir and entry.state is not prev_state:
@@ -476,12 +473,6 @@ class MemorySystem:
                 self._drop_clean(proc, victim)
         return base + queue + extra
 
-    def _count_miss(self, local: bool) -> None:
-        if local:
-            self.stats.local_misses += 1
-        else:
-            self.stats.remote_2hop += 1
-
     def _upgrade(self, proc: int, line: CacheLine, addr: int, now: float) -> int:
         """CLEAN->DIRTY ownership upgrade through the home directory."""
         line_addr = line.line_addr
@@ -499,9 +490,8 @@ class MemorySystem:
         entry = home.entry(line_addr)
         prev_state = entry.state
         extra = 0
-        others = {s for s in entry.sharers if s != proc}
-        if others:
-            extra += self._invalidate_sharers(proc, line_addr, others, now)
+        if entry.sharer_mask & ~(1 << proc):
+            extra += self._invalidate_sharers(proc, line_addr, entry.sharer_mask, now)
         hooks = self.hooks
         if hooks is not None:
             extra += hooks.on_dir_access(
@@ -509,7 +499,7 @@ class MemorySystem:
             )
         entry.state = DirState.DIRTY
         entry.owner = proc
-        entry.sharers = set()
+        entry.sharer_mask = 0
         line.state = LineState.DIRTY
         bus = self.bus
         if bus is not None and bus.wants_dir and entry.state is not prev_state:
@@ -532,28 +522,41 @@ class MemorySystem:
 
     def _recall_owner(
         self, owner: int, line_addr: int, now: float, invalidate: bool
-    ) -> int:
-        """Pull a dirty line out of ``owner``'s cache (writeback)."""
+    ) -> None:
+        """Pull a dirty line out of ``owner``'s cache (writeback).  The
+        3-hop latency is charged by the caller."""
         self.stats.writebacks += 1
-        line = self.caches[owner].invalidate(line_addr)
-        if line is not None:
-            if self.hooks is not None:
+        hier = self.caches[owner]
+        if invalidate:
+            line = hier.invalidate(line_addr)
+            if line is not None and self.hooks is not None:
                 self.hooks.on_writeback(owner, line, now)
-            if not invalidate:
-                # Downgrade: owner keeps a CLEAN copy.
-                line.state = LineState.CLEAN
-                self.caches[owner].fill(line)
-        return 0  # the 3-hop latency is charged by the caller
+            return
+        # Downgrade: the owner keeps a CLEAN copy, in place.  The line
+        # ends most recently used in both levels, as invalidating it and
+        # refilling it would leave it: it already holds its L2 slot, so
+        # there is no L2 victim, and an L1 victim stays in the inclusive
+        # L2.
+        line = hier.l2.lookup(line_addr)  # bumps the line in the L2
+        if line is None:
+            return
+        if self.hooks is not None:
+            self.hooks.on_writeback(owner, line, now)
+        line.state = LineState.CLEAN
+        hier.l1.insert(line)
 
     def _invalidate_sharers(
-        self, requester: int, line_addr: int, sharers: set, now: float
+        self, requester: int, line_addr: int, sharer_mask: int, now: float
     ) -> int:
-        """Invalidate every sharer; return added latency."""
+        """Invalidate every sharer in the presence mask except the
+        requester; return added latency."""
+        mask = sharer_mask & ~(1 << requester)
+        caches = self.caches
         count = 0
-        for sharer in sharers:
-            if sharer == requester:
-                continue
-            self.caches[sharer].invalidate(line_addr)
+        while mask:
+            low = mask & -mask
+            caches[low.bit_length() - 1].invalidate(line_addr)
+            mask ^= low
             count += 1
         self.stats.invalidations += count
         if count == 0:
@@ -566,9 +569,17 @@ class MemorySystem:
         self.stats.writebacks += 1
         if self.hooks is not None:
             self.hooks.on_writeback(proc, victim, now)
-        home = self.home_of(victim.line_addr)
+        # home_of and Directory.entry, probed inline as in _fetch.
+        line_addr = victim.line_addr
+        space = self.space
+        home_node = space._home_cache.get(line_addr // space.page_bytes)
+        if home_node is None:
+            home_node = space.home_node(line_addr)
+        home = self.directories[home_node]
         home.occupy(now + self._net_one_way)
-        entry = home.entry(victim.line_addr)
+        entry = home._entries.get(line_addr)
+        if entry is None:
+            entry = home.entry(line_addr)
         if entry.owner == proc:
             prev_state = entry.state
             entry.reset()
@@ -577,8 +588,8 @@ class MemorySystem:
                 bus.emit(
                     DirTransitionEvent(
                         now,
-                        home.node_id,
-                        victim.line_addr,
+                        home_node,
+                        line_addr,
                         prev_state,
                         entry.state,
                         proc,
@@ -589,8 +600,8 @@ class MemorySystem:
         """Replacement hint: remove a clean victim from the sharer set."""
         entry = self.home_of(victim.line_addr).peek(victim.line_addr)
         if entry is not None:
-            entry.sharers.discard(proc)
-            if not entry.sharers and entry.state is DirState.SHARED:
+            entry.sharer_mask &= ~(1 << proc)
+            if not entry.sharer_mask and entry.state is DirState.SHARED:
                 entry.state = DirState.UNCACHED
 
     # ------------------------------------------------------------------

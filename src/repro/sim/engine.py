@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from heapq import heappop
-from typing import Callable, Dict, Iterator, List, Optional
+from heapq import heappop, heappush
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from ..address import AddressSpace, ArrayDecl
 from ..core.controller import SpeculationController
@@ -15,8 +14,18 @@ from ..errors import ConfigurationError
 from ..memsys.system import MemorySystem
 from ..obs import spans as obs_spans
 from ..obs.events import EpochSyncEvent, QuiesceEvent
+from ..trace.ops import AccessOp, ComputeOp, LocalOp
 from ..types import AccessKind
-from .processor import Processor, ProcState
+from .processor import (
+    BarrierOp,
+    BusyCostOp,
+    EpochSyncOp,
+    IterBeginOp,
+    MutexOp,
+    Processor,
+    ProcState,
+    SyncCostOp,
+)
 from .stats import PerProcStats, PhaseResult
 
 
@@ -33,7 +42,13 @@ class _MessageScheduler(Scheduler):
 
 
 class Engine(Scheduler):
-    """Event heap + processors.  Also the protocols' message scheduler."""
+    """Event heap + processors.  Also the protocols' message scheduler.
+
+    A heap entry is ``(time, seq, target)``.  The target is either a
+    :class:`Processor`, whose op stream :meth:`_run_to_quiescence` runs
+    inline from the processor's current op, or a plain callback taking
+    the event time (protocol messages, tests).
+    """
 
     #: Safety valve against runaway simulations.
     MAX_EVENTS_DEFAULT = 200_000_000
@@ -68,7 +83,7 @@ class Engine(Scheduler):
         #: None keeps the hot paths free of profiling work
         self.profiler = None
         self._epoch_span = None
-        #: array name -> ArrayDecl, filled by resolve() on first use
+        #: array name -> ArrayDecl, filled by the event loop on first use
         self._decls: Dict[str, ArrayDecl] = {}
         self._released = False
 
@@ -85,22 +100,13 @@ class Engine(Scheduler):
     # ------------------------------------------------------------------
     # Scheduler interface (used by the speculation protocols)
     # ------------------------------------------------------------------
-    def post(self, time: float, callback: Callable[[float], None]) -> None:
-        heapq.heappush(self._heap, (time, next(self._seq), callback))
+    def post(
+        self, time: float, target: Union[Processor, Callable[[float], None]]
+    ) -> None:
+        heappush(self._heap, (time, next(self._seq), target))
 
     def post_message(self, time: float, callback: Callable[[float], None]) -> None:
-        heapq.heappush(self._msg_heap, (time, next(self._seq), callback))
-
-    def _pop_next(self):
-        """Pop the earliest event across both heaps (messages win ties:
-        they were usually issued earlier)."""
-        if self._msg_heap and (
-            not self._heap or self._msg_heap[0][:2] <= self._heap[0][:2]
-        ):
-            return heapq.heappop(self._msg_heap)
-        if self._heap:
-            return heapq.heappop(self._heap)
-        return None
+        heappush(self._msg_heap, (time, next(self._seq), callback))
 
     def flush_messages(self) -> int:
         """Deliver every in-flight protocol message immediately (in time
@@ -108,7 +114,7 @@ class Engine(Scheduler):
         hardware waits for outstanding transactions to complete."""
         count = 0
         while self._msg_heap:
-            time, _, callback = heapq.heappop(self._msg_heap)
+            time, _, callback = heappop(self._msg_heap)
             if time > self.now:
                 self.now = time
             callback(time)
@@ -139,23 +145,6 @@ class Engine(Scheduler):
     @property
     def controller(self) -> Optional[SpeculationController]:
         return self.spec.controller if self.spec is not None else None
-
-    def resolve(self, proc: int, array: str, index: int, kind: AccessKind) -> int:
-        spec = self.spec
-        if spec is not None and spec.controller.armed:
-            return spec.resolve(proc, array, index, kind)
-        decl = self._decls.get(array)
-        if decl is None:
-            # Decls are immutable and names are never reused, so the
-            # first lookup of a name stays valid for the engine's life.
-            decl = self._decls[array] = self.space.array(array)
-        if 0 <= index < decl.length:
-            return decl.base + index * decl.elem_bytes
-        return decl.addr_of(index)  # raises AddressError
-
-    def set_iteration(self, proc: int, virtual_iteration: int) -> None:
-        if self.spec is not None:
-            self.spec.set_iteration(proc, virtual_iteration)
 
     def abort_time(self) -> float:
         controller = self.controller
@@ -204,6 +193,14 @@ class Engine(Scheduler):
         for proc_id, ops in op_sources.items():
             self.processors[proc_id].start(iter(ops), start)
         self._run_to_quiescence()
+        if self._remaining > 0 and not self._abort_handled:
+            stuck = [
+                p.id for p in self.processors if p.state is ProcState.BLOCKED
+            ]
+            raise ConfigurationError(
+                f"phase deadlocked: processors {stuck} blocked at a barrier "
+                "that can never complete"
+            )
         self._abort_on_failure = False
         if prof is not None and self._epoch_span is not None:
             prof.end(
@@ -232,41 +229,51 @@ class Engine(Scheduler):
         return result
 
     def drain(self) -> None:
-        """Process every pending event (in-flight protocol messages).
+        """Process every pending event (in-flight protocol messages and
+        any posted processors).
 
         Intended for direct protocol-level tests that bypass
         :meth:`run_phase`; phases drain automatically.
         """
-        while True:
-            item = self._pop_next()
-            if item is None:
-                return
-            time, _, callback = item
-            if time > self.now:
-                self.now = time
-            callback(time)
+        self._run_to_quiescence()
 
     def _run_to_quiescence(self) -> None:
+        # The simulator's inner loop and its only op interpreter: one
+        # iteration per event.  A processor target runs its ops inline
+        # until it must yield to the heap: after every shared access (so
+        # accesses interleave across processors in global time order),
+        # when locally batched time has run ahead of the event (an op
+        # with shared side effects must execute at its true global time,
+        # and pure compute yields past BATCH_CYCLES so aborts are
+        # noticed promptly), at a mutex or a barrier, or at the end of
+        # its stream.  Compute and accesses are handled here; the rarer
+        # ops go through _control_op.  Ops dispatch on their exact class.
+        #
         # _abort_on_failure and spec are fixed for the phase, so the
         # abort test is one attribute test per event.
-        ctrl = (
-            self.spec.controller
-            if self._abort_on_failure and self.spec is not None
-            else None
-        )
-        # _pop_next inlined.  Sequence numbers are unique, so comparing
-        # whole entries never reaches the callbacks and equals the
-        # (time, seq) comparison there.
+        spec = self.spec
+        spec_ctrl = spec.controller if spec is not None else None
+        ctrl = spec_ctrl if self._abort_on_failure else None
+        # Sequence numbers are unique, so comparing whole entries never
+        # reaches the targets and equals the (time, seq) comparison.
         heap = self._heap
         msg_heap = self._msg_heap
+        seq = self._seq
         max_events = self.max_events
         processed = self.events_processed
+        mem_read = self.memsys._read
+        mem_write = self.memsys._write
+        decls = self._decls
+        batch_cycles = Processor.BATCH_CYCLES
+        READ = AccessKind.READ
+        DONE = ProcState.DONE
+        ABORTED = ProcState.ABORTED
         try:
             while True:
                 if msg_heap and (not heap or msg_heap[0] < heap[0]):
-                    time, _, callback = heappop(msg_heap)
+                    now, _, target = heappop(msg_heap)
                 elif heap:
-                    time, _, callback = heappop(heap)
+                    now, _, target = heappop(heap)
                 else:
                     break
                 processed += 1
@@ -275,9 +282,73 @@ class Engine(Scheduler):
                         f"simulation exceeded {max_events} events; "
                         "suspected livelock"
                     )
-                if time > self.now:
-                    self.now = time
-                callback(time)
+                if now > self.now:
+                    self.now = now
+                if target.__class__ is not Processor:
+                    target(now)
+                elif target.state is DONE or target.state is ABORTED:
+                    pass
+                elif ctrl is not None and ctrl.failure is not None:
+                    target.abort(max(now, self.abort_time()))
+                else:
+                    proc = target
+                    ops = proc._ops
+                    stats = proc.stats
+                    t = now
+                    while True:
+                        op = proc._pending_op
+                        if op is not None:
+                            proc._pending_op = None
+                        else:
+                            try:
+                                op = next(ops)
+                            except StopIteration:
+                                proc._finish(t)
+                                break
+                        cls = op.__class__
+                        if cls is AccessOp:
+                            if t > now:
+                                proc._pending_op = op
+                                heappush(heap, (t, next(seq), proc))
+                                break
+                            # Resolve through the speculation engine's
+                            # comparator while it is armed; otherwise
+                            # probe the decl table (decls are immutable
+                            # and names never reused, so a first lookup
+                            # stays valid for the engine's life).
+                            kind = op.kind
+                            index = op.index
+                            if spec_ctrl is not None and spec_ctrl.armed:
+                                addr = spec.resolve(proc.id, op.array, index, kind)
+                            else:
+                                decl = decls.get(op.array)
+                                if decl is None:
+                                    decl = decls[op.array] = self.space.array(op.array)
+                                if 0 <= index < decl.length:
+                                    addr = decl.base + index * decl.elem_bytes
+                                else:
+                                    addr = decl.addr_of(index)  # raises AddressError
+                            if kind is READ:
+                                stall = mem_read(proc.id, addr, t)[0]
+                            else:
+                                stall = mem_write(proc.id, addr, t)[0]
+                            # One issue cycle (Busy) plus the memory
+                            # stall (Mem).
+                            stats.busy += 1
+                            stats.mem += stall
+                            heappush(heap, (t + (1 + stall), next(seq), proc))
+                            break
+                        if cls is ComputeOp:
+                            if t - now >= batch_cycles:
+                                proc._pending_op = op
+                                heappush(heap, (t, next(seq), proc))
+                                break
+                            stats.busy += op.cycles
+                            t += op.cycles
+                        else:
+                            t = self._control_op(proc, op, t, now)
+                            if t is None:
+                                break
                 if (
                     ctrl is not None
                     and ctrl.failure is not None
@@ -286,14 +357,67 @@ class Engine(Scheduler):
                     self._handle_abort()
         finally:
             self.events_processed = processed
-        if self._remaining > 0 and not self._abort_handled:
-            stuck = [
-                p.id for p in self.processors if p.state is ProcState.BLOCKED
-            ]
-            raise ConfigurationError(
-                f"phase deadlocked: processors {stuck} blocked at a barrier "
-                "that can never complete"
-            )
+
+    def _control_op(
+        self, proc: Processor, op: object, t: float, now: float
+    ) -> Optional[float]:
+        """Run one op other than compute or a shared access for ``proc``
+        at its local time ``t`` within the event at ``now``.
+
+        Returns the processor's new local time, or None when its event
+        ends here (it re-posted itself, or blocked at a barrier).  An
+        unknown op, or a subclass of an op class, raises TypeError.
+        """
+        cls = op.__class__
+        if cls is MutexOp or cls is BarrierOp:
+            defer = t > now
+        else:
+            defer = t - now >= Processor.BATCH_CYCLES
+        if defer:
+            proc._pending_op = op
+            self.post(t, proc)
+            return None
+        stats = proc.stats
+        if cls is LocalOp:
+            stats.busy += 1
+            return t + 1
+        if cls is IterBeginOp:
+            proc.current_iteration = op.iteration
+            if self.spec is not None:
+                self.spec.set_iteration(proc.id, op.virtual)
+            if op.overhead_cycles:
+                stats.busy += op.overhead_cycles
+                t += op.overhead_cycles
+            return t
+        if cls is BusyCostOp:
+            stats.busy += op.cycles
+            return t + op.cycles
+        if cls is SyncCostOp:
+            stats.sync += op.cycles
+            return t + op.cycles
+        if cls is EpochSyncOp:
+            self.epoch_sync(op.epoch)
+            stats.sync += op.cycles
+            return t + op.cycles
+        if cls is MutexOp:
+            wait = op.mutex.acquire(t, op.hold_cycles)
+            stats.sync += wait
+            stats.busy += op.hold_cycles
+            self.post(t + (wait + op.hold_cycles), proc)
+            return None
+        if cls is BarrierOp:
+            # Fence before synchronizing.
+            drain = self.memsys.drain_write_buffer(proc.id, t)
+            stats.mem += drain
+            t += drain
+            release = op.barrier.arrive(proc, t, self.bus)
+            if release is None:
+                proc.state = ProcState.BLOCKED
+                proc._blocked_on = op.barrier
+            else:
+                self.post(release, proc)
+            return None
+        raise TypeError(f"unknown op {op!r}: ops dispatch on their exact class")
 
     def _handle_abort(self) -> None:
         """First notice of a FAIL: release barrier waiters as aborted.

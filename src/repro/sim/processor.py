@@ -1,10 +1,12 @@
 """Processor model plus the synchronization ops (barriers, mutexes).
 
 A processor executes an *op stream* (a Python iterator produced by the
-runtime's executor).  Pure compute and private accesses are batched;
-every shared-memory access, barrier or mutex acquisition is a separate
-engine event, so accesses from different processors interleave in
-global time order.
+runtime's executor).  The engine's event loop
+(:meth:`repro.sim.engine.Engine._run_to_quiescence`) is the op
+interpreter: a processor is itself the heap target it posts.  Pure
+compute and private accesses are batched; every shared-memory access,
+barrier or mutex acquisition is a separate engine event, so accesses
+from different processors interleave in global time order.
 
 Ops dispatch on their exact class (``op.__class__ is AccessOp``, ...),
 not through ``isinstance``: op classes are never subclassed, and a
@@ -16,11 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from heapq import heappush
 from typing import Iterator, List, Optional, TYPE_CHECKING
 
-from ..trace.ops import AccessOp, ComputeOp, LocalOp
-from ..types import AccessKind
 from .stats import PerProcStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -172,12 +171,12 @@ class Processor:
         self._ops = ops
         self.state = ProcState.RUNNING
         self.finish_time = -1.0
-        self.engine.post(time, self._resume)
+        self.engine.post(time, self)
 
     def unblock(self, time: float) -> None:
         self.state = ProcState.RUNNING
         self._blocked_on = None
-        self.engine.post(time, self._resume)
+        self.engine.post(time, self)
 
     def abort(self, time: float) -> None:
         self.state = ProcState.ABORTED
@@ -200,109 +199,3 @@ class Processor:
         self.finish_time = time + drain
         self._ops = None
         self.engine.proc_finished(self)
-
-    def _resume(self, now: float) -> None:
-        # The simulator's inner loop (one call per processor event): the
-        # engine's abort test and post() are inlined.
-        state = self.state
-        if state is ProcState.DONE or state is ProcState.ABORTED:
-            return
-        engine = self.engine
-        if (
-            engine._abort_on_failure
-            and engine.spec is not None
-            and engine.spec.controller.failure is not None
-        ):
-            self.abort(max(now, engine.abort_time()))
-            return
-        ops = self._ops
-        assert ops is not None
-        stats = self.stats
-        t = now
-        while True:
-            op = self._pending_op
-            if op is not None:
-                self._pending_op = None
-            else:
-                try:
-                    op = next(ops)
-                except StopIteration:
-                    self._finish(t)
-                    return
-            cls = op.__class__
-            # Ops with shared side effects (memory accesses, barriers,
-            # mutexes) must execute at their true global time: if locally
-            # batched compute advanced our clock past the event time,
-            # yield to the engine so other processors' earlier work runs
-            # first — otherwise protocol state would mutate out of order.
-            # Pure compute also yields past BATCH_CYCLES so aborts are
-            # noticed promptly (hardware squashes within a few cycles).
-            if cls is AccessOp or cls is BarrierOp or cls is MutexOp:
-                defer = t > now
-            else:
-                defer = t - now >= self.BATCH_CYCLES
-            if defer:
-                self._pending_op = op
-                heappush(engine._heap, (t, next(engine._seq), self._resume))
-                return
-            if cls is AccessOp:
-                # Resolve through the speculation engine's comparator
-                # (identity when speculation is off).
-                kind = op.kind
-                addr = engine.resolve(self.id, op.array, op.index, kind)
-                if kind is AccessKind.READ:
-                    stall = engine.memsys._read(self.id, addr, t)[0]
-                else:
-                    stall = engine.memsys._write(self.id, addr, t)[0]
-                # One issue cycle (Busy) plus the memory stall (Mem).
-                stats.busy += 1
-                stats.mem += stall
-                # Yield the engine after every shared access so accesses
-                # interleave across processors in global time order.
-                heappush(engine._heap, (t + (1 + stall), next(engine._seq), self._resume))
-                return
-            if cls is ComputeOp:
-                stats.busy += op.cycles
-                t += op.cycles
-            elif cls is LocalOp:
-                stats.busy += 1
-                t += 1
-            elif cls is IterBeginOp:
-                self.current_iteration = op.iteration
-                engine.set_iteration(self.id, op.virtual)
-                if op.overhead_cycles:
-                    stats.busy += op.overhead_cycles
-                    t += op.overhead_cycles
-            elif cls is BusyCostOp:
-                stats.busy += op.cycles
-                t += op.cycles
-            elif cls is SyncCostOp:
-                stats.sync += op.cycles
-                t += op.cycles
-            elif cls is EpochSyncOp:
-                engine.epoch_sync(op.epoch)
-                stats.sync += op.cycles
-                t += op.cycles
-            elif cls is MutexOp:
-                wait = op.mutex.acquire(t, op.hold_cycles)
-                stats.sync += wait
-                stats.busy += op.hold_cycles
-                t += wait + op.hold_cycles
-                engine.post(t, self._resume)
-                return
-            elif cls is BarrierOp:
-                # Fence before synchronizing.
-                drain = engine.memsys.drain_write_buffer(self.id, t)
-                stats.mem += drain
-                t += drain
-                release = op.barrier.arrive(self, t, engine.bus)
-                if release is None:
-                    self.state = ProcState.BLOCKED
-                    self._blocked_on = op.barrier
-                    return
-                engine.post(release, self._resume)
-                return
-            else:
-                raise TypeError(
-                    f"unknown op {op!r}: ops dispatch on their exact class"
-                )

@@ -1,9 +1,12 @@
 """Tests for the coherence protocol and its timing model."""
 
+import copy
+import dataclasses
+
 import pytest
 
 from repro.memsys.cache import HitLevel
-from repro.params import small_test_params
+from repro.params import CacheGeometry, small_test_params
 from repro.sim.machine import Machine
 from repro.types import DirState, LineState
 
@@ -138,8 +141,6 @@ class TestContention:
         assert res.total > base
 
     def test_contention_disable(self):
-        import dataclasses
-
         params = small_test_params(2)
         params = dataclasses.replace(
             params, contention=dataclasses.replace(params.contention, enabled=False)
@@ -162,3 +163,119 @@ class TestFlush:
         assert m.memsys.caches[0].probe(m.space.line_addr(a))[1] is None
         res = m.memsys.read(0, a, 10.0)
         assert res.hit_level is HitLevel.MEMORY
+
+
+def _layout(cache):
+    """Resident lines of one cache level, set by set in LRU order."""
+    return [(line.line_addr, line.state) for line in cache.resident_lines()]
+
+
+class TestDowngradeInPlace:
+    """A 3-hop read downgrades the dirty owner's line in place.  The
+    owner's caches must end exactly as invalidating the line and
+    refilling it CLEAN leaves them."""
+
+    @pytest.fixture
+    def m2way(self):
+        params = dataclasses.replace(
+            small_test_params(2),
+            l1=CacheGeometry(1024, 64, ways=2),
+            l2=CacheGeometry(4096, 64, ways=2),
+        )
+        machine = Machine(params, with_speculation=False)
+        machine.space.allocate("A", 512, elem_bytes=8)
+        return machine
+
+    def _check(self, m, owner_lines_in_l1):
+        line_addr = m.space.line_addr(addr(m, 0))
+        owner = m.memsys.caches[0]
+        in_l1 = line_addr in {line.line_addr for line in owner.l1.resident_lines()}
+        assert in_l1 is owner_lines_in_l1
+        expected = copy.deepcopy(owner)
+        line = expected.invalidate(line_addr)
+        line.state = LineState.CLEAN
+        expected.fill(line)
+        writebacks = m.memsys.stats.writebacks
+        m.memsys.read(1, addr(m, 0), 1000.0)
+        assert m.memsys.stats.writebacks == writebacks + 1  # recalled
+        assert _layout(owner.l1) == _layout(expected.l1)
+        assert _layout(owner.l2) == _layout(expected.l2)
+
+    def test_line_in_l1_and_l2(self, m2way):
+        # Lines 0 and 32 share an L1 set and an L2 set; line 0 is LRU
+        # in both when proc 1 reads it.
+        m2way.memsys.write(0, addr(m2way, 0), 0.0)
+        m2way.memsys.read(0, addr(m2way, 32 * 8), 100.0)
+        self._check(m2way, owner_lines_in_l1=True)
+
+    def test_line_in_l2_only(self, m2way):
+        # Line 8 shares line 0's L1 set but not its L2 set: reading it
+        # pushes line 0 out of the L1 only, and the downgrade's L1
+        # insert then displaces line 32 from the L1.
+        m2way.memsys.write(0, addr(m2way, 0), 0.0)
+        m2way.memsys.read(0, addr(m2way, 32 * 8), 100.0)
+        m2way.memsys.read(0, addr(m2way, 8 * 8), 200.0)
+        self._check(m2way, owner_lines_in_l1=False)
+
+
+READERS = (0, 3, 7, 17, 31)
+
+
+class TestSharerMask:
+    """The directory's presence bit vector at 32 processors."""
+
+    @pytest.fixture
+    def m32(self):
+        machine = Machine(small_test_params(32), with_speculation=False)
+        machine.space.allocate("A", 512, elem_bytes=8)
+        return machine
+
+    def _entry(self, m):
+        line_addr = m.space.line_addr(addr(m, 0))
+        return m.memsys.home_of(line_addr).entry(line_addr)
+
+    def _holds(self, m, proc):
+        return m.memsys.caches[proc].probe(m.space.line_addr(addr(m, 0)))[1]
+
+    def _share(self, m):
+        for i, proc in enumerate(READERS):
+            m.memsys.read(proc, addr(m, 0), 100.0 * i)
+        entry = self._entry(m)
+        assert entry.state is DirState.SHARED
+        assert entry.sharer_mask == sum(1 << p for p in READERS)
+        assert entry.sharers == set(READERS)
+        return entry
+
+    def _check_exclusive(self, m, writer, invalidated):
+        entry = self._entry(m)
+        assert m.memsys.stats.invalidations == invalidated
+        assert entry.state is DirState.DIRTY and entry.owner == writer
+        assert entry.sharer_mask == 0 and entry.sharers == set()
+        assert self._holds(m, writer).state is LineState.DIRTY
+        assert [p for p in READERS if p != writer and self._holds(m, p)] == []
+
+    def test_write_fetch_invalidates_every_sharer(self, m32):
+        self._share(m32)
+        assert m32.memsys.write(5, addr(m32, 0), 1000.0).hit_level is HitLevel.MEMORY
+        self._check_exclusive(m32, 5, invalidated=len(READERS))
+
+    def test_write_fetch_leaves_out_the_requester(self, m32):
+        # Proc 17's presence bit is still set when it misses: its copy
+        # was dropped without a replacement hint.
+        self._share(m32)
+        m32.memsys.caches[17].invalidate(m32.space.line_addr(addr(m32, 0)))
+        assert m32.memsys.write(17, addr(m32, 0), 1000.0).hit_level is HitLevel.MEMORY
+        self._check_exclusive(m32, 17, invalidated=len(READERS) - 1)
+
+    def test_upgrade_invalidates_the_other_sharers(self, m32):
+        self._share(m32)
+        assert m32.memsys.write(17, addr(m32, 0), 1000.0).hit_level is HitLevel.L1
+        self._check_exclusive(m32, 17, invalidated=len(READERS) - 1)
+
+    def test_read_downgrade_leaves_owner_and_reader(self, m32):
+        m32.memsys.write(31, addr(m32, 0), 0.0)
+        m32.memsys.read(2, addr(m32, 0), 1000.0)
+        entry = self._entry(m32)
+        assert entry.state is DirState.SHARED and entry.owner is None
+        assert entry.sharer_mask == (1 << 31) | (1 << 2)
+        assert entry.sharers == {2, 31}
