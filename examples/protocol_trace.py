@@ -5,16 +5,15 @@ paper's Figures 6/7 — including the First_update race — printing the
 per-element directory state after each step.  Useful for understanding
 the coherence extensions at the access-bit level.
 
-A ``MessageLog`` subscribed on the machine's event bus captures every
-speculative message as it is delivered, so the race in scenario 3 can
-be replayed message by message.
+An ``EventRecorder`` subscribed on the machine's event bus captures
+every speculative message as it is delivered, so the race in scenario
+3 can be replayed message by message.
 
 Run:  python examples/protocol_trace.py
 """
 
-from repro.analysis import MessageLog
 from repro.core.accessbits import NO_PROC
-from repro.obs import EventBus
+from repro.obs import EventBus, EventRecorder, ProtocolMessageEvent
 from repro.params import small_test_params
 from repro.sim.machine import Machine
 from repro.types import ProtocolKind
@@ -33,8 +32,7 @@ def show(machine, label, element):
 def fresh():
     m = Machine(small_test_params(2))
     m.attach_bus(EventBus())
-    log = MessageLog()
-    log.subscribe(m.bus)
+    log = EventRecorder().subscribe(m.bus, ProtocolMessageEvent)
     a = m.space.allocate("A", 64, elem_bytes=8, protocol=ProtocolKind.NONPRIV)
     m.spec.register_nonpriv(a)
     m.spec.arm()

@@ -58,8 +58,6 @@ class ProtocolContext:
         self.space = space
         self.stats = SpecStats()
         self.memsys: "Optional[MemorySystem]" = None
-        #: optional protocol message log (repro.analysis.tracing.MessageLog)
-        self.message_log = None
         #: telemetry bus (repro.obs.EventBus); None keeps emission free
         self.bus = None
         #: the sim engine, when attached to one — used as the clock for
@@ -88,17 +86,11 @@ class ProtocolContext:
         index: int,
         iteration: Optional[int] = None,
     ) -> None:
-        log = self.message_log
         bus = self.bus
-        if bus is not None and not bus.active:
-            bus = None
-        if log is None and bus is None:
-            return
-        event = ProtocolMessageEvent(time, label, proc, array, index, iteration)
-        if log is not None:
-            log.append(event)
-        if bus is not None:
-            bus.emit(event)
+        if bus is not None and bus.active:
+            bus.emit(
+                ProtocolMessageEvent(time, label, proc, array, index, iteration)
+            )
 
     def spec_bus(self):
         """The bus, when some subscriber wants per-update speculation

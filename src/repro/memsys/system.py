@@ -210,9 +210,6 @@ class MemorySystem:
         self._dirty_forward = lat.dirty_forward
         #: telemetry bus (repro.obs.EventBus); None keeps emission free
         self.bus = None
-        #: attached access trace, if any (repro.analysis.tracing.AccessTrace);
-        #: records flow to it over the bus — this is just the attach marker
-        self.trace = None
 
     # ------------------------------------------------------------------
     # Helpers

@@ -127,8 +127,7 @@ class BoundedLog:
 
     Once ``capacity`` is exceeded the *oldest half* is dropped in one go
     (amortized O(1) per append); ``dropped`` counts evicted records.
-    Base of :class:`EventRecorder` and of the legacy
-    ``repro.analysis.tracing`` trace/log classes.
+    Base of :class:`EventRecorder`.
     """
 
     def __init__(self, capacity: int = 1_000_000) -> None:

@@ -79,8 +79,7 @@ class Event:
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class AccessEvent(Event):
-    """One simulated memory access (field order is stable API: the
-    legacy ``repro.analysis.tracing.AccessRecord`` is an alias)."""
+    """One simulated memory access."""
 
     subsystem = "memsys"
     name = "access"
@@ -112,11 +111,7 @@ class DirTransitionEvent(Event):
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class ProtocolMessageEvent(Event):
-    """One coherence-extension message (First_update, read-first, ...).
-
-    Field order is stable API: the legacy
-    ``repro.analysis.tracing.MessageRecord`` is an alias of this class.
-    """
+    """One coherence-extension message (First_update, read-first, ...)."""
 
     subsystem = "core"
     name = "protocol-message"

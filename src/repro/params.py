@@ -14,8 +14,20 @@ the abstraction the paper uses.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .errors import ConfigurationError
+
+
+def _require_non_negative(owner: object, *names: str) -> None:
+    """Reject negative or non-finite values of the named fields."""
+    for name in names:
+        value = getattr(owner, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigurationError(
+                f"{type(owner).__name__}.{name} must be finite and >= 0, "
+                f"got {value!r}"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,6 +87,11 @@ class LatencyTable:
     remote_2hop: int = 208
     remote_3hop: int = 291
 
+    def __post_init__(self) -> None:
+        _require_non_negative(
+            self, "l1_hit", "l2_hit", "local_mem", "remote_2hop", "remote_3hop"
+        )
+
     # Derived one-way quantities used to time protocol-only messages
     # (speculative state updates, invalidations, acknowledgements).  A
     # 2-hop round trip is two network traversals plus a directory+memory
@@ -111,6 +128,9 @@ class ContentionModel:
     spec_occupancy_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_non_negative(
+            self, "directory_occupancy", "l2_occupancy", "spec_occupancy_factor"
+        )
         # Store an int factor as the float it equals: equal models must
         # render to the same provenance document, which is memoized on
         # equality (repro.obs.provenance).

@@ -14,7 +14,6 @@ from .schedule import (
     VirtualMode,
     static_chunks,
 )
-from .adaptive import AdaptiveSpeculator, Decision, SiteStats
 from .driver import (
     LoopRunner,
     RunConfig,
@@ -26,11 +25,8 @@ from .driver import (
 )
 
 __all__ = [
-    "AdaptiveSpeculator",
     "ChunkQueue",
-    "Decision",
     "LoopRunner",
-    "SiteStats",
     "RunConfig",
     "RunResult",
     "SchedulePolicy",

@@ -85,8 +85,9 @@ class RunConfig:
     #: instead of per word — the space saving §4.1 rejects because
     #: false sharing then fails the test spuriously (ablation knob).
     per_line_bits: bool = False
-    #: called with the freshly built Machine before the run starts —
-    #: the hook point for attaching traces/logs (repro.analysis).
+    #: called with the freshly built Machine before the run starts,
+    #: after ``telemetry`` is attached — the hook point for subscribing
+    #: more recorders (``repro.obs.EventRecorder``) to ``machine.bus``.
     machine_hook: Optional[Callable[[Machine], None]] = None
     #: telemetry sink attached to the machine before the run: anything
     #: with an ``attach(machine)`` method, typically ``repro.obs.Telemetry``

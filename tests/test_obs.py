@@ -5,12 +5,12 @@ import json
 
 import pytest
 
-from repro.analysis import AccessTrace, MessageLog
 from repro.memsys.cache import HitLevel
 from repro.obs import (
     AccessEvent,
     EventBus,
     EventRecorder,
+    MetricsCollector,
     MetricsRegistry,
     PhaseBeginEvent,
     PhaseEndEvent,
@@ -236,7 +236,7 @@ class TestGuardedEmissionSites:
 
 
 # ----------------------------------------------------------------------
-# BoundedLog / legacy trace classes as bus subscribers
+# BoundedLog / EventRecorder as bus subscribers
 # ----------------------------------------------------------------------
 class TestBoundedLog:
     def test_eviction_and_dropped_accounting(self):
@@ -257,31 +257,83 @@ class TestBoundedLog:
         assert len(log) == 0 and log.dropped == 0
 
     def test_access_trace_eviction(self):
-        trace = AccessTrace(capacity=10)
-        for i in range(25):
-            trace.append(
-                AccessEvent(float(i), 0, AccessKind.READ, i, HitLevel.L1, 1)
-            )
-        assert len(trace) <= 15
-        assert trace.dropped > 0
-
-    def test_message_log_by_label_over_bus(self):
         bus = EventBus()
-        log = MessageLog().subscribe(bus)
+        trace = EventRecorder(capacity=10).subscribe(bus, AccessEvent)
+        for i in range(25):
+            bus.emit(AccessEvent(float(i), 0, AccessKind.READ, i, HitLevel.L1, 1))
+        assert len(trace) <= 15
+        assert trace.dropped + len(trace) == 25
+        assert trace.records[-1].addr == 24
+
+    def test_messages_by_label_over_bus(self):
+        bus = EventBus()
+        log = EventRecorder().subscribe(bus)
         for i in range(3):
             bus.emit(ProtocolMessageEvent(float(i), "First_update", 0, "A", i))
         bus.emit(ProtocolMessageEvent(3.0, "read-first", 1, "A", 0))
-        assert log.by_label() == {"First_update": 3, "read-first": 1}
+        bus.emit(PhaseBeginEvent(4.0, "loop"))
+        labels = [e.label for e in log.of_type(ProtocolMessageEvent)]
+        assert labels == ["First_update"] * 3 + ["read-first"]
 
     def test_access_trace_subscribes_to_machine_bus(self):
         m = Machine(small_test_params(2), with_speculation=False)
+        m.attach_bus(EventBus())
         a = m.space.allocate("A", 64, elem_bytes=8)
-        trace = AccessTrace().attach(m.memsys)
+        trace = EventRecorder().subscribe(m.bus, AccessEvent)
         m.memsys.read(0, a.addr_of(0), 0.0)
-        assert len(trace) == 1 and trace.records[0].level is HitLevel.MEMORY
-        AccessTrace.detach(m.memsys)
-        m.memsys.read(0, a.addr_of(1), 1.0)
-        assert len(trace) == 1
+        m.memsys.write(1, a.addr_of(5), 10.0)
+        assert [(r.proc, r.kind, r.level) for r in trace] == [
+            (0, AccessKind.READ, HitLevel.MEMORY),
+            (1, AccessKind.WRITE, HitLevel.MEMORY),
+        ]
+        m.bus.unsubscribe(AccessEvent, trace.append)
+        m.memsys.read(0, a.addr_of(1), 20.0)
+        assert len(trace) == 2
+
+
+class TestProtocolMessages:
+    """Protocol messages as an ``EventRecorder`` on the machine's bus
+    sees them."""
+
+    def _recorded(self, protocol):
+        m = Machine(small_test_params(2))
+        m.attach_bus(EventBus())
+        log = EventRecorder().subscribe(m.bus, ProtocolMessageEvent)
+        a = m.space.allocate("A", 64, elem_bytes=8, protocol=protocol)
+        return m, a, log
+
+    def test_protocol_messages_logged(self):
+        m, a, log = self._recorded(ProtocolKind.NONPRIV)
+        m.spec.register_nonpriv(a)
+        m.spec.arm()
+        # Prime the line in both caches, then race two First_updates.
+        m.memsys.read(0, a.addr_of(1), 0.0)
+        m.memsys.read(1, a.addr_of(1), 10.0)
+        m.engine.drain()
+        m.memsys.read(0, a.addr_of(0), 1000.0)
+        m.memsys.read(1, a.addr_of(0), 1000.5)
+        m.engine.drain()
+        labels = [e.label for e in log]
+        assert labels.count("First_update") >= 2
+        assert labels.count("First_update_fail") == 1
+        assert not m.spec.controller.failed
+
+    def test_priv_signals_logged(self):
+        m, a, log = self._recorded(ProtocolKind.PRIV)
+        privs = [
+            m.space.allocate(f"A@p{p}", 64, elem_bytes=8,
+                             protocol=ProtocolKind.PRIV,
+                             home_policy="local",
+                             local_node=m.params.node_of_processor(p))
+            for p in range(2)
+        ]
+        m.spec.register_priv(a, privs)
+        m.spec.arm()
+        m.spec.set_iteration(0, 1)
+        addr = m.spec.resolve(0, "A", 3, AccessKind.READ)
+        m.memsys.read(0, addr, 0.0)
+        m.engine.drain()
+        assert "read-in" in [e.label for e in log]
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +381,29 @@ class TestMetrics:
             labels["array"] for labels, _ in reg.series("mem.accesses")
         }
         assert any(a != "<unknown>" for a in arrays)
+
+    def test_collector_counts_by_array_proc_and_level(self):
+        m = Machine(small_test_params(2), with_speculation=False)
+        m.attach_bus(EventBus())
+        a = m.space.allocate("A", 128, elem_bytes=8)
+        b = m.space.allocate("B", 64, elem_bytes=8)
+        reg = MetricsCollector(space=m.space).subscribe(m.bus).registry
+        m.memsys.read(0, a.addr_of(0), 0.0)    # miss
+        m.memsys.read(0, a.addr_of(1), 500.0)  # L1 hit, same line
+        m.memsys.read(1, a.addr_of(8), 600.0)  # miss, next line
+        m.memsys.write(0, b.addr_of(0), 1000.0)
+        assert reg.total("mem.accesses") == 4
+        assert reg.total("mem.accesses", array="A", kind="read") == 3
+        assert reg.total("mem.accesses", array="B", kind="write") == 1
+        assert reg.total("mem.accesses", proc=0) == 3
+        assert reg.total("mem.accesses", proc=1) == 1
+        assert reg.total("mem.accesses", array="A", level="memory") == 2
+        assert reg.total("mem.accesses", array="A", level="l1") == 1
+        stall = dict(
+            (labels["array"], h) for labels, h in reg.series("mem.stall_cycles")
+        )
+        assert stall["A"].count == 3 and stall["A"].min == 0
+        assert stall["A"].total > 0 and stall["B"].count == 1
 
 
 class TestMetricsSnapshot:

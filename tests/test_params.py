@@ -55,6 +55,16 @@ class TestLatencyTable:
     def test_dirty_forward(self):
         assert LatencyTable().dirty_forward == 291 - 208
 
+    @pytest.mark.parametrize(
+        "field", ["l1_hit", "l2_hit", "local_mem", "remote_2hop", "remote_3hop"]
+    )
+    def test_rejects_negative_latency(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            LatencyTable(**{field: -1})
+
+    def test_zero_latencies_are_legal(self):
+        assert LatencyTable(0, 0, 0, 0, 0).network_one_way == 1
+
 
 class TestMachineParams:
     def test_defaults_match_paper(self):
@@ -123,6 +133,27 @@ class TestContentionAndCost:
     def test_contention_defaults(self):
         c = ContentionModel()
         assert c.enabled and c.directory_occupancy > 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("directory_occupancy", -5),
+            ("l2_occupancy", -1),
+            ("spec_occupancy_factor", -0.5),
+            ("spec_occupancy_factor", float("nan")),
+            ("spec_occupancy_factor", float("inf")),
+        ],
+    )
+    def test_rejects_impossible_contention(self, field, value):
+        # A NaN factor used to build and then die inside run_hw with
+        # "cannot convert float NaN to integer"; negative occupancies
+        # ran silently with meaningless cycle counts.
+        with pytest.raises(ConfigurationError, match=field):
+            ContentionModel(**{field: value})
+
+    def test_zero_contention_is_legal(self):
+        c = ContentionModel(0, 0, spec_occupancy_factor=0)
+        assert c.spec_occupancy_factor == 0.0
 
     def test_cost_model_positive(self):
         c = CostModel()

@@ -18,24 +18,38 @@ realized iteration-to-processor assignment:
 Static-schedule HW runs are also held to the kernel verdict oracle
 (:mod:`repro.testing.vector_oracle`): the same verdict, and a FAIL
 element inside the oracle's failing set.
+
+Random and hand-written loops are held to the same HW oracle under
+dynamic self-scheduling, where the realized assignment decides the
+verdict.
 """
 
 from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments import figures, scenarios
 from repro.lrpd.analysis import serial_access_verdict
+from repro.params import MachineParams
 from repro.testing.vector_oracle import failing_elements
+from repro.runtime.driver import RunConfig, run_hw
 from repro.runtime.schedule import (
     SchedulePolicy,
+    ScheduleSpec,
     VirtualMode,
     cyclic_blocks,
     static_chunks,
 )
+from repro.trace import ArraySpec, Loop, read, write
 from repro.trace.oracle import DependenceOracle
 from repro.trace.ops import AccessOp
 from repro.types import AccessKind, ProtocolKind, Scenario
+from repro.workloads.synthetic import (
+    failing_loop,
+    parallel_nonpriv_loop,
+    privatizable_loop,
+)
 
 PRESET = "quick"
 SEED = 2026
@@ -217,3 +231,54 @@ def test_static_hw_verdicts_match_kernel_oracle(recorded_runs):
     assert sorted(set(checked)) == [
         ("fig13", "adm", False), ("store", "adm", True), ("store", "ocean", True),
     ], checked
+
+
+# ----------------------------------------------------------------------
+# Dynamic self-scheduling on small loops
+# ----------------------------------------------------------------------
+PARAMS_4 = MachineParams(num_processors=4)
+DYNAMIC = RunConfig(
+    schedule=ScheduleSpec(SchedulePolicy.DYNAMIC, 1, VirtualMode.CHUNK)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(st.booleans(), st.integers(0, 5)), max_size=4),
+        min_size=1, max_size=8,
+    ),
+    st.sampled_from(
+        [ProtocolKind.NONPRIV, ProtocolKind.PRIV, ProtocolKind.PRIV_SIMPLE]
+    ),
+)
+def test_dynamic_hw_verdicts_match_oracle_on_random_loops(trace, protocol):
+    """Random one-array loops: the simulated verdict equals the serial
+    predicate over the realized assignment, FAILs included."""
+    body = [
+        [write("A", e) if w else read("A", e) for (w, e) in ops]
+        for ops in trace
+    ]
+    loop = Loop("rand", [ArraySpec("A", 6, 8, protocol)], body)
+    result = run_hw(loop, PARAMS_4, DYNAMIC)
+    assert hw_oracle_verdict(loop, DYNAMIC, result) == result.passed
+
+
+@pytest.mark.parametrize(
+    "loop, passed",
+    [
+        # Iteration 2 reads what iteration 1 wrote: a flow dependence.
+        (Loop("priv-flow", [ArraySpec("W", 8, 8, ProtocolKind.PRIV)],
+              [[write("W", 0)], [read("W", 0)]]), False),
+        (privatizable_loop(iterations=16, simple=False), True),
+        (parallel_nonpriv_loop(iterations=16), True),
+        # Passes or fails with the grab order; the oracle decides.
+        (failing_loop(3, iterations=16), None),
+    ],
+    ids=["priv-flow", "privatizable", "parallel-nonpriv", "dependent"],
+)
+def test_dynamic_hw_verdicts_match_oracle(loop, passed):
+    result = run_hw(loop, PARAMS_4, DYNAMIC)
+    assert hw_oracle_verdict(loop, DYNAMIC, result) == result.passed
+    if passed is not None:
+        assert result.passed is passed
