@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 from ..types import FirstState
 
 #: Directory-side encoding of "no processor has touched this element".
@@ -105,7 +103,8 @@ class PrivTagBits:
 
 # ----------------------------------------------------------------------
 # Directory side — dense per-array tables (the dedicated access-bit
-# memory of Figure 10-(c))
+# memory of Figure 10-(c)), one Python list per field: the protocols
+# read and write one element at a time.
 # ----------------------------------------------------------------------
 class NonPrivDirTable:
     """Directory state for one array under the non-privatization test.
@@ -116,25 +115,26 @@ class NonPrivDirTable:
 
     def __init__(self, length: int) -> None:
         self.length = length
-        self.first = np.full(length, NO_PROC, dtype=np.int32)
-        self.priv = np.zeros(length, dtype=bool)
-        self.ronly = np.zeros(length, dtype=bool)
+        self.first = [NO_PROC] * length
+        self.priv = [False] * length
+        self.ronly = [False] * length
 
     def clear(self) -> None:
-        self.first.fill(NO_PROC)
-        self.priv.fill(False)
-        self.ronly.fill(False)
+        length = self.length
+        self.first[:] = [NO_PROC] * length
+        self.priv[:] = [False] * length
+        self.ronly[:] = [False] * length
 
     def tag_view(self, index: int, proc: int) -> NonPrivTagBits:
         """The 2-bit First summary a cache of ``proc`` receives on a fill."""
-        owner = int(self.first[index])
+        owner = self.first[index]
         if owner == NO_PROC:
             first = FirstState.NONE
         elif owner == proc:
             first = FirstState.OWN
         else:
             first = FirstState.OTHER
-        return NonPrivTagBits(first, bool(self.priv[index]), bool(self.ronly[index]))
+        return NonPrivTagBits(first, self.priv[index], self.ronly[index])
 
 
 class PrivSharedDirTable:
@@ -148,51 +148,63 @@ class PrivSharedDirTable:
 
     def __init__(self, length: int) -> None:
         self.length = length
-        self.max_r1st = np.zeros(length, dtype=np.int64)
-        self.min_w = np.zeros(length, dtype=np.int64)  # NO_ITER == none
-        self.last_w_iter = np.zeros(length, dtype=np.int64)
-        self.last_w_epoch = np.zeros(length, dtype=np.int64)
-        self.last_w_proc = np.full(length, NO_PROC, dtype=np.int32)
+        self.max_r1st = [0] * length
+        self.min_w = [NO_ITER] * length
+        self.last_w_iter = [0] * length
+        self.last_w_epoch = [0] * length
+        self.last_w_proc = [NO_PROC] * length
         #: §3.3 time-stamp overflow: set at an epoch synchronization for
         #: elements written in an earlier epoch; any later read-first of
         #: such an element FAILs conservatively.
-        self.written_past = np.zeros(length, dtype=bool)
+        self.written_past = [False] * length
 
     def clear(self) -> None:
-        self.max_r1st.fill(0)
-        self.min_w.fill(NO_ITER)
-        self.last_w_iter.fill(0)
-        self.last_w_epoch.fill(0)
-        self.last_w_proc.fill(NO_PROC)
-        self.written_past.fill(False)
+        length = self.length
+        self.max_r1st[:] = [0] * length
+        self.min_w[:] = [NO_ITER] * length
+        self.last_w_iter[:] = [0] * length
+        self.last_w_epoch[:] = [0] * length
+        self.last_w_proc[:] = [NO_PROC] * length
+        self.written_past[:] = [False] * length
 
     def epoch_reset(self) -> None:
         """Start a new time-stamp epoch: effective iteration numbers
         restart from zero; writes from the past stay visible only
         through the sticky ``written_past`` bit."""
-        np.logical_or(self.written_past, self.min_w != NO_ITER,
-                      out=self.written_past)
-        self.max_r1st.fill(0)
-        self.min_w.fill(NO_ITER)
+        self.written_past[:] = [
+            past or min_w != NO_ITER
+            for past, min_w in zip(self.written_past, self.min_w)
+        ]
+        self.max_r1st[:] = [0] * self.length
+        self.min_w[:] = [NO_ITER] * self.length
 
     def min_w_of(self, index: int) -> Optional[int]:
-        value = int(self.min_w[index])
+        value = self.min_w[index]
         return None if value == NO_ITER else value
 
     def note_write(self, index: int, iteration: int, proc: int,
                    epoch: int = 0) -> None:
-        current = int(self.min_w[index])
+        current = self.min_w[index]
         if current == NO_ITER or iteration < current:
             self.min_w[index] = iteration
         key = (epoch, iteration)
-        if key >= (int(self.last_w_epoch[index]), int(self.last_w_iter[index])):
+        if key >= (self.last_w_epoch[index], self.last_w_iter[index]):
             self.last_w_epoch[index] = epoch
             self.last_w_iter[index] = iteration
             self.last_w_proc[index] = proc
 
     def note_read_first(self, index: int, iteration: int) -> None:
-        if iteration > int(self.max_r1st[index]):
+        if iteration > self.max_r1st[index]:
             self.max_r1st[index] = iteration
+
+    def last_writers(self, num_processors: int) -> "list[list[int]]":
+        """Per processor, the elements whose latest write it made (the
+        copy-out sets of §2.2.3), in element order."""
+        out: "list[list[int]]" = [[] for _ in range(num_processors)]
+        for index, proc in enumerate(self.last_w_proc):
+            if proc != NO_PROC:
+                out[proc].append(index)
+        return out
 
 
 class PrivPrivateDirTable:
@@ -207,19 +219,19 @@ class PrivPrivateDirTable:
 
     def __init__(self, length: int) -> None:
         self.length = length
-        self.pmax_r1st = np.zeros(length, dtype=np.int64)
-        self.pmax_w = np.zeros(length, dtype=np.int64)
+        self.pmax_r1st = [0] * length
+        self.pmax_w = [0] * length
 
     def clear(self) -> None:
-        self.pmax_r1st.fill(0)
-        self.pmax_w.fill(0)
+        self.pmax_r1st[:] = [0] * self.length
+        self.pmax_w[:] = [0] * self.length
 
     def line_untouched(self, first: int, count: int) -> bool:
         """True when no element of the line was ever accessed (read-in
         trigger of Fig 8-(c): ``PMaxR1st == PMaxW == 0`` for the whole
         memory line)."""
-        sl = slice(first, min(first + count, self.length))
-        return not (self.pmax_r1st[sl].any() or self.pmax_w[sl].any())
+        end = first + count
+        return not (any(self.pmax_r1st[first:end]) or any(self.pmax_w[first:end]))
 
 
 class PrivSimplePrivateTable:
@@ -232,24 +244,25 @@ class PrivSimplePrivateTable:
 
     def __init__(self, length: int) -> None:
         self.length = length
-        self.read1st = np.zeros(length, dtype=bool)
-        self.write = np.zeros(length, dtype=bool)
-        self.epoch = np.full(length, -1, dtype=np.int64)
-        self.write_any = np.zeros(length, dtype=bool)
+        self.read1st = [False] * length
+        self.write = [False] * length
+        self.epoch = [-1] * length
+        self.write_any = [False] * length
 
     def clear(self) -> None:
-        self.read1st.fill(False)
-        self.write.fill(False)
-        self.epoch.fill(-1)
-        self.write_any.fill(False)
+        length = self.length
+        self.read1st[:] = [False] * length
+        self.write[:] = [False] * length
+        self.epoch[:] = [-1] * length
+        self.write_any[:] = [False] * length
 
     def get(self, index: int, iteration: int) -> "tuple[bool, bool]":
-        if int(self.epoch[index]) == iteration:
-            return bool(self.read1st[index]), bool(self.write[index])
+        if self.epoch[index] == iteration:
+            return self.read1st[index], self.write[index]
         return False, False
 
     def set_for(self, index: int, iteration: int, read1st: bool = False, write: bool = False) -> None:
-        if int(self.epoch[index]) != iteration:
+        if self.epoch[index] != iteration:
             self.read1st[index] = False
             self.write[index] = False
             self.epoch[index] = iteration
@@ -272,12 +285,12 @@ class PrivSimpleSharedTable:
 
     def __init__(self, length: int) -> None:
         self.length = length
-        self.any_r1st = np.zeros(length, dtype=bool)
-        self.any_w = np.zeros(length, dtype=bool)
+        self.any_r1st = [False] * length
+        self.any_w = [False] * length
 
     def clear(self) -> None:
-        self.any_r1st.fill(False)
-        self.any_w.fill(False)
+        self.any_r1st[:] = [False] * self.length
+        self.any_w[:] = [False] * self.length
 
 
 # ----------------------------------------------------------------------

@@ -69,11 +69,7 @@ class NonPrivProtocol:
     # ------------------------------------------------------------------
     def _dir_snapshot(self, name: str, index: int):
         table = self._tables[name]
-        return (
-            int(table.first[index]),
-            bool(table.priv[index]),
-            bool(table.ronly[index]),
-        )
+        return table.first[index], table.priv[index], table.ronly[index]
 
     def _emit_dir_update(
         self, bus, now: float, name: str, index: int, proc: int, cause: str,
@@ -150,7 +146,7 @@ class NonPrivProtocol:
         been applied by the memory system.  Returns extra latency (0)."""
         self.ctx.stats.dir_checks += 1
         table = self._tables[entry.decl.name]
-        first = int(table.first[index])
+        first = table.first[index]
         name = entry.decl.name
         bus = self.ctx.spec_bus()
         snap = self._dir_snapshot(name, index) if bus is not None else None
@@ -190,7 +186,7 @@ class NonPrivProtocol:
         is displaced or recalled."""
         table = self._tables[entry.decl.name]
         name = entry.decl.name
-        first = int(table.first[index])
+        first = table.first[index]
         bus = self.ctx.spec_bus()
         snap = self._dir_snapshot(name, index) if bus is not None else None
         # Only state the *local* processor could have produced is merged:
@@ -309,13 +305,13 @@ class NonPrivProtocol:
             # in-order delivery from one cache to one home; the timing
             # model can reorder an update behind the sender's own
             # write-request, which must stay benign).
-            if int(table.first[index]) != proc:
+            if table.first[index] != proc:
                 self._fail(
                     "race between a First_update and a write",
                     entry.decl.name, index, now, proc,
                 )
             return
-        first = int(table.first[index])
+        first = table.first[index]
         if first == NO_PROC:
             table.first[index] = proc
             if bus is not None:

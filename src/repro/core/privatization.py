@@ -47,6 +47,7 @@ from ..obs.events import PrivDirUpdateEvent, PrivSimpleDirUpdateEvent
 from ..types import AccessKind
 from .accessbits import (
     NO_ITER,
+    NO_PROC,
     PrivPrivateDirTable,
     PrivSharedDirTable,
     PrivSimplePrivateTable,
@@ -104,7 +105,7 @@ class PrivProtocol:
     # ------------------------------------------------------------------
     def _shared_snapshot(self, name: str, index: int):
         table = self._shared[name]
-        return int(table.max_r1st[index]), table.min_w_of(index)
+        return table.max_r1st[index], table.min_w_of(index)
 
     def _emit_shared_update(
         self, bus, now: float, name: str, index: int, proc: int,
@@ -173,15 +174,15 @@ class PrivProtocol:
                 extra = self._read_in(proc, name, index, iteration, now, for_write=False)
                 table.pmax_r1st[index] = iteration
             elif (
-                int(table.pmax_r1st[index]) < iteration
-                and int(table.pmax_w[index]) < iteration
+                table.pmax_r1st[index] < iteration
+                and table.pmax_w[index] < iteration
             ):
                 # Read-first for this element in this iteration.
                 self._forward_read_first(proc, name, index, iteration, now)
                 table.pmax_r1st[index] = iteration
             # else: plain refetch of already-tracked data.
         else:
-            pmax_w = int(table.pmax_w[index])
+            pmax_w = table.pmax_w[index]
             if pmax_w == NO_ITER:
                 # Very first write by this processor to this element.
                 if table.line_untouched(line_first, line_count):
@@ -201,8 +202,8 @@ class PrivProtocol:
     ) -> PrivTagBits:
         name = entry.shared_name or entry.decl.name
         table = self._private[(name, proc)]
-        read1st = int(table.pmax_r1st[index]) == iteration
-        wrote = int(table.pmax_w[index]) == iteration
+        read1st = table.pmax_r1st[index] == iteration
+        wrote = table.pmax_w[index] == iteration
         if read1st or wrote:
             return PrivTagBits(read1st, wrote, iteration)
         return PrivTagBits()
@@ -243,7 +244,7 @@ class PrivProtocol:
         if self.ctx.controller.failed:
             return
         table = self._private[(name, proc)]
-        table.pmax_r1st[index] = max(int(table.pmax_r1st[index]), iteration)
+        table.pmax_r1st[index] = max(table.pmax_r1st[index], iteration)
         self._forward_read_first(proc, name, index, iteration, now)
 
     def _send_first_write_signal(
@@ -265,7 +266,7 @@ class PrivProtocol:
         if self.ctx.controller.failed:
             return
         table = self._private[(name, proc)]
-        pmax_w = int(table.pmax_w[index])
+        pmax_w = table.pmax_w[index]
         if pmax_w == NO_ITER:
             table.pmax_w[index] = iteration
             self._forward_first_write(proc, name, index, iteration, now)
@@ -293,7 +294,7 @@ class PrivProtocol:
     ) -> None:
         """(d): FAIL if a lower-numbered iteration already wrote."""
         table = self._shared[name]
-        if bool(table.written_past[index]):
+        if table.written_past[index]:
             self._fail(
                 "read-first of element written in an earlier time-stamp epoch",
                 name, index, now, proc, iteration,
@@ -333,7 +334,7 @@ class PrivProtocol:
     ) -> None:
         """(i): FAIL if a higher-numbered iteration already read-first."""
         table = self._shared[name]
-        max_r1st = int(table.max_r1st[index])
+        max_r1st = table.max_r1st[index]
         if iteration < max_r1st:
             self._fail(
                 f"write in iteration {iteration} of element read-first "
@@ -381,7 +382,7 @@ class PrivProtocol:
         snap = self._shared_snapshot(name, index) if bus is not None else None
         if for_write:
             # (j): read-in-req for write.
-            max_r1st = int(table.max_r1st[index])
+            max_r1st = table.max_r1st[index]
             if iteration < max_r1st:
                 self._fail(
                     f"write in iteration {iteration} of element read-first "
@@ -398,7 +399,7 @@ class PrivProtocol:
         else:
             # (e): plain read-in request.
             min_w = table.min_w_of(index)
-            if bool(table.written_past[index]):
+            if table.written_past[index]:
                 self._fail(
                     "read-first of element written in an earlier time-stamp "
                     "epoch (read-in)",
@@ -424,7 +425,7 @@ class PrivProtocol:
         """Number of elements holding a last-written value that must be
         copied from private to shared storage after the loop (§2.2.3)."""
         table = self._shared[name]
-        return int((table.last_w_proc >= 0).sum())
+        return sum(proc != NO_PROC for proc in table.last_w_proc)
 
     def _fail(
         self, reason: str, array: str, index: int, now: float, proc: int,
@@ -479,7 +480,7 @@ class PrivSimpleProtocol:
     def written_by(self, name: str, proc: int, index: int) -> bool:
         """Whether ``proc`` ever wrote element ``index`` (routes reads to
         the private or the shared copy; see module docstring)."""
-        return bool(self._private[(name, proc)].write_any[index])
+        return self._private[(name, proc)].write_any[index]
 
     # ------------------------------------------------------------------
     def on_cache_hit(
@@ -577,7 +578,7 @@ class PrivSimpleProtocol:
         read1st, wrote = table.get(index, iteration)
         if wrote or read1st:
             return  # covered or already signaled this iteration
-        if bool(table.write_any[index]):
+        if table.write_any[index]:
             # Read-first of an element this processor wrote in an earlier
             # iteration: detectable locally, no shared transaction needed.
             self._fail(
@@ -608,7 +609,7 @@ class PrivSimpleProtocol:
         _, wrote = table.get(index, iteration)
         if wrote:
             return
-        was_any = bool(table.write_any[index])
+        was_any = table.write_any[index]
         table.set_for(index, iteration, write=True)
         if not was_any:
             self._forward(proc, name, index, iteration, now, is_write=True)
@@ -634,7 +635,7 @@ class PrivSimpleProtocol:
         table = self._shared[name]
         bus = self.ctx.spec_bus()
         snap = (
-            (bool(table.any_r1st[index]), bool(table.any_w[index]))
+            (table.any_r1st[index], table.any_w[index])
             if bus is not None
             else None
         )
@@ -653,7 +654,7 @@ class PrivSimpleProtocol:
                     name, index, now, proc, iteration,
                 )
         if bus is not None:
-            after = (bool(table.any_r1st[index]), bool(table.any_w[index]))
+            after = (table.any_r1st[index], table.any_w[index])
             if after != snap:
                 bus.emit(
                     PrivSimpleDirUpdateEvent(

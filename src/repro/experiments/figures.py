@@ -220,8 +220,7 @@ def _forced_failure_loop(
         i for i in range(workload.paper_executions)
         if workload.is_dependent_execution(i)
     )
-    loops = list(workload.executions(dep_index + 1))
-    loop = loops[dep_index]
+    loop = workload.execution(dep_index)
     hw = RunConfig(schedule=ScheduleSpec(SchedulePolicy.DYNAMIC, 1, VirtualMode.CHUNK))
     sw = RunConfig(
         schedule=ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 1, VirtualMode.ITERATION)

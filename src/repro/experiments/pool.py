@@ -12,10 +12,10 @@ results indistinguishable from serial execution:
   output of ``jobs=N`` bit-identical to ``jobs=1`` (pinned by the
   conformance tests).
 * **Deterministic per-task seeding.**  A task with ``seed`` set has
-  ``random`` (and numpy, when present) seeded with exactly that value
-  before its function runs — in a worker *or* inline.  The inline path
-  saves and restores the caller's RNG state, so degradation cannot
-  perturb the parent process.  :func:`derive_seed` gives a stable
+  ``random`` (and numpy's global RNG, when numpy is already imported)
+  seeded with exactly that value before its function runs — in a
+  worker *or* inline.  The inline path saves and restores the caller's
+  RNG state, so degradation cannot perturb the parent process.  :func:`derive_seed` gives a stable
   per-index seed from a base seed.
 * **Fault handling.**  Each task gets a per-attempt ``timeout`` and a
   bounded number of ``retries`` with exponential backoff.  A worker
@@ -48,6 +48,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import sys
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -100,11 +101,12 @@ class PoolTask:
 
 def _seed_rngs(seed: int) -> None:
     random.seed(seed)
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a hard dep here
-        return
-    np.random.seed(seed & 0xFFFF_FFFF)
+    # Seeding never imports numpy, so workers of numpy-free tasks stay
+    # numpy-free.  No code here draws from numpy's global RNG; numpy
+    # users draw from their own ``default_rng(seed)``.
+    np = sys.modules.get("numpy")
+    if np is not None:
+        np.random.seed(seed & 0xFFFF_FFFF)
 
 
 def _invoke(task: PoolTask) -> Any:
@@ -141,17 +143,14 @@ def _invoke_inline(task: PoolTask) -> Any:
     if task.seed is None:
         return task.fn(*task.args, **dict(task.kwargs))
     state = random.getstate()
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover
-        np = None
+    np = sys.modules.get("numpy")
     np_state = np.random.get_state() if np is not None else None
     try:
         _seed_rngs(task.seed)
         return task.fn(*task.args, **dict(task.kwargs))
     finally:
         random.setstate(state)
-        if np is not None and np_state is not None:
+        if np is not None:
             np.random.set_state(np_state)
 
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from ..types import ProtocolKind
 from .shadow import LRPDState, ShadowMergeResult
 
@@ -51,20 +49,26 @@ def analyze_array(
         is excused when every read-first iteration of every element is
         no later than the element's first writing iteration — the loop
         is then parallel with read-in and copy-out.
+
+    The merged marks are sparse dicts, so (b) and (d) are key-set
+    disjointness tests and (f) walks the ``Anp`` marks.
     """
+    aw = merged.aw
     atm = merged.atm
     atw = merged.atw
 
     def read_in_rescue(decided_by: str) -> ArrayAnalysis:
-        if privatized and merged.awmin is not None:
-            written = merged.aw != 0
-            read_first = merged.anp != 0
-            conflict = written & read_first & (merged.anp > merged.awmin)
-            if not bool(np.any(conflict)):
+        awmin = merged.awmin
+        if privatized and awmin is not None:
+            conflict = any(
+                index in aw and stamp > awmin.get(index, 0)
+                for index, stamp in merged.anp.items()
+            )
+            if not conflict:
                 return ArrayAnalysis(name, True, "read-in-copy-out", atw, atm)
         return ArrayAnalysis(name, False, decided_by, atw, atm)
 
-    if bool(np.any((merged.aw != 0) & (merged.ar != 0))):
+    if not aw.keys().isdisjoint(merged.ar):
         return read_in_rescue("aw-and-ar")
     if atw == atm:
         return ArrayAnalysis(name, True, "doall", atw, atm)
@@ -72,7 +76,7 @@ def analyze_array(
         # Without privatization, multiple writers to one element are an
         # output dependence the test cannot excuse.
         return ArrayAnalysis(name, False, "not-privatizable", atw, atm)
-    if bool(np.any((merged.aw != 0) & (merged.anp != 0))):
+    if not aw.keys().isdisjoint(merged.anp):
         return read_in_rescue("not-privatizable")
     return ArrayAnalysis(name, True, "privatized", atw, atm)
 

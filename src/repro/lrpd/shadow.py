@@ -21,74 +21,74 @@ The marking rules:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
-
-import numpy as np
+from typing import Dict, List, Optional
 
 
 class ArrayShadow:
     """Private shadow state of one (array, processor) pair.
 
-    Timestamps are 1-based iteration numbers; 0 means unmarked.
+    Timestamps are 1-based iteration numbers; 0 means unmarked.  Marks
+    are sparse, so each shadow array is a dict from element to time
+    stamp: an absent element reads as 0.
     """
 
     def __init__(self, length: int, with_awmin: bool = False) -> None:
         self.length = length
-        self.aw = np.zeros(length, dtype=np.int64)
-        self.ar = np.zeros(length, dtype=np.int64)
-        self.anp = np.zeros(length, dtype=np.int64)
+        self.aw: Dict[int, int] = {}
+        self.ar: Dict[int, int] = {}
+        self.anp: Dict[int, int] = {}
         #: §2.2.3: the extra shadow array needed to support read-in and
         #: copy-out — the lowest iteration that wrote each element
-        #: (0 = never written).
+        #: (absent = never written).
         self.with_awmin = with_awmin
-        self.awmin = np.zeros(length, dtype=np.int64) if with_awmin else None
+        self.awmin: Optional[Dict[int, int]] = {} if with_awmin else None
         #: total writes counted iteration-by-iteration (the Atw scalar)
         self.atw = 0
 
     def clear(self) -> None:
-        self.aw.fill(0)
-        self.ar.fill(0)
-        self.anp.fill(0)
+        self.aw.clear()
+        self.ar.clear()
+        self.anp.clear()
         if self.awmin is not None:
-            self.awmin.fill(0)
+            self.awmin.clear()
         self.atw = 0
 
     # ------------------------------------------------------------------
     def markwrite(self, index: int, iteration: int) -> None:
-        if int(self.aw[index]) != iteration:
+        aw = self.aw
+        if aw.get(index, 0) != iteration:
             # First write to this element in this iteration.
             self.atw += 1
-            self.aw[index] = iteration
-            if self.awmin is not None and (
-                int(self.awmin[index]) == 0 or iteration < int(self.awmin[index])
-            ):
-                self.awmin[index] = iteration
-        if int(self.ar[index]) == iteration:
+            aw[index] = iteration
+            awmin = self.awmin
+            if awmin is not None and iteration < awmin.get(index, iteration + 1):
+                awmin[index] = iteration
+        ar = self.ar
+        if ar.get(index) == iteration:
             # A read earlier in this same iteration is now covered
             # "after": Ar must reflect "not written in this iteration
             # neither before nor after".
-            self.ar[index] = 0
+            del ar[index]
 
     def markread(self, index: int, iteration: int) -> None:
-        if int(self.aw[index]) != iteration:
+        if self.aw.get(index, 0) != iteration:
             # Not written earlier in this iteration.  Ar is only set when
             # currently unmarked: an older iteration's (final) mark must
             # not be overwritten by this iteration's *tentative* mark,
             # which a later same-iteration write would clear.
-            if int(self.ar[index]) == 0:
-                self.ar[index] = iteration
+            self.ar.setdefault(index, iteration)
             self.anp[index] = iteration
 
     def written_in(self, index: int, iteration: int) -> bool:
-        return int(self.aw[index]) == iteration
+        return self.aw.get(index, 0) == iteration
 
     def ever_written(self, index: int) -> bool:
-        return bool(self.aw[index])
+        return index in self.aw
 
 
 @dataclasses.dataclass
 class ShadowMergeResult:
-    """Merged (global) shadow marks for one array.
+    """Merged (global) shadow marks for one array, as sparse dicts.
 
     ``anp`` carries per-element *maximum* read-before-write iteration
     numbers and ``awmin`` (when the §2.2.3 extension is enabled) the
@@ -96,16 +96,22 @@ class ShadowMergeResult:
     read-in/copy-out question ``max(Anp) <= Awmin``.
     """
 
-    aw: np.ndarray
-    ar: np.ndarray
-    anp: np.ndarray
+    aw: Dict[int, int]
+    ar: Dict[int, int]
+    anp: Dict[int, int]
     atw: int
-    awmin: "np.ndarray | None" = None
+    awmin: Optional[Dict[int, int]] = None
 
     @property
     def atm(self) -> int:
         """Number of distinct elements written anywhere (Atm)."""
-        return int(np.count_nonzero(self.aw))
+        return len(self.aw)
+
+
+def _merge_max(merged: Dict[int, int], marks: Dict[int, int]) -> None:
+    for index, stamp in marks.items():
+        if stamp > merged.get(index, 0):
+            merged[index] = stamp
 
 
 class LRPDState:
@@ -147,28 +153,22 @@ class LRPDState:
         """The merging phase: OR the private shadows into global ones.
 
         For timestamp shadows the merged mark only needs to be non-zero
-        where any private mark is (the analysis tests are existential).
+        where any private mark is (the analysis tests are existential);
+        the merge keeps the maximum, and ``Awmin`` the minimum.  It costs
+        O(marks), not O(processors x length).
         """
-        shadows = self._shadows[name]
-        length = shadows[0].length
-        aw = np.zeros(length, dtype=np.int64)
-        ar = np.zeros(length, dtype=np.int64)
-        anp = np.zeros(length, dtype=np.int64)
-        awmin = np.zeros(length, dtype=np.int64) if self.with_awmin else None
+        aw: Dict[int, int] = {}
+        ar: Dict[int, int] = {}
+        anp: Dict[int, int] = {}
+        awmin: Optional[Dict[int, int]] = {} if self.with_awmin else None
         atw = 0
-        for shadow in shadows:
-            np.maximum(aw, shadow.aw, out=aw)
-            np.maximum(ar, shadow.ar, out=ar)
-            np.maximum(anp, shadow.anp, out=anp)
+        for shadow in self._shadows[name]:
+            _merge_max(aw, shadow.aw)
+            _merge_max(ar, shadow.ar)
+            _merge_max(anp, shadow.anp)
             if awmin is not None and shadow.awmin is not None:
-                # Minimum over non-zero (marked) entries.
-                mask = shadow.awmin != 0
-                unset = awmin == 0
-                np.copyto(awmin, shadow.awmin, where=mask & unset)
-                np.minimum(
-                    awmin,
-                    np.where(mask, shadow.awmin, awmin),
-                    out=awmin,
-                )
+                for index, stamp in shadow.awmin.items():
+                    if stamp < awmin.get(index, stamp + 1):
+                        awmin[index] = stamp
             atw += shadow.atw
         return ShadowMergeResult(aw=aw, ar=ar, anp=anp, atw=atw, awmin=awmin)

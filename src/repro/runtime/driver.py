@@ -15,8 +15,6 @@ import math
 import time
 from typing import Callable, Dict, Iterator, List, Optional
 
-import numpy as np
-
 from ..errors import ConfigurationError, SpeculationFailure
 from ..lrpd.analysis import LRPDOutcome, analyze
 from ..lrpd.shadow import LRPDState
@@ -705,8 +703,10 @@ def run_hw(
         if not (spec.privatized and spec.live_out):
             continue
         epl = params.elems_per_line(spec.elem_bytes)
-        for proc in range(params.num_processors):
-            indices = _hw_copy_out_indices(machine, spec.name, spec.protocol, proc)
+        per_proc = _hw_copy_out_indices(
+            machine, spec.name, spec.protocol, params.num_processors
+        )
+        for proc, indices in enumerate(per_proc):
             if not indices:
                 continue
             ops = sparse_copy_ops(
@@ -734,16 +734,22 @@ def run_hw(
 
 
 def _hw_copy_out_indices(
-    machine: Machine, name: str, protocol: ProtocolKind, proc: int
-) -> List[int]:
+    machine: Machine, name: str, protocol: ProtocolKind, num_processors: int
+) -> List[List[int]]:
+    """Per processor, the elements it copies out, in element order."""
     assert machine.spec is not None
     if protocol is ProtocolKind.PRIV:
-        table = machine.spec.priv.shared_table(name)
-        return np.nonzero(table.last_w_proc == proc)[0].tolist()
+        return machine.spec.priv.shared_table(name).last_writers(num_processors)
     # PRIV_SIMPLE has no last-writer time stamps: each processor
     # conservatively copies out everything it wrote.
-    table = machine.spec.priv_simple.private_table(name, proc)
-    return np.nonzero(table.write_any)[0].tolist()
+    tables = [
+        machine.spec.priv_simple.private_table(name, proc)
+        for proc in range(num_processors)
+    ]
+    return [
+        [i for i, wrote in enumerate(table.write_any) if wrote]
+        for table in tables
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -898,7 +904,7 @@ def run_sw(
         epl = params.elems_per_line(spec.elem_bytes)
         for proc in range(num):
             shadow = state.shadow(spec.name, proc)
-            indices = [i for i in range(spec.length) if shadow.ever_written(i)]
+            indices = sorted(shadow.aw)
             if not indices:
                 continue
             ops = sparse_copy_ops(

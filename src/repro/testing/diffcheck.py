@@ -44,7 +44,6 @@ import json
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
 
 from ..experiments.pool import PoolTask, run_tasks
 
@@ -235,18 +234,18 @@ def build_case(seed: int, variant: str = "baseline") -> CaseSpec:
 # Running and comparing
 # ----------------------------------------------------------------------
 def _table_state(protocol_obj) -> Dict[str, Dict[str, list]]:
-    """Every numpy-backed element-state table of one protocol object,
-    as ``{array_name: {field: values}}``."""
+    """Every element-state table of one protocol object, as
+    ``{table: {field: values}}``: a per-array or shared table under the
+    array name, a per-processor private table under ``name@proc``."""
     out: Dict[str, Dict[str, list]] = {}
-    tables = getattr(protocol_obj, "_tables", None)
-    if not tables:
-        return out
-    for name, table in sorted(tables.items()):
-        fields: Dict[str, list] = {}
-        for attr, value in vars(table).items():
-            if isinstance(value, np.ndarray):
-                fields[attr] = value.tolist()
-        out[name] = fields
+    for attr in ("_tables", "_shared", "_private"):
+        for key, table in sorted(getattr(protocol_obj, attr, {}).items()):
+            name = key if isinstance(key, str) else f"{key[0]}@{key[1]}"
+            out[name] = {
+                field: list(value)
+                for field, value in vars(table).items()
+                if isinstance(value, list)
+            }
     return out
 
 

@@ -55,7 +55,14 @@ class Workload:
         """Yield ``count`` independent loop executions."""
         n = self.default_executions if count is None else count
         for i in range(n):
-            yield self.build_execution(i, random.Random(self.seed * 1_000_003 + i))
+            yield self.execution(i)
+
+    def execution(self, index: int) -> Loop:
+        """Execution ``index`` alone: each has its own RNG, so it equals
+        the ``index``-th loop :meth:`executions` yields."""
+        return self.build_execution(
+            index, random.Random(self.seed * 1_000_003 + index)
+        )
 
     def build_execution(self, index: int, rng: random.Random) -> Loop:
         raise NotImplementedError

@@ -279,8 +279,6 @@ def test_sw_instrumenter_matches_reference(protocol, with_awmin, processor_wise)
     marks and privatized redirects included, and the same shadows."""
     import random
 
-    import numpy as np
-
     loop = Loop(
         "t", [ArraySpec("A", 200, 8, protocol), ArraySpec("B", 16)],
         [[read("B", 0), write("A", 0)]],
@@ -312,7 +310,7 @@ def test_sw_instrumenter_matches_reference(protocol, with_awmin, processor_wise)
         got, ref = state.shadow("A", proc), ref_state.shadow("A", proc)
         for field in ("aw", "ar", "anp", "awmin"):
             if getattr(ref, field) is not None:
-                assert np.array_equal(getattr(got, field), getattr(ref, field))
+                assert getattr(got, field) == getattr(ref, field)
         assert got.atw == ref.atw
 
 

@@ -1,10 +1,15 @@
 """Unit tests for the software LRPD test (shadow marking + analysis)."""
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lrpd.analysis import analyze, analyze_array
 from repro.lrpd.shadow import ArrayShadow, LRPDState
+
+
+def dense(marks, length):
+    """A sparse shadow map as the dense array it stands for (0 = unmarked)."""
+    return [marks.get(i, 0) for i in range(length)]
 
 
 class TestMarking:
@@ -24,14 +29,14 @@ class TestMarking:
         s = ArrayShadow(8)
         s.markwrite(3, 1)
         s.markread(3, 1)
-        assert int(s.ar[3]) == 0 and int(s.anp[3]) == 0
+        assert s.ar.get(3, 0) == 0 and s.anp.get(3, 0) == 0
 
     def test_write_after_read_clears_tentative_ar(self):
         s = ArrayShadow(8)
         s.markread(3, 2)
         s.markwrite(3, 2)
-        assert int(s.ar[3]) == 0
-        assert int(s.anp[3]) == 2  # read-before-write stays marked
+        assert s.ar.get(3, 0) == 0
+        assert s.anp.get(3, 0) == 2  # read-before-write stays marked
 
     def test_older_ar_mark_survives_later_covered_iteration(self):
         # Regression: iteration 1 reads (uncovered); iteration 2 reads
@@ -55,7 +60,7 @@ class TestMarking:
         s.markread(2, 1)
         s.clear()
         assert s.atw == 0
-        assert not s.aw.any() and not s.ar.any() and not s.anp.any()
+        assert dense(s.aw, 8) == dense(s.ar, 8) == dense(s.anp, 8) == [0] * 8
 
 
 class TestMerge:
@@ -143,8 +148,8 @@ class TestAnalysis:
         merged = state.merge("A")
         # Paper's chart (c): Aw marked at elements 2 and 4 (1-based),
         # Ar at all of 1..4, Atw == 3, Atm == 2.
-        assert list((merged.aw != 0).astype(int)[:4]) == [0, 1, 0, 1]
-        assert list((merged.ar != 0).astype(int)[:4]) == [1, 1, 1, 1]
+        assert [int(v != 0) for v in dense(merged.aw, 4)] == [0, 1, 0, 1]
+        assert [int(v != 0) for v in dense(merged.ar, 4)] == [1, 1, 1, 1]
         assert merged.atw == 3
         assert merged.atm == 2
         outcome = analyze(state)
@@ -220,3 +225,107 @@ class TestAwminExtension:
         s.markread(0, 1)
         s.markwrite(0, 2)
         assert not analyze(state).passed
+
+
+# ----------------------------------------------------------------------
+# Sparse shadows vs a dense reference with the array semantics
+# ----------------------------------------------------------------------
+class DenseShadow:
+    """One processor's shadows as dense lists (0 = unmarked): the
+    reference the sparse :class:`ArrayShadow` must agree with."""
+
+    def __init__(self, length, with_awmin):
+        self.aw = [0] * length
+        self.ar = [0] * length
+        self.anp = [0] * length
+        self.awmin = [0] * length if with_awmin else None
+        self.atw = 0
+
+    def markwrite(self, index, iteration):
+        if self.aw[index] != iteration:
+            self.atw += 1
+            self.aw[index] = iteration
+            if self.awmin is not None and (
+                self.awmin[index] == 0 or iteration < self.awmin[index]
+            ):
+                self.awmin[index] = iteration
+        if self.ar[index] == iteration:
+            self.ar[index] = 0
+
+    def markread(self, index, iteration):
+        if self.aw[index] != iteration:
+            if self.ar[index] == 0:
+                self.ar[index] = iteration
+            self.anp[index] = iteration
+
+
+def dense_analysis(shadows, length, with_awmin, privatized):
+    """Merge (elementwise max, ``Awmin`` min over marks) and steps (a)-(f)
+    over dense arrays; returns ``(passed, decided_by, atw, atm)``."""
+    aw = [max(s.aw[i] for s in shadows) for i in range(length)]
+    ar = [max(s.ar[i] for s in shadows) for i in range(length)]
+    anp = [max(s.anp[i] for s in shadows) for i in range(length)]
+    awmin = None
+    if with_awmin:
+        awmin = [
+            min([s.awmin[i] for s in shadows if s.awmin[i]] or [0])
+            for i in range(length)
+        ]
+    atw = sum(s.atw for s in shadows)
+    atm = sum(1 for v in aw if v)
+
+    def rescue(decided_by):
+        if privatized and awmin is not None and not any(
+            aw[i] and anp[i] and anp[i] > awmin[i] for i in range(length)
+        ):
+            return True, "read-in-copy-out", atw, atm
+        return False, decided_by, atw, atm
+
+    if any(aw[i] and ar[i] for i in range(length)):
+        return rescue("aw-and-ar")
+    if atw == atm:
+        return True, "doall", atw, atm
+    if not privatized:
+        return False, "not-privatizable", atw, atm
+    if any(aw[i] and anp[i] for i in range(length)):
+        return rescue("not-privatizable")
+    return True, "privatized", atw, atm
+
+
+@st.composite
+def marking_runs(draw):
+    procs = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 8))
+    marks = draw(st.lists(
+        st.tuples(
+            st.integers(0, procs - 1),   # processor
+            st.booleans(),               # write?
+            st.integers(0, length - 1),  # element
+            st.integers(1, 5),           # iteration stamp
+        ),
+        max_size=40,
+    ))
+    return procs, length, marks, draw(st.booleans()), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(marking_runs())
+def test_sparse_shadows_match_dense_reference(run):
+    procs, length, marks, with_awmin, privatized = run
+    state = LRPDState(procs, with_awmin=with_awmin)
+    state.register("A", length, privatized)
+    ref = [DenseShadow(length, with_awmin) for _ in range(procs)]
+    for proc, is_write, index, iteration in marks:
+        for shadow in (state.shadow("A", proc), ref[proc]):
+            if is_write:
+                shadow.markwrite(index, iteration)
+            else:
+                shadow.markread(index, iteration)
+    for proc in range(procs):
+        got = state.shadow("A", proc)
+        for field in ("aw", "ar", "anp") + (("awmin",) if with_awmin else ()):
+            assert dense(getattr(got, field), length) == getattr(ref[proc], field)
+        assert got.atw == ref[proc].atw
+    result = analyze_array("A", state.merge("A"), privatized)
+    got = (result.passed, result.decided_by, result.atw, result.atm)
+    assert got == dense_analysis(ref, length, with_awmin, privatized)

@@ -110,9 +110,13 @@ class TestFigure2:
             if self.B1[it - 1]:
                 shadow.markwrite(self.L[it - 1] - 1, it)
         merged = state.merge("A")
-        assert list((merged.aw != 0).astype(int)[:4]) == [0, 1, 0, 1]
-        assert list((merged.ar != 0).astype(int)[:4]) == [1, 1, 1, 1]
-        assert list((merged.anp != 0).astype(int)[:4]) == [1, 1, 1, 1]
+
+        def marked(marks):
+            return [int(marks.get(i, 0) != 0) for i in range(4)]
+
+        assert marked(merged.aw) == [0, 1, 0, 1]
+        assert marked(merged.ar) == [1, 1, 1, 1]
+        assert marked(merged.anp) == [1, 1, 1, 1]
         assert merged.atw == 3 and merged.atm == 2
         assert not analyze(state).passed
 

@@ -108,7 +108,7 @@ class TestReleasedMachine:
         result, machine = self._finished(priv_loop(live_out=True))
         assert result.passed
         table = machine.spec.priv.shared_table("A")
-        assert (table.last_w_proc >= 0).any()
+        assert any(proc >= 0 for proc in table.last_w_proc)
 
     def test_run_phase_raises(self):
         _, machine = self._finished(parallel_loop())

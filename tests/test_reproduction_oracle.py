@@ -41,7 +41,7 @@ from repro.runtime.schedule import (
     cyclic_blocks,
     static_chunks,
 )
-from repro.trace import ArraySpec, Loop, read, write
+from repro.trace import ArraySpec, Loop, compute, read, write
 from repro.trace.oracle import DependenceOracle
 from repro.trace.ops import AccessOp
 from repro.types import AccessKind, ProtocolKind, Scenario
@@ -260,6 +260,49 @@ def test_dynamic_hw_verdicts_match_oracle_on_random_loops(trace, protocol):
         for ops in trace
     ]
     loop = Loop("rand", [ArraySpec("A", 6, 8, protocol)], body)
+    result = run_hw(loop, PARAMS_4, DYNAMIC)
+    assert hw_oracle_verdict(loop, DYNAMIC, result) == result.passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dynamic_nonpriv_sees_a_second_reader_before_the_first_readers_write(data):
+    """NONPRIV must FAIL an element that P_a reads, P_b then reads, and
+    P_a then writes: the second reader's ROnly mark is what stops P_a's
+    write.  Each shared element sits on its own line.  One iteration
+    reads it, computes for a long while and writes it; an iteration
+    grabbed soon after on another processor computes for a shorter
+    while and reads it in between.  Every other access touches its
+    iteration's own line, so no other conflict can mask the pattern.
+    The verdict must equal the serial predicate over the realized
+    assignment."""
+    per_line = PARAMS_4.elems_per_line(8)
+    iterations = data.draw(st.integers(4, 16), label="iterations")
+    shared = data.draw(st.integers(1, 3), label="shared elements")
+    body = [[] for _ in range(iterations)]
+    for it in range(iterations):
+        own = (shared + it) * per_line
+        for k in range(data.draw(st.integers(0, 3), label="own accesses")):
+            body[it].append(write("A", own + k) if k % 2 else read("A", own + k))
+    draw_cycles = st.integers(1_000, 2_000)
+    for j in range(shared):
+        elem = j * per_line
+        first = data.draw(st.integers(1, iterations - 1), label="reader-writer")
+        second = data.draw(
+            st.integers(first + 1, min(first + 3, iterations)), label="second reader"
+        )
+        body[first - 1][:0] = [
+            read("A", elem),
+            compute(data.draw(draw_cycles, label="gap") + 3_000),
+            write("A", elem),
+        ]
+        delay = compute(data.draw(draw_cycles, label="delay"))
+        body[second - 1][:0] = [delay, read("A", elem)]
+    loop = Loop(
+        "second-reader",
+        [ArraySpec("A", (shared + iterations) * per_line, 8, ProtocolKind.NONPRIV)],
+        body,
+    )
     result = run_hw(loop, PARAMS_4, DYNAMIC)
     assert hw_oracle_verdict(loop, DYNAMIC, result) == result.passed
 

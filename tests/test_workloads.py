@@ -145,6 +145,16 @@ class TestRegistry:
         with pytest.raises(KeyError):
             workload_by_name("spice")
 
+    @pytest.mark.parametrize(
+        "cls", [OceanWorkload, P3mWorkload, AdmWorkload, TrackWorkload]
+    )
+    def test_execution_equals_the_enumerated_one(self, cls):
+        w = cls(seed=5, scale=0.25)
+        for index, loop in enumerate(w.executions(3)):
+            alone = w.execution(index)
+            assert alone.arrays == loop.arrays
+            assert alone.iterations == loop.iterations
+
     def test_deterministic_generation(self):
         a = list(TrackWorkload(seed=5).executions(2))
         b = list(TrackWorkload(seed=5).executions(2))
