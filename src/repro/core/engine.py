@@ -181,9 +181,9 @@ class SpeculationEngine(SpeculationHooks):
             return
         for hierarchy in self.ctx.memsys.caches:
             for line in hierarchy.l2.resident_lines():
-                line.spec_bits.clear()
+                line.spec_bits = None
             for line in hierarchy.l1.resident_lines():
-                line.spec_bits.clear()
+                line.spec_bits = None
 
     # ------------------------------------------------------------------
     # Iteration tracking (virtual iteration numbers; §3.3, §4.1)

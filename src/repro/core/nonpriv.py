@@ -233,8 +233,11 @@ class NonPrivProtocol:
         now: float,
     ) -> None:
         """Fold a whole dirty line's tag state into the directory."""
+        spec_bits = line.spec_bits
+        if spec_bits is None:
+            return
         decl = entry.decl
-        for offset, bits in list(line.spec_bits.items()):
+        for offset, bits in list(spec_bits.items()):
             index = (line.line_addr + offset - decl.base) // decl.elem_bytes
             if first <= index < first + count:
                 self.merge_writeback(proc, entry, index, bits, now)
@@ -250,7 +253,7 @@ class NonPrivProtocol:
         base = decl.base
         elem_bytes = decl.elem_bytes
         line_addr = line.line_addr
-        spec_bits = line.spec_bits
+        spec_bits = line.bits_table()
         table = self._tables[decl.name]
         for index in range(first, first + count):
             offset = base + index * elem_bytes - line_addr

@@ -217,7 +217,7 @@ class PrivProtocol:
         base = decl.base
         elem_bytes = decl.elem_bytes
         line_addr = line.line_addr
-        spec_bits = line.spec_bits
+        spec_bits = line.bits_table()
         for index in range(first, first + count):
             offset = base + index * elem_bytes - line_addr
             spec_bits[offset] = self.tag_fill(proc, entry, index, iteration)
@@ -553,7 +553,7 @@ class PrivSimpleProtocol:
         base = decl.base
         elem_bytes = decl.elem_bytes
         line_addr = line.line_addr
-        spec_bits = line.spec_bits
+        spec_bits = line.bits_table()
         for index in range(first, first + count):
             offset = base + index * elem_bytes - line_addr
             spec_bits[offset] = self.tag_fill(proc, entry, index, iteration)

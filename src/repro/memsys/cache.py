@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..params import CacheGeometry
 from ..types import LineState
@@ -23,8 +22,10 @@ class DirectMappedCache:
     """A set-associative cache indexed by line address (LRU per set).
 
     The name is historical: with the default ``ways=1`` geometry this
-    is exactly the paper's direct-mapped cache.  Each set keeps its
-    lines in LRU order (index 0 = most recently used).
+    is exactly the paper's direct-mapped cache, and each set holds its
+    one resident line directly (``None`` once emptied).  A set of a
+    wider geometry keeps its lines in LRU order (index 0 = most
+    recently used).
     """
 
     def __init__(self, geometry: CacheGeometry) -> None:
@@ -35,11 +36,15 @@ class DirectMappedCache:
         self._num_sets = geometry.num_sets
         self._max_ways = geometry.ways
         # Sets are allocated lazily: large caches are mostly empty in
-        # short simulations, and a fresh machine is built per run.
-        self._sets: Dict[int, List[CacheLine]] = {}
-        # Flat residency index (line address -> line).  The per-set LRU
-        # lists stay authoritative for replacement; this dict makes the
-        # lookup path — the simulator's single hottest operation — one
+        # short simulations, and a fresh machine is built per run.  The
+        # dict keeps the sets in the order they were first filled; an
+        # emptied set keeps its key, so that order survives ``remove``
+        # (``SpeculationEngine.commit`` walks ``resident_lines`` and
+        # reports the first FAIL it meets).
+        self._sets: Dict[int, Union[Optional[CacheLine], List[CacheLine]]] = {}
+        # Flat residency index (line address -> line).  The sets stay
+        # authoritative for replacement; this dict makes the lookup
+        # path — the simulator's single hottest operation — one
         # dictionary probe instead of a set scan.  It is cleared in
         # place, never rebound, so the bound probe below stays valid.
         self._where: Dict[int, CacheLine] = {}
@@ -63,23 +68,21 @@ class DirectMappedCache:
         """Install ``line``; return the evicted victim, if any."""
         line_addr = line.line_addr
         index = (line_addr // self._line_bytes) % self._num_sets
-        ways = self._sets.get(index)
+        sets = self._sets
         if self._max_ways == 1:
             # Direct-mapped: the set's one slot holds the victim, if any.
             where = self._where
             where[line_addr] = line
-            if not ways:
-                self._sets[index] = [line]
-                return None
-            victim = ways[0]
-            ways[0] = line
-            if victim.line_addr == line_addr:
+            victim = sets.get(index)
+            sets[index] = line
+            if victim is None or victim.line_addr == line_addr:
                 return None
             del where[victim.line_addr]
             return victim
+        ways = sets.get(index)
         if ways is None:
             ways = []
-            self._sets[index] = ways
+            sets[index] = ways
         resident = self._where.get(line_addr)
         if resident is not None:
             ways.remove(resident)
@@ -98,33 +101,30 @@ class DirectMappedCache:
         line = self._where.pop(line_addr, None)
         if line is None:
             return None
-        self._sets[(line_addr // self._line_bytes) % self._num_sets].remove(line)
+        index = (line_addr // self._line_bytes) % self._num_sets
+        if self._max_ways == 1:
+            self._sets[index] = None
+        else:
+            self._sets[index].remove(line)
         return line
 
     def flush(self) -> List[CacheLine]:
         """Drop everything; return the dirty victims (for writeback)."""
-        dirty = [
-            line for ways in self._sets.values() for line in ways if line.dirty
-        ]
+        dirty = [line for line in self.resident_lines() if line.dirty]
         self._sets = {}
         self._where.clear()
         return dirty
 
     def resident_lines(self) -> Iterator[CacheLine]:
-        for ways in self._sets.values():
-            for line in ways:
-                yield line
-
-
-@dataclasses.dataclass(slots=True)
-class FillResult:
-    """Outcome of installing a line into the hierarchy."""
-
-    line: CacheLine
-    # Dirty line pushed out of the L2 (must be written back to its home).
-    writeback: Optional[CacheLine] = None
-    # Clean line silently dropped from the L2 (replacement hint).
-    dropped: Optional[CacheLine] = None
+        """Every resident line: sets in first-fill order, each set's
+        lines most recently used first."""
+        if self._max_ways == 1:
+            for line in self._sets.values():
+                if line is not None:
+                    yield line
+        else:
+            for ways in self._sets.values():
+                yield from ways
 
 
 class CacheHierarchy:
@@ -134,6 +134,12 @@ class CacheHierarchy:
     consistent between the two (a write marks both levels DIRTY).  The
     directory tracks presence at the processor granularity, so an
     L1-only eviction is invisible outside this class.
+
+    :class:`~repro.memsys.system.MemorySystem` installs lines itself: a
+    fill puts one :class:`CacheLine` object in both levels, which keeps
+    their state and access bits trivially coherent — a modeling
+    convenience standing in for the real write-through of tag state
+    between levels (paper §4.2).
     """
 
     def __init__(self, l1_geometry: CacheGeometry, l2_geometry: CacheGeometry) -> None:
@@ -150,33 +156,6 @@ class CacheHierarchy:
         if line is not None:
             return HitLevel.L2, line
         return HitLevel.MEMORY, None
-
-    def promote_to_l1(self, line: CacheLine) -> None:
-        """After an L2 hit, install the (shared) line object in the L1.
-
-        The same :class:`CacheLine` object lives in both levels, which
-        keeps their state and access bits trivially coherent — a
-        modeling convenience standing in for the real write-through of
-        tag state between levels (paper §4.2).
-        """
-        victim = self.l1.insert(line)
-        # Inclusive: the victim still lives in the L2 (same object), so
-        # nothing else to do even if it was dirty.
-        del victim
-
-    def fill(self, line: CacheLine) -> FillResult:
-        """Install a freshly fetched line in both levels."""
-        result = FillResult(line=line)
-        l2_victim = self.l2.insert(line)
-        if l2_victim is not None:
-            # Inclusion: purge from L1 as well.
-            self.l1.remove(l2_victim.line_addr)
-            if l2_victim.dirty:
-                result.writeback = l2_victim
-            else:
-                result.dropped = l2_victim
-        self.l1.insert(line)
-        return result
 
     def invalidate(self, line_addr: int) -> Optional[CacheLine]:
         """Remove a line at both levels; return it if it was present."""

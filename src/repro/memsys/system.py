@@ -262,7 +262,7 @@ class MemorySystem:
                 level = HitLevel.L2
                 stats.l2_hits += 1
                 base = self._lat_l2_hit
-                # promote_to_l1 inlined: inclusive, so the L1 victim
+                # Promote to the L1.  Inclusive, so the L1 victim
                 # (same object still in the L2) needs no handling.
                 hier.l1.insert(line)
         if line is not None:
@@ -455,8 +455,7 @@ class MemorySystem:
         line = CacheLine(line_addr, state)
         if hooks is not None:
             hooks.fill_line_bits(proc, line, now)
-        # CacheHierarchy.fill inlined (no FillResult on the hot path):
-        # install in both levels, purging the L2 victim from the L1 for
+        # Install in both levels, purging the L2 victim from the L1 for
         # inclusion before handling its writeback/replacement hint.
         hier = self.caches[proc]
         victim = hier.l2.insert(line)

@@ -18,7 +18,9 @@ engine).
 The JSON report mirrors the run ledger's style: per-config state and
 transition counts plus divergence details, stamped with the SHA-256
 fingerprint of its own canonical rendering
-(:func:`repro.obs.provenance.fingerprint`).
+(:func:`repro.obs.provenance.fingerprint`) less each report's
+wall-clock ``elapsed_seconds``, so two identical checks stamp the same
+fingerprint.
 """
 
 from __future__ import annotations
@@ -175,7 +177,14 @@ def main(argv: "List[str] | None" = None) -> int:
         "divergences": total_div,
         "reports": reports,
     }
-    document["fingerprint"] = fingerprint(document)
+    # Fingerprint the checks' outcome, not the host's speed: equal
+    # checks must stamp equal fingerprints.
+    document["fingerprint"] = fingerprint(
+        dict(document, reports=[
+            {k: v for k, v in r.items() if k != "elapsed_seconds"}
+            for r in reports
+        ])
+    )
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(document, fh, indent=2, sort_keys=True)

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from repro.memsys.cache import CacheHierarchy, DirectMappedCache, HitLevel
+from repro.memsys.cache import DirectMappedCache, HitLevel
 from repro.memsys.line import CacheLine
-from repro.params import CacheGeometry
-from repro.types import LineState
+from repro.params import CacheGeometry, MachineParams
+from repro.sim.machine import Machine
+from repro.types import DirState, LineState
 
 
 def line(addr, state=LineState.CLEAN):
@@ -50,57 +51,89 @@ class TestDirectMappedCache:
 
 
 class TestCacheHierarchy:
+    """The two-level install path, driven through ``MemorySystem``
+    accesses on a tiny geometry: a 2-line L1 over a 4-line L2, so line
+    2 conflicts with line 0 in the L1 only and line 4 in both levels."""
+
     def setup_method(self):
-        self.h = CacheHierarchy(CacheGeometry(128, 64), CacheGeometry(256, 64))
+        params = MachineParams(
+            num_processors=2,
+            l1=CacheGeometry(128, 64),
+            l2=CacheGeometry(256, 64),
+            page_bytes=256,
+        )
+        self.m = Machine(params, with_speculation=False)
+        self.m.space.allocate("A", 64, elem_bytes=8)
+        self.h = self.m.memsys.caches[0]
+
+    def addr(self, line_no):
+        return self.m.space.array("A").addr_of(8 * line_no)
+
+    def read(self, line_no, now=0.0):
+        return self.m.memsys.read(0, self.addr(line_no), now).hit_level
+
+    def write(self, line_no, now=0.0):
+        return self.m.memsys.write(0, self.addr(line_no), now).hit_level
+
+    def entry(self, line_no):
+        line_addr = self.addr(line_no)
+        return self.m.memsys.home_of(line_addr).peek(line_addr)
 
     def test_fill_installs_both_levels(self):
-        self.h.fill(line(0))
-        level, found = self.h.probe(0)
+        assert self.read(0) is HitLevel.MEMORY
+        level, found = self.h.probe(self.addr(0))
         assert level is HitLevel.L1 and found is not None
+        assert self.h.l2.lookup(self.addr(0)) is found
 
     def test_l2_hit_after_l1_conflict(self):
-        self.h.fill(line(0))
-        self.h.fill(line(128))  # conflicts in L1 (2 lines), not L2 (4 lines)
-        level, found = self.h.probe(0)
-        assert level is HitLevel.L2
+        self.read(0)
+        self.read(2, 500.0)  # conflicts in the L1, not in the L2
+        level, found = self.h.probe(self.addr(0))
+        assert level is HitLevel.L2 and found is not None
+        assert self.read(0, 1000.0) is HitLevel.L2
 
     def test_promote_to_l1(self):
-        self.h.fill(line(0))
-        self.h.fill(line(128))
-        _, l2line = self.h.probe(0)
-        self.h.promote_to_l1(l2line)
-        level, _ = self.h.probe(0)
+        self.read(0)
+        self.read(2, 500.0)
+        assert self.read(0, 1000.0) is HitLevel.L2
+        level, found = self.h.probe(self.addr(0))
         assert level is HitLevel.L1
+        assert self.h.l2.lookup(self.addr(0)) is found
+        assert self.read(0, 1500.0) is HitLevel.L1
 
     def test_shared_object_keeps_state_coherent(self):
-        self.h.fill(line(0))
-        _, l1line = self.h.probe(0)
-        l1line.state = LineState.DIRTY
-        assert self.h.l2.lookup(0).state is LineState.DIRTY
+        self.read(0)
+        assert self.write(0, 500.0) is HitLevel.L1  # upgrade on an L1 hit
+        assert self.h.l1.lookup(self.addr(0)).state is LineState.DIRTY
+        assert self.h.l2.lookup(self.addr(0)).state is LineState.DIRTY
 
     def test_l2_eviction_purges_l1(self):
-        self.h.fill(line(0, LineState.DIRTY))
-        result = self.h.fill(line(256))  # L2 conflict with 0
-        assert result.writeback is not None
-        assert result.writeback.line_addr == 0
-        assert self.h.probe(0)[1] is None
+        self.write(0)
+        self.read(4, 500.0)  # L2 conflict with line 0
+        assert self.m.memsys.stats.writebacks == 1
+        assert self.h.probe(self.addr(0)) == (HitLevel.MEMORY, None)
+        entry = self.entry(0)
+        assert entry.state is DirState.UNCACHED and entry.sharer_mask == 0
 
     def test_clean_eviction_reported_as_dropped(self):
-        self.h.fill(line(0, LineState.CLEAN))
-        result = self.h.fill(line(256))
-        assert result.dropped is not None and result.writeback is None
+        self.read(0)
+        self.read(4, 500.0)
+        assert self.m.memsys.stats.writebacks == 0
+        assert self.h.probe(self.addr(0)) == (HitLevel.MEMORY, None)
+        assert self.entry(0).sharer_mask == 0
 
     def test_invalidate(self):
-        self.h.fill(line(64))
-        removed = self.h.invalidate(64)
+        self.read(1)
+        removed = self.h.invalidate(self.addr(1))
         assert removed is not None
-        assert self.h.probe(64) == (HitLevel.MEMORY, None)
+        assert self.h.probe(self.addr(1)) == (HitLevel.MEMORY, None)
 
     def test_flush_returns_dirty(self):
-        self.h.fill(line(0, LineState.DIRTY))
-        self.h.fill(line(64, LineState.CLEAN))
+        self.write(0)
+        self.read(1, 500.0)
         dirty = self.h.flush()
-        assert [l.line_addr for l in dirty] == [0]
+        assert [l.line_addr for l in dirty] == [self.addr(0)]
+        assert self.h.probe(self.addr(1)) == (HitLevel.MEMORY, None)
 
 
 class TestSetAssociativity:
@@ -142,7 +175,11 @@ class TestSetAssociativity:
 
 
 class _ReferenceCache:
-    """Set-associative LRU cache as plain per-set lists (MRU first)."""
+    """Set-associative LRU cache as plain per-set lists (MRU first).
+
+    A set exists from its first insert on, in first-insert order, and
+    keeps its (possibly empty) list until a flush: the order
+    ``resident_lines`` and ``flush`` report lines in."""
 
     def __init__(self, geometry):
         self.line_bytes = geometry.line_bytes
@@ -151,7 +188,7 @@ class _ReferenceCache:
         self.sets = {}
 
     def _set(self, line_addr):
-        return self.sets.setdefault((line_addr // self.line_bytes) % self.num_sets, [])
+        return self.sets.get((line_addr // self.line_bytes) % self.num_sets, [])
 
     def lookup(self, line_addr):
         ways = self._set(line_addr)
@@ -163,7 +200,8 @@ class _ReferenceCache:
         return None
 
     def insert(self, line):
-        ways = self._set(line.line_addr)
+        index = (line.line_addr // self.line_bytes) % self.num_sets
+        ways = self.sets.setdefault(index, [])
         for old in ways:
             if old.line_addr == line.line_addr:
                 ways.remove(old)
@@ -181,12 +219,12 @@ class _ReferenceCache:
         return None
 
     def flush(self):
-        dirty = [l for ways in self.sets.values() for l in ways if l.dirty]
+        dirty = [l for l in self.resident() if l.dirty]
         self.sets = {}
         return dirty
 
     def resident(self):
-        return {l.line_addr: l for ways in self.sets.values() for l in ways}
+        return [l for ways in self.sets.values() for l in ways]
 
 
 @pytest.mark.parametrize("ways", [1, 2])
@@ -194,12 +232,16 @@ class _ReferenceCache:
 def test_cache_matches_reference_model(ways, seed):
     """Random insert/lookup/remove/flush traffic over 8 lines' worth of
     sets: the cache (direct-mapped fast path for ways=1) returns the
-    same victims, hits and dirty flush lists as the reference model."""
+    same victims, hits and dirty flush lists as the reference model,
+    and reports its resident lines in the same order (sets in
+    first-fill order, kept across a remove and a refill of the same
+    set)."""
     rng = random.Random(seed)
     geometry = CacheGeometry(8 * 64, 64, ways)
     cache = DirectMappedCache(geometry)
     ref = _ReferenceCache(geometry)
     addrs = [64 * i for i in range(32)]  # four lines per set slot
+    refills = 0
     for _ in range(2000):
         op = rng.random()
         addr = rng.choice(addrs)
@@ -210,13 +252,23 @@ def test_cache_matches_reference_model(ways, seed):
         elif op < 0.8:
             assert cache.lookup(addr) is ref.lookup(addr)
         elif op < 0.97:
-            assert cache.remove(addr) is ref.remove(addr)
+            removed = ref.remove(addr)
+            assert cache.remove(addr) is removed
+            if removed is not None and rng.random() < 0.5:
+                # Refill the emptied set with another of its lines.
+                other = line(rng.choice(addrs[addr // 64 % 8::8]), removed.state)
+                assert cache.insert(other) is ref.insert(other)
+                refills += 1
         else:
             got = cache.flush()
             want = ref.flush()
-            assert sorted(l.line_addr for l in got) == sorted(l.line_addr for l in want)
-        resident = {l.line_addr: l for l in cache.resident_lines()}
-        assert resident.keys() == ref.resident().keys()
-        assert all(resident[a] is l for a, l in ref.resident().items())
+            assert [l.line_addr for l in got] == [l.line_addr for l in want]
+            assert all(g is w for g, w in zip(got, want))
+        resident = list(cache.resident_lines())
+        expected = ref.resident()
+        assert [l.line_addr for l in resident] == [l.line_addr for l in expected]
+        assert all(r is e for r, e in zip(resident, expected))
+        held = {l.line_addr for l in resident}
         for addr in addrs:
-            assert (cache._where.get(addr) is not None) == (addr in resident)
+            assert (cache._where.get(addr) is not None) == (addr in held)
+    assert refills > 0

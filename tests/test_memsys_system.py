@@ -165,6 +165,15 @@ class TestFlush:
         assert res.hit_level is HitLevel.MEMORY
 
 
+def _install(hierarchy, line):
+    """A fetch's install into both levels: the L2 victim leaves the L1
+    too (inclusion) before the line takes its L1 slot."""
+    victim = hierarchy.l2.insert(line)
+    if victim is not None:
+        hierarchy.l1.remove(victim.line_addr)
+    hierarchy.l1.insert(line)
+
+
 def _layout(cache):
     """Resident lines of one cache level, set by set in LRU order."""
     return [(line.line_addr, line.state) for line in cache.resident_lines()]
@@ -194,7 +203,7 @@ class TestDowngradeInPlace:
         expected = copy.deepcopy(owner)
         line = expected.invalidate(line_addr)
         line.state = LineState.CLEAN
-        expected.fill(line)
+        _install(expected, line)
         writebacks = m.memsys.stats.writebacks
         m.memsys.read(1, addr(m, 0), 1000.0)
         assert m.memsys.stats.writebacks == writebacks + 1  # recalled

@@ -249,6 +249,27 @@ class TestCLI:
         assert len(doc["fingerprint"]) == 64
         assert "OK" in capsys.readouterr().out
 
+    def test_cli_fingerprint_ignores_timing(self, tmp_path, monkeypatch):
+        # A check this small can time equal twice by chance: a stub
+        # clock makes the second run report a different elapsed time.
+        import types
+        from repro.modelcheck import cli
+
+        docs = []
+        for step, name in ((1.0, "a.json"), (2.5, "b.json")):
+            ticks = iter(range(100))
+            monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+                perf_counter=lambda: step * next(ticks)
+            ))
+            out = tmp_path / name
+            assert modelcheck_main([
+                "--protocol", "nonpriv", "--procs", "2", "--elements", "1",
+                "--engine-cap", "5", "--json-out", str(out),
+            ]) == 0
+            docs.append(json.loads(out.read_text()))
+        assert [doc["reports"][0]["elapsed_seconds"] for doc in docs] == [1.0, 2.5]
+        assert docs[0]["fingerprint"] == docs[1]["fingerprint"]
+
     def test_cli_seeded_fault_fails_nonzero(self, capsys):
         rc = modelcheck_main([
             "--protocol", "priv-simple", "--procs", "2", "--elements", "2",

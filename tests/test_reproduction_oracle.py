@@ -21,17 +21,22 @@ element inside the oracle's failing set.
 
 Random and hand-written loops are held to the same HW oracle under
 dynamic self-scheduling, where the realized assignment decides the
-verdict.
+verdict, and the differential corpus's cases are held to it on unusual
+machine geometries.
 """
 
+import dataclasses
+import random
 from typing import Dict, List, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ConfigurationError
 from repro.experiments import figures, scenarios
 from repro.lrpd.analysis import serial_access_verdict
-from repro.params import MachineParams
+from repro.params import CacheGeometry, MachineParams
+from repro.testing import diffcheck
 from repro.testing.vector_oracle import failing_elements
 from repro.runtime.driver import RunConfig, run_hw
 from repro.runtime.schedule import (
@@ -325,3 +330,69 @@ def test_dynamic_hw_verdicts_match_oracle(loop, passed):
     assert hw_oracle_verdict(loop, DYNAMIC, result) == result.passed
     if passed is not None:
         assert result.passed is passed
+
+
+# ----------------------------------------------------------------------
+# Unusual machine geometries
+# ----------------------------------------------------------------------
+GEOMETRY_DRAWS = 400
+
+
+def _cache(rng):
+    """(lines, ways) of a tiny cache; one draw in ten cannot be split
+    into sets."""
+    ways = rng.choice([1, 2, 8])
+    lines = ways * rng.choice([1, 2, 4, 8])
+    return lines + (ways > 1 and rng.random() < 0.1), ways
+
+
+def test_hw_verdicts_match_oracle_on_unusual_geometries():
+    """Diffcheck's baseline cases on machines the reproduction never
+    builds: tiny L1/L2 caches of 1, 2 or 8 ways that force evictions,
+    16- to 128-byte lines, small pages, several processors per node
+    and shallow write buffers.  A draw the parameters cannot describe
+    must be rejected when they are built; every other draw's HW verdict
+    must equal the serial predicate over its realized assignment.
+    Per-line-bit and time-stamp cases are skipped, as
+    :func:`hw_oracle_verdict` requires."""
+    rng = random.Random(SEED)
+    built = rejected = failed = 0
+    for _ in range(GEOMETRY_DRAWS):
+        case = diffcheck.build_case(rng.randrange(240))
+        if case.per_line_bits or case.timestamp_bits is not None:
+            continue
+        line_bytes = rng.choice([16, 32, 64, 128])
+        l1_lines, l1_ways = _cache(rng)
+        l2_lines, l2_ways = _cache(rng)
+        page_bytes = line_bytes * rng.choice([1, 2, 4]) + (rng.random() < 0.05) * 8
+        per_node = rng.choice([1, 1, 2, 4])
+        procs = case.params.num_processors
+        valid = (
+            l1_lines % l1_ways == 0
+            and l2_lines % l2_ways == 0
+            and page_bytes % line_bytes == 0
+            and procs % per_node == 0
+        )
+        label = (case.describe(), line_bytes, l1_lines, l1_ways, l2_lines,
+                 l2_ways, page_bytes, per_node)
+        try:
+            params = dataclasses.replace(
+                case.params,
+                l1=CacheGeometry(l1_lines * line_bytes, line_bytes, l1_ways),
+                l2=CacheGeometry(l2_lines * line_bytes, line_bytes, l2_ways),
+                page_bytes=page_bytes,
+                processors_per_node=per_node,
+                write_buffer_entries=rng.choice([1, 2, 8]),
+            )
+        except ConfigurationError:
+            assert not valid, label
+            rejected += 1
+            continue
+        assert valid, label
+        config = diffcheck.case_config(case)
+        result = run_hw(case.loop, params, config)
+        assert hw_oracle_verdict(case.loop, config, result) == result.passed, label
+        built += 1
+        failed += not result.passed
+    assert built >= GEOMETRY_DRAWS // 2 and rejected > 0
+    assert 0 < failed < built
