@@ -30,6 +30,18 @@ def _require_non_negative(owner: object, *names: str) -> None:
             )
 
 
+def _require_int(owner: object, *names: str, minimum: int = 0) -> None:
+    """Reject named fields that are not ints (a bool is not one) or are
+    below ``minimum``."""
+    for name in names:
+        value = getattr(owner, name)
+        if type(value) is not int or value < minimum:
+            raise ConfigurationError(
+                f"{type(owner).__name__}.{name} must be an int >= {minimum}, "
+                f"got {value!r}"
+            )
+
+
 @dataclasses.dataclass(frozen=True)
 class CacheGeometry:
     """Geometry of one cache.
@@ -44,10 +56,7 @@ class CacheGeometry:
     ways: int = 1
 
     def __post_init__(self) -> None:
-        if self.size_bytes < 1:
-            raise ConfigurationError(f"cache size {self.size_bytes} must be >= 1")
-        if self.line_bytes < 1:
-            raise ConfigurationError(f"line size {self.line_bytes} must be >= 1")
+        _require_int(self, "size_bytes", "line_bytes", "ways", minimum=1)
         if self.size_bytes % self.line_bytes:
             raise ConfigurationError(
                 f"cache size {self.size_bytes} not a multiple of the "
@@ -55,8 +64,6 @@ class CacheGeometry:
             )
         if self.line_bytes & (self.line_bytes - 1):
             raise ConfigurationError("line size must be a power of two")
-        if self.ways < 1:
-            raise ConfigurationError("associativity must be >= 1")
         if self.num_lines % self.ways:
             raise ConfigurationError(
                 f"{self.num_lines} lines not divisible into {self.ways}-way sets"
@@ -180,6 +187,12 @@ class CostModel:
     barrier_per_proc: int = 14
     loop_iter_overhead: int = 4          # branch/induction update per iteration
 
+    def __post_init__(self) -> None:
+        # Every entry is a cycle or instruction count, and the
+        # processor-wise test's bitmap word holds at least one element.
+        _require_int(self, *(f.name for f in dataclasses.fields(self)))
+        _require_int(self, "sw_bitmap_word_elems", minimum=1)
+
 
 @dataclasses.dataclass(frozen=True)
 class MachineParams:
@@ -200,22 +213,16 @@ class MachineParams:
     write_buffer_entries: int = 8
 
     def __post_init__(self) -> None:
-        if self.num_processors < 1:
-            raise ConfigurationError("need at least one processor")
-        if self.processors_per_node < 1:
-            raise ConfigurationError("need at least one processor per node")
+        _require_int(
+            self, "num_processors", "processors_per_node", "page_bytes",
+            "write_buffer_entries", minimum=1,
+        )
         if self.num_processors % self.processors_per_node:
             raise ConfigurationError(
                 "num_processors must be a multiple of processors_per_node"
             )
         if self.l1.line_bytes != self.l2.line_bytes:
             raise ConfigurationError("L1 and L2 must share a line size")
-        if self.page_bytes < 1:
-            raise ConfigurationError(f"page size {self.page_bytes} must be >= 1")
-        if self.write_buffer_entries < 1:
-            raise ConfigurationError(
-                f"write buffer needs >= 1 entry, got {self.write_buffer_entries}"
-            )
         if self.page_bytes % self.l1.line_bytes:
             raise ConfigurationError("page size must be a multiple of line size")
 

@@ -62,6 +62,11 @@ from .schedule import (
     static_assignment,
 )
 
+#: Widest time stamp a run accepts: no simulable loop overflows a 64-bit
+#: stamp, and a wider one only makes the epoch capacity ``2**bits - 1``
+#: ever more expensive to compute.
+_MAX_TIMESTAMP_BITS = 64
+
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -113,10 +118,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         bits = self.timestamp_bits
         if bits is not None and (
-            isinstance(bits, bool) or not isinstance(bits, int) or bits < 1
+            type(bits) is not int or not 1 <= bits <= _MAX_TIMESTAMP_BITS
         ):
             raise ConfigurationError(
-                f"timestamp_bits must be None or an int >= 1, got {bits!r}"
+                f"timestamp_bits must be None or an int in "
+                f"1..{_MAX_TIMESTAMP_BITS}, got {bits!r}"
             )
 
 

@@ -50,8 +50,11 @@ class ScheduleSpec:
     virtual_mode: VirtualMode = VirtualMode.CHUNK
 
     def __post_init__(self) -> None:
-        if self.chunk_iterations < 1:
-            raise SchedulingError("chunk_iterations must be >= 1")
+        chunk = self.chunk_iterations
+        if type(chunk) is not int or chunk < 1:
+            raise SchedulingError(
+                f"chunk_iterations must be an int >= 1, got {chunk!r}"
+            )
         if (
             self.virtual_mode is VirtualMode.PROCESSOR
             and self.policy is not SchedulePolicy.STATIC_CHUNK

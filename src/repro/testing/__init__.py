@@ -2,10 +2,10 @@
 
 The residents are the kernel verdict oracle
 (:mod:`repro.testing.vector_oracle`), which evaluates the paper's FAIL
-conditions as whole-loop array reductions, and the differential
+conditions as whole-loop set computations, and the differential
 conformance harness (:mod:`repro.testing.diffcheck`), which holds the
 scalar engine's verdicts and failure elements to that oracle on
-randomized workloads.  They live in the package (not under ``tests/``)
+randomized workloads.  Neither imports numpy.  They live in the package (not under ``tests/``)
 so a failing seed can be replayed from any checkout with::
 
     python -m repro.testing.diffcheck --seed 12345

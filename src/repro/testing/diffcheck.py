@@ -2,8 +2,8 @@
 
 The hardware scheme's FAIL conditions are whole-loop predicates over
 the access trace, and :mod:`repro.testing.vector_oracle` evaluates them
-as numpy reductions — an implementation independent of the op-by-op
-protocols.  This module is the machine check that the two agree: build
+as plain-Python set computations — an implementation independent of
+the op-by-op protocols.  This module is the machine check that the two agree: build
 a seeded random case (loop shape x schedule x protocol x injected
 dependence), run it once on the scalar engine, and hold the run to the
 oracle's failing-element sets:

@@ -1,5 +1,5 @@
 """Kernel verdict oracle: the hardware scheme's FAIL conditions as
-whole-loop array reductions.
+whole-loop set computations.
 
 The paper's FAIL conditions are predicates over a loop's whole access
 trace, independent of how the accesses interleave:
@@ -15,11 +15,12 @@ trace, independent of how the accesses interleave:
 scalar engine executes (:func:`~repro.runtime.executor.loop_streams`,
 so scheduling, virtual numbering, time-stamp epochs and their
 ``SchedulingError`` cases are shared, not re-implemented), records every
-access as flat numpy rows, and evaluates one kernel per protocol.  Each
-kernel returns its protocol's failing-element set; an empty set means
-PASS.  :mod:`repro.testing.diffcheck` holds the op-by-op protocols to
-these sets: scalar FAILs exactly when some set is non-empty, and its
-FAIL element lies in the set of its array.
+access of each array under test as parallel plain-Python lists, and
+evaluates one kernel per protocol with dicts and sets.  Each kernel
+returns its protocol's failing-element set; an empty set means PASS.
+:mod:`repro.testing.diffcheck` holds the op-by-op protocols to these
+sets: scalar FAILs exactly when some set is non-empty, and its FAIL
+element lies in the set of its array.  Nothing here imports numpy.
 
 Only static schedules are decided.  A dynamically self-scheduled loop's
 iteration-to-processor map emerges from the simulated timing, which
@@ -30,10 +31,7 @@ profiler.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Set
-
-import numpy as np
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs import spans
 from ..params import MachineParams
@@ -47,26 +45,17 @@ from ..types import ProtocolKind
 #: ``MinW`` of an element no iteration writes
 _NEVER = 2**62
 
-
-@dataclasses.dataclass
-class _Extraction:
-    """Flat access record of the whole loop.
-
-    One row per shared-memory access, rows grouped by processor and in
-    program order within each processor (the order every group-wise
-    kernel requires).  ``raws`` are whole-loop virtual ordinals: with
-    time-stamp epochs, ``epoch * capacity + effective ordinal``.
-    """
-
-    procs: np.ndarray
-    aids: np.ndarray
-    elems: np.ndarray
-    writes: np.ndarray
-    raws: np.ndarray
+#: One array's accesses as parallel lists ``(procs, elems, writes,
+#: raws)``: one row per access, rows grouped by processor and in program
+#: order within each processor (the order the read-first mask requires).
+#: ``raws`` are whole-loop virtual ordinals: with time-stamp epochs,
+#: ``epoch * capacity + effective ordinal``.
+_Rows = Tuple[List[int], List[int], List[bool], List[int]]
 
 
-def _extract(loop: Loop, params: MachineParams, config) -> _Extraction:
-    """Walk the real per-processor op streams and record every access."""
+def _extract(loop: Loop, params: MachineParams, config) -> Dict[str, _Rows]:
+    """Walk the real per-processor op streams and record every access
+    to an array under test, grouped by array."""
     num = params.num_processors
     streams = loop_streams(
         loop, config.schedule, num, params.cost,
@@ -74,43 +63,30 @@ def _extract(loop: Loop, params: MachineParams, config) -> _Extraction:
     )
     bits = config.timestamp_bits
     capacity = 2 ** bits - 1 if bits is not None else 0
-    aid_of = {spec.name: i for i, spec in enumerate(loop.arrays)}
-
-    procs: List[int] = []
-    aids: List[int] = []
-    elems: List[int] = []
-    writes: List[bool] = []
-    raws: List[int] = []
+    rows: Dict[str, _Rows] = {
+        spec.name: ([], [], [], []) for spec in loop.arrays_under_test()
+    }
     for proc in range(num):
         epoch = raw = 0
         for op in streams[proc]:
             cls = type(op)
             if cls is AccessOp:
-                procs.append(proc)
-                aids.append(aid_of[op.array])
-                elems.append(op.index)
-                writes.append(not op.is_read)
-                raws.append(raw)
+                group = rows.get(op.array)
+                if group is not None:
+                    procs, elems, writes, raws = group
+                    procs.append(proc)
+                    elems.append(op.index)
+                    writes.append(not op.is_read)
+                    raws.append(raw)
             elif cls is IterBeginOp:
                 raw = epoch * capacity + op.virtual
             elif cls is EpochSyncOp:
                 epoch = op.epoch
-    return _Extraction(
-        procs=np.asarray(procs, dtype=np.int64),
-        aids=np.asarray(aids, dtype=np.int64),
-        elems=np.asarray(elems, dtype=np.int64),
-        writes=np.asarray(writes, dtype=bool),
-        raws=np.asarray(raws, dtype=np.int64),
-    )
+    return rows
 
 
-# ----------------------------------------------------------------------
-# Group-wise reductions
-# ----------------------------------------------------------------------
-def read_first_rows(
-    procs: np.ndarray, virts: np.ndarray, elems: np.ndarray, writes: np.ndarray
-) -> np.ndarray:
-    """Boolean mask of the rows that are *read-first* events.
+def _read_first_rows(procs, virts, elems, writes) -> List[bool]:
+    """Mask of the rows that are *read-first* events.
 
     A row is a read-first when it is the first access of its
     ``(processor, virtual iteration, element)`` group — the condition
@@ -120,59 +96,17 @@ def read_first_rows(
     order; groups never span processors, so concatenation order across
     processors does not matter.
     """
-    n = len(procs)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    order = np.lexsort((np.arange(n), virts, elems, procs))
-    p, v, e = procs[order], virts[order], elems[order]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    first[1:] = (p[1:] != p[:-1]) | (v[1:] != v[:-1]) | (e[1:] != e[:-1])
-    mask = np.zeros(n, dtype=bool)
-    mask[order[first]] = True
-    return mask & ~writes
-
-
-def scatter_max(values: np.ndarray, index: np.ndarray, length: int,
-                fill: int = 0) -> np.ndarray:
-    """Per-element maximum of ``values`` grouped by ``index``."""
-    out = np.full(length, fill, dtype=np.int64)
-    np.maximum.at(out, index, values)
-    return out
-
-
-def scatter_min(values: np.ndarray, index: np.ndarray, length: int,
-                fill: int) -> np.ndarray:
-    """Per-element minimum of ``values`` grouped by ``index``."""
-    out = np.full(length, fill, dtype=np.int64)
-    np.minimum.at(out, index, values)
-    return out
-
-
-def scatter_or(index: np.ndarray, length: int) -> np.ndarray:
-    """Boolean mask of the elements that appear in ``index``."""
-    out = np.zeros(length, dtype=bool)
-    out[index] = True
-    return out
-
-
-def distinct_procs(procs: np.ndarray, elems: np.ndarray,
-                   length: int) -> np.ndarray:
-    """Number of distinct processors touching each element."""
-    out = np.zeros(length, dtype=np.int64)
-    if len(procs) == 0:
-        return out
-    pairs = np.unique(elems.astype(np.int64) * 2**32 + procs)
-    np.add.at(out, (pairs >> 32).astype(np.intp), 1)
-    return out
-
-
-def _as_set(mask: np.ndarray) -> Set[int]:
-    return set(np.nonzero(mask)[0].tolist())
+    seen = set()
+    mask: List[bool] = []
+    for key, write in zip(zip(procs, virts, elems), writes):
+        mask.append(key not in seen and not write)
+        seen.add(key)
+    return mask
 
 
 # ----------------------------------------------------------------------
-# One kernel per protocol
+# One kernel per protocol.  ``length`` is the array's element (or line)
+# count; ``Loop._validate`` already keeps every index below it.
 # ----------------------------------------------------------------------
 def nonpriv_failing(procs, elems, writes, length: int) -> Set[int]:
     """§3.2: elements neither read-only nor accessed by a single
@@ -181,8 +115,12 @@ def nonpriv_failing(procs, elems, writes, length: int) -> Set[int]:
     of the Fig 6/7 paths the interleaving takes (tag check, directory
     check, First_update race or writeback merge at the loop-end
     commit)."""
-    written = scatter_or(elems[writes], length)
-    return _as_set((distinct_procs(procs, elems, length) >= 2) & written)
+    owner: Dict[int, int] = {}
+    shared: Set[int] = set()
+    for proc, elem in zip(procs, elems):
+        if owner.setdefault(elem, proc) != proc:
+            shared.add(elem)
+    return shared & {elem for elem, w in zip(elems, writes) if w}
 
 
 def priv_failing(rf_rows, virts, elems, writes, length: int) -> Set[int]:
@@ -196,16 +134,25 @@ def priv_failing(rf_rows, virts, elems, writes, length: int) -> Set[int]:
     read-first in a later epoch than any write has a strictly greater
     ordinal — exactly the ``written_past`` FAIL.
     """
-    max_r1st = scatter_max(virts[rf_rows], elems[rf_rows], length)
-    min_w = scatter_min(virts[writes], elems[writes], length, fill=_NEVER)
-    return _as_set(max_r1st > min_w)
+    max_r1st: Dict[int, int] = {}
+    min_w: Dict[int, int] = {}
+    for rf, virt, elem, w in zip(rf_rows, virts, elems, writes):
+        if rf and virt > max_r1st.get(elem, 0):
+            max_r1st[elem] = virt
+        if w and virt < min_w.get(elem, _NEVER):
+            min_w[elem] = virt
+    return {
+        elem for elem, virt in max_r1st.items()
+        if virt > min_w.get(elem, _NEVER)
+    }
 
 
 def priv_simple_failing(rf_rows, elems, writes, length: int) -> Set[int]:
     """§4.1 reduced state: elements with both a read-first event and a
     write anywhere in the loop."""
-    return _as_set(
-        scatter_or(elems[rf_rows], length) & scatter_or(elems[writes], length)
+    return (
+        {elem for elem, rf in zip(elems, rf_rows) if rf}
+        & {elem for elem, w in zip(elems, writes) if w}
     )
 
 
@@ -224,24 +171,19 @@ def failing_elements(
         if prof is not None:
             prof.count("vector.delegations")
         return None
-    ext = _extract(loop, params, config)
-    aid_of = {spec.name: i for i, spec in enumerate(loop.arrays)}
+    rows = _extract(loop, params, config)
     out: Dict[str, Set[int]] = {}
     for spec in loop.arrays_under_test():
-        rows = ext.aids == aid_of[spec.name]
-        procs = ext.procs[rows]
-        elems = ext.elems[rows]
-        writes = ext.writes[rows]
+        procs, elems, writes, raws = rows[spec.name]
         if spec.protocol is ProtocolKind.NONPRIV:
             length = spec.length
             if config.per_line_bits:
                 epl = params.elems_per_line(spec.elem_bytes)
-                elems = elems // epl
+                elems = [elem // epl for elem in elems]
                 length = -(-length // epl)
             out[spec.name] = nonpriv_failing(procs, elems, writes, length)
             continue
-        raws = ext.raws[rows]
-        rf = read_first_rows(procs, raws, elems, writes)
+        rf = _read_first_rows(procs, raws, elems, writes)
         if spec.protocol is ProtocolKind.PRIV:
             out[spec.name] = priv_failing(rf, raws, elems, writes, spec.length)
         else:

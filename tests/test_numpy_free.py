@@ -2,10 +2,12 @@
 
 The simulator keeps its per-element protocol state in plain Python
 (list-backed access-bit tables, dict-backed LRPD shadows), so the
-experiments CLI and every run the figures make stay numpy-free; numpy
-is only needed by the value-level semantics, the kernel oracle and
-diffcheck.  Each test runs in a fresh interpreter, since this test
-session has numpy loaded already.
+experiments CLI and every run the figures make stay numpy-free.  The
+kernel oracle computes its failing-element sets with plain dicts and
+sets, so diffcheck, its CLI and its pool tasks are numpy-free too.
+numpy is needed only by the value-level semantics (``repro.semantics``)
+and ``workloads/concrete.py``.  Each test runs in a fresh interpreter,
+since this test session has numpy loaded already.
 """
 
 import os
@@ -96,3 +98,40 @@ def test_seeded_pool_task_leaves_numpy_unimported():
         """
     )
     assert out.strip() == "False"
+
+
+def test_diffcheck_sweep_and_kernel_oracle_never_import_numpy():
+    out = _run_clean(
+        """
+        import sys
+
+        from repro.runtime.schedule import SchedulePolicy
+        from repro.testing import diffcheck, vector_oracle
+        from repro.types import ProtocolKind
+
+        # Seed -> (protocol, static, timestamp_bits set, per_line_bits):
+        # NONPRIV with and without per-line bits, PRIV with time-stamp
+        # epochs, PRIV_SIMPLE and a dynamic schedule the oracle declines.
+        cover = {
+            1: (ProtocolKind.NONPRIV, True, False, False),
+            49: (ProtocolKind.NONPRIV, True, True, True),
+            0: (ProtocolKind.PRIV, True, True, False),
+            5: (ProtocolKind.PRIV_SIMPLE, True, False, False),
+            2: (ProtocolKind.PRIV, False, False, False),
+        }
+        for seed, want in cover.items():
+            case = diffcheck.build_case(seed)
+            static = case.schedule.policy is not SchedulePolicy.DYNAMIC
+            got = (case.protocol, static, case.timestamp_bits is not None,
+                   case.per_line_bits)
+            assert got == want, (seed, got)
+            failing = vector_oracle.failing_elements(
+                case.loop, case.params, diffcheck.case_config(case)
+            )
+            assert (failing is not None) is static, (seed, failing)
+            assert diffcheck.seed_verdict(seed)["conforms"], seed
+        assert diffcheck.main(["--count", "8", "--jobs", "1"]) == 0
+        print("numpy" in sys.modules)
+        """
+    )
+    assert out.strip().splitlines()[-1] == "False"

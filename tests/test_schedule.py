@@ -93,6 +93,13 @@ class TestScheduleSpec:
         with pytest.raises(SchedulingError):
             ScheduleSpec(SchedulePolicy.DYNAMIC, 0)
 
+    @pytest.mark.parametrize("chunk", [2.0, True])
+    def test_chunk_must_be_an_int(self, chunk):
+        # A float chunk once built and then raised TypeError inside a
+        # dynamic run.
+        with pytest.raises(SchedulingError):
+            ScheduleSpec(SchedulePolicy.DYNAMIC, chunk)
+
     def test_plan_static_block_cyclic_round_robin(self):
         spec = ScheduleSpec(SchedulePolicy.BLOCK_CYCLIC, 2, VirtualMode.CHUNK)
         per_proc = plan_static(spec, 12, 3)
