@@ -32,13 +32,14 @@ class ProtocolError(ReproError):
     """
 
 
-class SchedulingError(ReproError):
+class SchedulingError(ConfigurationError):
     """An iteration schedule violated a protocol's scheduling constraint.
 
     For example, the non-privatization protocol requires each processor to
     execute its iterations in increasing order (paper §4.1), and the
     processor-wise software test requires static chunks of contiguous
-    iterations (paper §2.2.3).
+    iterations (paper §2.2.3).  An impossible schedule is a configuration
+    error, raised when the ``ScheduleSpec`` or ``RunConfig`` is built.
     """
 
 

@@ -30,89 +30,83 @@ class DirectMappedCache:
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
-        # Geometry-derived constants, hoisted out of the per-access path
-        # (the dataclass properties recompute on every call).
-        self._line_bytes = geometry.line_bytes
-        self._num_sets = geometry.num_sets
         self._max_ways = geometry.ways
-        # Sets are allocated lazily: large caches are mostly empty in
-        # short simulations, and a fresh machine is built per run.  The
-        # dict keeps the sets in the order they were first filled; an
+        # Bytes one way spans (sets x line size).  A line's set is keyed
+        # by its address modulo the span -- set index x line size, so no
+        # division -- and ``MemorySystem`` probes the L1 and L2 sets
+        # inline with the same key.
+        self._span = geometry.size_bytes // geometry.ways
+        # The only residency structure: set key -> line (``None`` once
+        # emptied), or -> LRU list of lines when ways > 1.  A lookup
+        # probes the line's set and compares the tag.  Sets are
+        # allocated lazily: large caches are mostly empty in short
+        # simulations, and a fresh machine is built per run.  The dict
+        # keeps the sets in the order they were first filled; an
         # emptied set keeps its key, so that order survives ``remove``
         # (``SpeculationEngine.commit`` walks ``resident_lines`` and
         # reports the first FAIL it meets).
         self._sets: Dict[int, Union[Optional[CacheLine], List[CacheLine]]] = {}
-        # Flat residency index (line address -> line).  The sets stay
-        # authoritative for replacement; this dict makes the lookup
-        # path — the simulator's single hottest operation — one
-        # dictionary probe instead of a set scan.  It is cleared in
-        # place, never rebound, so the bound probe below stays valid.
-        self._where: Dict[int, CacheLine] = {}
-        if self._max_ways == 1:
-            # Direct-mapped (the paper's geometry): no LRU order to bump,
-            # so a lookup is the bare residency probe.
-            self.lookup = self._where.get  # type: ignore[method-assign]
 
     def lookup(self, line_addr: int) -> Optional[CacheLine]:
-        line = self._where.get(line_addr)
-        if line is not None:
-            # LRU bump (set-associative geometries only: a direct-mapped
-            # cache replaces this method with the bare probe).
-            ways = self._sets[(line_addr // self._line_bytes) % self._num_sets]
-            if ways[0] is not line:
-                ways.remove(line)
-                ways.insert(0, line)
-        return line
+        slot = self._sets.get(line_addr % self._span)
+        if self._max_ways == 1:
+            if slot is not None and slot.line_addr == line_addr:
+                return slot
+            return None
+        if slot:
+            for i, line in enumerate(slot):
+                if line.line_addr == line_addr:
+                    if i:  # LRU bump
+                        del slot[i]
+                        slot.insert(0, line)
+                    return line
+        return None
 
     def insert(self, line: CacheLine) -> Optional[CacheLine]:
         """Install ``line``; return the evicted victim, if any."""
         line_addr = line.line_addr
-        index = (line_addr // self._line_bytes) % self._num_sets
+        key = line_addr % self._span
         sets = self._sets
         if self._max_ways == 1:
             # Direct-mapped: the set's one slot holds the victim, if any.
-            where = self._where
-            where[line_addr] = line
-            victim = sets.get(index)
-            sets[index] = line
+            victim = sets.get(key)
+            sets[key] = line
             if victim is None or victim.line_addr == line_addr:
                 return None
-            del where[victim.line_addr]
             return victim
-        ways = sets.get(index)
+        ways = sets.get(key)
         if ways is None:
-            ways = []
-            sets[index] = ways
-        resident = self._where.get(line_addr)
-        if resident is not None:
-            ways.remove(resident)
-            ways.insert(0, line)
-            self._where[line_addr] = line
-            return None
+            ways = sets[key] = []
+        for i, resident in enumerate(ways):
+            if resident.line_addr == line_addr:
+                del ways[i]
+                ways.insert(0, line)
+                return None
         ways.insert(0, line)
-        self._where[line_addr] = line
         if len(ways) > self._max_ways:
-            victim = ways.pop()  # LRU victim
-            del self._where[victim.line_addr]
-            return victim
+            return ways.pop()  # LRU victim
         return None
 
     def remove(self, line_addr: int) -> Optional[CacheLine]:
-        line = self._where.pop(line_addr, None)
-        if line is None:
-            return None
-        index = (line_addr // self._line_bytes) % self._num_sets
+        key = line_addr % self._span
+        sets = self._sets
+        slot = sets.get(key)
         if self._max_ways == 1:
-            self._sets[index] = None
-        else:
-            self._sets[index].remove(line)
-        return line
+            if slot is None or slot.line_addr != line_addr:
+                return None
+            sets[key] = None
+            return slot
+        if slot:
+            for i, line in enumerate(slot):
+                if line.line_addr == line_addr:
+                    del slot[i]
+                    return line
+        return None
 
     def flush(self) -> List[CacheLine]:
         """Drop everything; return the dirty victims (for writeback)."""
         dirty = [line for line in self.resident_lines() if line.dirty]
-        self._sets = {}
-        self._where.clear()
+        self._sets.clear()
         return dirty
 
     def resident_lines(self) -> Iterator[CacheLine]:

@@ -200,6 +200,15 @@ class MemorySystem:
             params.node_of_processor(p) for p in range(params.num_processors)
         ]
         self._line_bytes = address_space.line_bytes
+        # The paper's direct-mapped L1 and L2 hold one line per set, so
+        # the per-access paths probe the sets inline (the set keyed as
+        # ``DirectMappedCache`` keys it, then a tag compare); a
+        # set-associative geometry calls ``lookup``, which keeps each
+        # set's LRU order.
+        l1, l2 = self.caches[0].l1, self.caches[0].l2
+        self._direct = l1._max_ways == 1 and l2._max_ways == 1
+        self._l1_span = l1._span
+        self._l2_span = l2._span
         lat = params.latency
         self._lat_l1_hit = lat.l1_hit
         self._lat_l2_hit = lat.l2_hit
@@ -251,13 +260,24 @@ class MemorySystem:
             wb_stall = 0.0
 
         hier = self.caches[proc]
-        line = hier.l1.lookup(line_addr)
+        direct = self._direct
+        if direct:
+            line = hier.l1._sets.get(line_addr % self._l1_span)
+            if line is not None and line.line_addr != line_addr:
+                line = None
+        else:
+            line = hier.l1.lookup(line_addr)
         if line is not None:
             level = HitLevel.L1
             stats.l1_hits += 1
             base = self._lat_l1_hit
         else:
-            line = hier.l2.lookup(line_addr)
+            if direct:
+                line = hier.l2._sets.get(line_addr % self._l2_span)
+                if line is not None and line.line_addr != line_addr:
+                    line = None
+            else:
+                line = hier.l2.lookup(line_addr)
             if line is not None:
                 level = HitLevel.L2
                 stats.l2_hits += 1
@@ -290,11 +310,22 @@ class MemorySystem:
         line_addr = addr - (addr % self._line_bytes)
 
         hier = self.caches[proc]
-        line = hier.l1.lookup(line_addr)
+        direct = self._direct
+        if direct:
+            line = hier.l1._sets.get(line_addr % self._l1_span)
+            if line is not None and line.line_addr != line_addr:
+                line = None
+        else:
+            line = hier.l1.lookup(line_addr)
         if line is not None:
             level = HitLevel.L1
         else:
-            line = hier.l2.lookup(line_addr)
+            if direct:
+                line = hier.l2._sets.get(line_addr % self._l2_span)
+                if line is not None and line.line_addr != line_addr:
+                    line = None
+            else:
+                line = hier.l2.lookup(line_addr)
             level = HitLevel.L2
         if line is not None and line.state is LineState.DIRTY:
             # Write hit on an exclusive line: purely local (Fig 6-(c)

@@ -13,162 +13,61 @@ Quick start::
 
 See ``docs/observability.md`` for the event taxonomy and exporter
 details.
+
+The package re-exports its submodules' public names lazily (PEP 562):
+``from repro.obs import RunLedger`` imports ``repro.obs.ledger`` on
+first use, so a run that never records, monitors or exports loads none
+of that code.
 """
 
-from .bus import BoundedLog, EventBus, EventRecorder
-from .events import (
-    AbortEvent,
-    AccessEvent,
-    BarrierWaitEvent,
-    DirTransitionEvent,
-    EpochSyncEvent,
-    Event,
-    FailureEvent,
-    LedgerHitEvent,
-    LedgerWriteEvent,
-    PhaseBeginEvent,
-    PhaseEndEvent,
-    PoolEndEvent,
-    PoolStartEvent,
-    PoolTaskEvent,
-    PoolWorkerFailureEvent,
-    ProtocolMessageEvent,
-    QuiesceEvent,
-    RestoreEvent,
-    RunEndEvent,
-    RunStartEvent,
-    SpeculationArmEvent,
-)
-from .export import (
-    chrome_trace,
-    event_to_dict,
-    merged_chrome_trace,
-    phase_report,
-    span_trace_events,
-    write_chrome_trace,
-    write_jsonl,
-    write_merged_chrome_trace,
-)
-from .forensics import ForensicReport, MinimizedReproducer, build_report, element_trace
-from .ledger import LEDGER_DIR, RunLedger, as_ledger, ledger_key
-from .metrics import Counter, Histogram, MetricsCollector, MetricsRegistry
-from .monitor import (
-    CoherenceMonitor,
-    InvariantViolation,
-    Monitor,
-    MonitorSuite,
-    NonPrivMonitor,
-    PrivMonitor,
-    PrivSimpleMonitor,
-)
-from .provenance import RunProvenance, canonical_json, fingerprint, run_provenance
-from .spans import ProfileSession, SpanProfiler, WorkerCapture
+import importlib
 
-__all__ = [
-    "Telemetry",
-    "EventBus",
-    "BoundedLog",
-    "EventRecorder",
-    "Event",
-    "AccessEvent",
-    "DirTransitionEvent",
-    "ProtocolMessageEvent",
-    "SpeculationArmEvent",
-    "FailureEvent",
-    "BarrierWaitEvent",
-    "EpochSyncEvent",
-    "QuiesceEvent",
-    "RunStartEvent",
-    "RunEndEvent",
-    "PhaseBeginEvent",
-    "PhaseEndEvent",
-    "AbortEvent",
-    "RestoreEvent",
-    "PoolStartEvent",
-    "PoolTaskEvent",
-    "PoolWorkerFailureEvent",
-    "PoolEndEvent",
-    "LedgerWriteEvent",
-    "LedgerHitEvent",
-    "RunLedger",
-    "LEDGER_DIR",
-    "as_ledger",
-    "ledger_key",
-    "InvariantViolation",
-    "Monitor",
-    "MonitorSuite",
-    "NonPrivMonitor",
-    "PrivMonitor",
-    "PrivSimpleMonitor",
-    "CoherenceMonitor",
-    "ForensicReport",
-    "MinimizedReproducer",
-    "build_report",
-    "element_trace",
-    "Counter",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsCollector",
-    "RunProvenance",
-    "canonical_json",
-    "fingerprint",
-    "run_provenance",
-    "chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "event_to_dict",
-    "phase_report",
-    "span_trace_events",
-    "merged_chrome_trace",
-    "write_merged_chrome_trace",
-    "SpanProfiler",
-    "WorkerCapture",
-    "ProfileSession",
-]
+#: defining submodule -> the public names it contributes
+_SUBMODULE_NAMES = {
+    "telemetry": ("Telemetry",),
+    "bus": ("EventBus", "BoundedLog", "EventRecorder"),
+    "events": (
+        "Event", "AccessEvent", "DirTransitionEvent", "ProtocolMessageEvent",
+        "SpeculationArmEvent", "FailureEvent", "BarrierWaitEvent",
+        "EpochSyncEvent", "QuiesceEvent", "RunStartEvent", "RunEndEvent",
+        "PhaseBeginEvent", "PhaseEndEvent", "AbortEvent", "RestoreEvent",
+        "PoolStartEvent", "PoolTaskEvent", "PoolWorkerFailureEvent",
+        "PoolEndEvent", "LedgerWriteEvent", "LedgerHitEvent",
+    ),
+    "ledger": ("RunLedger", "LEDGER_DIR", "as_ledger", "ledger_key"),
+    "monitor": (
+        "InvariantViolation", "Monitor", "MonitorSuite", "NonPrivMonitor",
+        "PrivMonitor", "PrivSimpleMonitor", "CoherenceMonitor",
+    ),
+    "forensics": (
+        "ForensicReport", "MinimizedReproducer", "build_report", "element_trace",
+    ),
+    "metrics": ("Counter", "Histogram", "MetricsRegistry", "MetricsCollector"),
+    "provenance": (
+        "RunProvenance", "canonical_json", "fingerprint", "run_provenance",
+    ),
+    "export": (
+        "chrome_trace", "write_chrome_trace", "write_jsonl", "event_to_dict",
+        "phase_report", "span_trace_events", "merged_chrome_trace",
+        "write_merged_chrome_trace",
+    ),
+    "spans": ("SpanProfiler", "WorkerCapture", "ProfileSession"),
+}
+_EXPORTS = {
+    name: module for module, names in _SUBMODULE_NAMES.items() for name in names
+}
+
+__all__ = list(_EXPORTS)
 
 
-class Telemetry:
-    """One-stop telemetry bundle: bus + full event recording + metrics.
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
 
-    Pass an instance as ``RunConfig(telemetry=...)`` (or call
-    :meth:`attach` on a machine directly); afterwards :attr:`events`
-    holds the recorded stream, :attr:`registry` the aggregated metrics,
-    and the exporter helpers write files straight from them.
-    """
 
-    def __init__(self, capacity: int = 1_000_000) -> None:
-        self.bus = EventBus()
-        self.events = EventRecorder(capacity=capacity).subscribe(self.bus)
-        self.collector = MetricsCollector()
-        self.collector.subscribe(self.bus)
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self.collector.registry
-
-    # ------------------------------------------------------------------
-    def attach(self, machine) -> "Telemetry":
-        """Wire the bus into a machine; the duck-typed interface
-        ``RunConfig.telemetry`` expects.  Picks up the machine's address
-        space so metrics resolve addresses to array names."""
-        machine.attach_bus(self.bus)
-        if getattr(machine, "space", None) is not None:
-            self.collector.space = machine.space
-        return self
-
-    # ------------------------------------------------------------------
-    def metrics_snapshot(self) -> dict:
-        return self.registry.as_dict()
-
-    def write_chrome_trace(self, path: str, metadata: dict = None) -> int:
-        return write_chrome_trace(self.events, path, metadata=metadata)
-
-    def write_jsonl(self, path: str, include_hits: bool = False) -> int:
-        return write_jsonl(self.events, path, include_hits=include_hits)
-
-    def phase_report(self) -> str:
-        return phase_report(self.events)
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.registry.clear()
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -269,6 +269,11 @@ class RunLedger:
         if key is None:
             key = ledger_key(result.scenario, loop, params, config,
                              provenance=getattr(result, "provenance", None))
+        # Records are content-addressed and never rewritten, so one that
+        # exists already is a dedupe: skip serializing the result and
+        # taking the lock.  ``_write`` checks again under the lock.
+        if os.path.exists(self.record_path(key)):
+            return key, True
         doc = {
             "result": run_result_to_dict(result),
             "host_wall_s": (

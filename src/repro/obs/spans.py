@@ -28,11 +28,16 @@ import os
 import resource
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from .bus import EventBus, EventRecorder
-from .export import chrome_trace
-from .metrics import MetricsCollector, MetricsRegistry
+
+if TYPE_CHECKING:
+    from .metrics import MetricsRegistry
+
+# ``export`` and ``metrics`` are imported inside the functions that use
+# them: every run imports this module for its null-path hooks, and most
+# never build a capture or a merged report.
 
 __all__ = [
     "SpanProfiler",
@@ -216,6 +221,8 @@ class WorkerCapture:
     EVENT_CAPACITY = 2048
 
     def __init__(self, label: str = "") -> None:
+        from .metrics import MetricsCollector
+
         self.label = label
         self.profiler = SpanProfiler(track=f"task:{label}" if label else "task")
         self.bus = EventBus()
@@ -250,6 +257,8 @@ class WorkerCapture:
         self.collector.space = machine.space
 
     def snapshot(self) -> Dict[str, Any]:
+        from .export import chrome_trace
+
         trace_events = [
             ev
             for ev in chrome_trace(self.recorder)["traceEvents"]
@@ -349,6 +358,8 @@ class ProfileSession:
         )
 
     def merged_metrics(self) -> MetricsRegistry:
+        from .metrics import MetricsRegistry
+
         merged = MetricsRegistry()
         for t in self.tasks:
             snap = t["capture"].get("metrics")

@@ -15,7 +15,7 @@ import math
 import time
 from typing import Callable, Dict, Iterator, List, Optional
 
-from ..errors import ConfigurationError, SpeculationFailure
+from ..errors import ConfigurationError, SchedulingError, SpeculationFailure
 from ..lrpd.analysis import LRPDOutcome, analyze
 from ..lrpd.shadow import LRPDState
 from ..memsys.system import MemStats
@@ -123,6 +123,19 @@ class RunConfig:
             raise ConfigurationError(
                 f"timestamp_bits must be None or an int in "
                 f"1..{_MAX_TIMESTAMP_BITS}, got {bits!r}"
+            )
+        schedule = self.schedule
+        if bits is not None and (
+            schedule.policy is SchedulePolicy.DYNAMIC
+            or schedule.virtual_mode is not VirtualMode.CHUNK
+        ):
+            # Epochs partition a static plan of chunk-numbered blocks
+            # (§3.3): HW cannot run this config, and no other scenario
+            # reads the stamps.
+            raise SchedulingError(
+                "timestamp_bits needs a static schedule with chunk "
+                f"numbering, got {schedule.policy.value}/"
+                f"{schedule.virtual_mode.value}"
             )
 
 
@@ -857,22 +870,28 @@ def run_sw(
     breakdown.add(_run_phase(machine, "loop", streams, phases))
     assignment = _realized_assignment(queue, config.schedule, loop, num)
 
-    # Phase 3: merging + analysis.
-    merge: Dict[int, Iterator[object]] = {}
-    for proc in range(num):
-        pieces = []
-        for spec in under_test:
-            slen = shadow_len(spec.length)
-            epl = params.elems_per_line(shadow_elem_bytes)
-            lo, hi = segment_of(slen, proc, num)
-            privates = [
+    # Phase 3: merging + analysis.  Every processor reads the same
+    # shadow names, so each array's lists are built once, not per
+    # processor (P x kinds names each).
+    merge_names = [
+        (
+            spec,
+            [
                 shadow_name(spec.name, kind, p)
                 for p in range(num)
                 for kind in shadow_kinds
-            ]
-            globals_ = [
-                global_shadow_name(spec.name, kind) for kind in shadow_kinds
-            ]
+            ],
+            [global_shadow_name(spec.name, kind) for kind in shadow_kinds],
+        )
+        for spec in under_test
+    ]
+    merge: Dict[int, Iterator[object]] = {}
+    for proc in range(num):
+        pieces = []
+        for spec, privates, globals_ in merge_names:
+            slen = shadow_len(spec.length)
+            epl = params.elems_per_line(shadow_elem_bytes)
+            lo, hi = segment_of(slen, proc, num)
             pieces.append(
                 merge_analysis_ops(
                     privates, globals_, lo, hi, epl, cost.sw_analysis_per_element

@@ -50,6 +50,14 @@ class ScheduleSpec:
     virtual_mode: VirtualMode = VirtualMode.CHUNK
 
     def __post_init__(self) -> None:
+        if not isinstance(self.policy, SchedulePolicy):
+            raise SchedulingError(
+                f"policy must be a SchedulePolicy, got {self.policy!r}"
+            )
+        if not isinstance(self.virtual_mode, VirtualMode):
+            raise SchedulingError(
+                f"virtual_mode must be a VirtualMode, got {self.virtual_mode!r}"
+            )
         chunk = self.chunk_iterations
         if type(chunk) is not int or chunk < 1:
             raise SchedulingError(

@@ -38,14 +38,10 @@ the serial sweep's and each failure still carries its one-line repro.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-
-from ..experiments.pool import PoolTask, run_tasks
 
 from ..params import (
     ContentionModel,
@@ -460,6 +456,11 @@ def run_seeds(
     identical to a serial sweep of the same seeds.  ``profile`` (a
     ``repro.obs.spans.ProfileSession``) enables per-task profiling
     capture without changing any verdict."""
+    # Imported here, not at module level: the pool pulls in
+    # multiprocessing, concurrent.futures, logging and socket, which a
+    # caller of ``seed_verdict`` alone never needs.
+    from ..experiments.pool import PoolTask, run_tasks
+
     tasks = [
         PoolTask(seed_verdict, (seed, "vector", variant), label=f"seed:{seed}")
         for seed in seeds
@@ -472,6 +473,8 @@ def run_seeds(
 # CLI
 # ----------------------------------------------------------------------
 def main(argv: Optional[List[str]] = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.testing.diffcheck",
         description="Replay differential conformance cases "

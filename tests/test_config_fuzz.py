@@ -8,8 +8,10 @@ cycles, not a ``TypeError`` from a float where a count belongs.
 
 Each draw perturbs one to three fields of ``CostModel``,
 ``ContentionModel``, ``LatencyTable``, ``MachineParams`` (its own
-fields and both ``CacheGeometry``s) and ``RunConfig`` with 0, a
-negative, a bool, a float, a small valid int or a huge value.
+fields and both ``CacheGeometry``s), ``RunConfig`` and its
+``ScheduleSpec`` with 0, a negative, a bool, a float, a small valid int
+or a huge value; a schedule's policy and numbering with every member of
+their enums or a stray string or ``None``.
 """
 
 import dataclasses
@@ -88,10 +90,15 @@ FIELDS = (
         for name in ("timestamp_bits", "per_line_bits", "sparse_backup",
                      "sw_read_in")
     ]
+    + [("schedule", f.name) for f in dataclasses.fields(ScheduleSpec)]
 )
 
 
 def _values(field):
+    if field == "policy":
+        return (*SchedulePolicy, "dynamic", None)
+    if field == "virtual_mode":
+        return (*VirtualMode, "chunk", None)
     # The machine holds state per processor, so its "huge" processor
     # count is one that still builds in well under a second.
     huge = 64 if field == "num_processors" else HUGE
@@ -99,32 +106,41 @@ def _values(field):
 
 
 def _build(changes):
-    """The machine and the chunk- and processor-numbered run configs of
-    a draw; raises ``ConfigurationError`` on an impossible one."""
+    """The machine, the Serial/Ideal/HW run config and the SW run config
+    of a draw; raises ``ConfigurationError`` on an impossible one.
+
+    A drawn schedule replaces fields of ``CHUNK`` and is run by all four
+    scenarios; without one, SW runs ``PROCESSOR``.  SW never reads time
+    stamps, so its config leaves ``timestamp_bits`` out."""
     machine = {}
     nested = {}
     config = {}
+    schedule = {}
     for (owner, field), value in changes.items():
         if owner == "machine":
             machine[field] = value
         elif owner == "config":
             config[field] = value
+        elif owner == "schedule":
+            schedule[field] = value
         else:
             nested.setdefault(owner, {})[field] = value
     for owner, fields in nested.items():
         machine[owner] = dataclasses.replace(getattr(BASE, owner), **fields)
+    drawn = dataclasses.replace(CHUNK, **schedule)
+    sw_config = {k: v for k, v in config.items() if k != "timestamp_bits"}
     return (
         dataclasses.replace(BASE, **machine),
-        RunConfig(schedule=CHUNK, **config),
-        RunConfig(schedule=PROCESSOR, **config),
+        RunConfig(schedule=drawn, **config),
+        RunConfig(schedule=drawn if schedule else PROCESSOR, **sw_config),
     )
 
 
-def _run(params, chunk, processor):
-    run_serial(LOOP, params, chunk)
-    run_ideal(LOOP, params, chunk)
-    run_hw(LOOP, params, chunk)
-    run_sw(LOOP, params, processor)
+def _run(params, config, sw_config):
+    run_serial(LOOP, params, config)
+    run_ideal(LOOP, params, config)
+    run_hw(LOOP, params, config)
+    run_sw(LOOP, params, sw_config)
 
 
 def test_every_config_runs_or_is_rejected_at_construction(seeded_rng):
@@ -162,6 +178,17 @@ def test_every_config_runs_or_is_rejected_at_construction(seeded_rng):
         {("machine", "num_processors"): 2.0},
         {("l1", "line_bytes"): 64.0},
         {("config", "timestamp_bits"): HUGE},
+        # Each once escaped as a ``SchedulingError`` that was no
+        # ``ConfigurationError`` (HW's epoch check mid-run, a chunk below
+        # 1 when built) or as an ``AttributeError`` mid-run (a
+        # schedule field that is not its enum).
+        {("config", "timestamp_bits"): 4,
+         ("schedule", "policy"): SchedulePolicy.DYNAMIC},
+        {("config", "timestamp_bits"): 4,
+         ("schedule", "virtual_mode"): VirtualMode.ITERATION},
+        {("schedule", "chunk_iterations"): 0},
+        {("schedule", "policy"): "dynamic"},
+        {("schedule", "virtual_mode"): None},
     ],
 )
 def test_known_impossible_configs_are_rejected(changes):

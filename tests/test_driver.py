@@ -61,6 +61,7 @@ def priv_loop(n=128, iters=32, live_out=False):
 PARAMS = MachineParams(num_processors=4)
 DYN = RunConfig(schedule=ScheduleSpec(SchedulePolicy.DYNAMIC, 2, VirtualMode.CHUNK))
 PW = RunConfig(schedule=ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 2, VirtualMode.PROCESSOR))
+STATIC_CHUNKS = ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 2, VirtualMode.CHUNK)
 
 
 class TestSerial:
@@ -192,6 +193,31 @@ class TestSW:
         sw = run_sw(loop, PARAMS, PW)
         assert sw.wall > hw.wall
 
+    def test_merge_phase_shadow_names_linear_in_processors(self, monkeypatch):
+        """Every processor's merge reads the same P x kinds private
+        shadow names; building that list per processor made the phase
+        O(P^2) in names (7.4 s at 512 processors on a tiny loop)."""
+        import repro.runtime.driver as driver
+
+        built = []
+        real = driver.shadow_name
+
+        def counting(array, kind, proc):
+            built.append(proc)
+            return real(array, kind, proc)
+
+        monkeypatch.setattr(driver, "shadow_name", counting)
+        procs = 256
+        loop = Loop(
+            "tiny", [ArraySpec("A", 24, 8, ProtocolKind.NONPRIV)],
+            [[read("A", i), write("A", i)] for i in range(8)],
+        )
+        r = run_sw(loop, MachineParams(num_processors=procs), PW)
+        assert r.passed
+        # Three kinds (Ar, Aw, Anp), each named once per processor when
+        # allocated, when zeroed and for the merge.
+        assert len(built) == 3 * 3 * procs
+
     def test_processor_wise_requires_static(self):
         from repro.errors import SchedulingError
 
@@ -224,4 +250,31 @@ class TestRunConfigValidation:
 
     @pytest.mark.parametrize("bits", [None, 1, 16])
     def test_accepts_valid_timestamp_bits(self, bits):
-        assert RunConfig(timestamp_bits=bits).timestamp_bits == bits
+        config = RunConfig(schedule=STATIC_CHUNKS, timestamp_bits=bits)
+        assert config.timestamp_bits == bits
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            ScheduleSpec(),  # dynamic
+            ScheduleSpec(SchedulePolicy.DYNAMIC, 2, VirtualMode.ITERATION),
+            ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 1, VirtualMode.ITERATION),
+            ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 1, VirtualMode.PROCESSOR),
+            ScheduleSpec(SchedulePolicy.BLOCK_CYCLIC, 2, VirtualMode.ITERATION),
+        ],
+        ids=lambda s: f"{s.policy.value}/{s.virtual_mode.value}",
+    )
+    def test_rejects_timestamps_without_static_chunk_numbering(self, schedule):
+        # Time-stamp epochs need a static plan of chunk-numbered blocks;
+        # HW used to raise this mid-run, SW ran it.
+        with pytest.raises(ConfigurationError, match="timestamp_bits"):
+            RunConfig(schedule=schedule, timestamp_bits=4)
+        assert RunConfig(schedule=schedule).timestamp_bits is None
+
+    @pytest.mark.parametrize("policy", [SchedulePolicy.STATIC_CHUNK,
+                                        SchedulePolicy.BLOCK_CYCLIC])
+    def test_timestamped_static_chunk_schedules_run(self, policy):
+        config = RunConfig(
+            schedule=ScheduleSpec(policy, 2, VirtualMode.CHUNK), timestamp_bits=2
+        )
+        assert run_hw(priv_loop(), PARAMS, config).passed

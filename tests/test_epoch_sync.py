@@ -85,23 +85,24 @@ class TestEpochExecution:
 
 
 class TestEpochValidation:
+    """Epochs need a static, chunk-numbered schedule: the config is
+    rejected when it is built, before any run."""
+
     def test_dynamic_schedule_rejected(self):
-        config = RunConfig(
-            schedule=ScheduleSpec(SchedulePolicy.DYNAMIC, 2, VirtualMode.CHUNK),
-            timestamp_bits=4,
-        )
-        with pytest.raises(SchedulingError):
-            run_hw(priv_scratch_loop(), PARAMS, config)
+        with pytest.raises(SchedulingError, match="timestamp_bits"):
+            RunConfig(
+                schedule=ScheduleSpec(SchedulePolicy.DYNAMIC, 2, VirtualMode.CHUNK),
+                timestamp_bits=4,
+            )
 
     def test_iteration_numbering_rejected(self):
-        config = RunConfig(
-            schedule=ScheduleSpec(
-                SchedulePolicy.STATIC_CHUNK, 1, VirtualMode.ITERATION
-            ),
-            timestamp_bits=4,
-        )
-        with pytest.raises(SchedulingError):
-            run_hw(priv_scratch_loop(), PARAMS, config)
+        with pytest.raises(SchedulingError, match="timestamp_bits"):
+            RunConfig(
+                schedule=ScheduleSpec(
+                    SchedulePolicy.STATIC_CHUNK, 1, VirtualMode.ITERATION
+                ),
+                timestamp_bits=4,
+            )
 
 
 class TestAbortAcrossEpochBarriers:

@@ -1,5 +1,6 @@
 """Tests for the direct-mapped caches and the two-level hierarchy."""
 
+import copy
 import random
 
 import pytest
@@ -268,7 +269,15 @@ def test_cache_matches_reference_model(ways, seed):
         expected = ref.resident()
         assert [l.line_addr for l in resident] == [l.line_addr for l in expected]
         assert all(r is e for r, e in zip(resident, expected))
-        held = {l.line_addr for l in resident}
+        # Residency as ``lookup`` answers it, for every address, probed
+        # on a copy so the cache's LRU order stays untouched.
+        held = {l.line_addr: l for l in expected}
+        probe = copy.deepcopy(cache)
         for addr in addrs:
-            assert (cache._where.get(addr) is not None) == (addr in held)
+            found = probe.lookup(addr)
+            want = held.get(addr)
+            if want is None:
+                assert found is None
+            else:
+                assert found.line_addr == addr and found.state is want.state
     assert refills > 0

@@ -483,12 +483,12 @@ PINNED_CONFIGS = {
     (16, "default"): ("f3de9d584a36f8d98656ac5a7f5bdf909ef63cf8cfdc4bbf8861f84c0abde06e", "dynamic/chunk=4/chunk"),
     (16, "static"): ("0ffc5af2188e91bad44ee96d72292ae581bee13dfecfba30e2872fafabcbc369", "static-chunk/chunk=2/processor"),
     (16, "sparse"): ("87613c967a3dd4c652ae6f35f50c12db6498e94d994013c178e5ced9d0e58eb7", "dynamic/chunk=4/chunk"),
-    (16, "ts8"): ("d9eb644cb6626e35d8e7d3d91700e7048e8d6f3be7c0cb94a5fabd04cbda78f7", "dynamic/chunk=4/chunk"),
+    (16, "ts8"): ("7ea8e14ea3374373f9ce4949ce8c7e34b1d992206e33516ed7427a633ba6db9d", "static-chunk/chunk=4/chunk"),
     (4, "none"): ("84407110a7460f7e292647089d3f4547bae936ff43a344ea209ce82d7bce11df", "default"),
     (4, "default"): ("35ffa4435763ee8f5efe9076a90d63b813f4608be0ec7acf3eff84f8545ebba4", "dynamic/chunk=4/chunk"),
     (4, "static"): ("df70c11a9a1b50b94ac826fd2dc178eed77ac45c2a9edd60724df7055f72642f", "static-chunk/chunk=2/processor"),
     (4, "sparse"): ("1d3dde37a7d7bad10ed2df6d1ec9b23d85535d0fb38a1d21ffa821bbaaa58a4f", "dynamic/chunk=4/chunk"),
-    (4, "ts8"): ("50618f085c479f695dd569dddd166ea7f95acff6b52f08ecb846d3aba61c1044", "dynamic/chunk=4/chunk"),
+    (4, "ts8"): ("95161e486c41ce920dfc90670e72687d6053760c88e6058271d607249246d9f8", "static-chunk/chunk=4/chunk"),
     (4, "per-line"): ("17a9aa5c20dda8693aeb0e91d106beaa55da636d652bb5ab0b89787f91ffc14f", "dynamic/chunk=4/chunk"),
     (4, "read-in"): ("bd90653da0e7dc03cf6111d0a89bea36961d0b0f9a79447fd5863e7c7e541270", "dynamic/chunk=4/chunk"),
     (4, "cyclic"): ("701396796b4d214f11b0ad58615c1c78d118270954f87f0751949bb70d785a48", "block-cyclic/chunk=3/iteration"),
@@ -502,7 +502,11 @@ PIN_CONFIGS = {
         schedule=ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 2, VirtualMode.PROCESSOR)
     ),
     "sparse": RunConfig(sparse_backup=True),
-    "ts8": RunConfig(timestamp_bits=8),
+    # Time stamps need a static, chunk-numbered schedule.
+    "ts8": RunConfig(
+        schedule=ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 4, VirtualMode.CHUNK),
+        timestamp_bits=8,
+    ),
     "per-line": RunConfig(per_line_bits=True),
     "read-in": RunConfig(sw_read_in=True),
     "cyclic": RunConfig(
@@ -557,14 +561,17 @@ class TestProvenancePins:
 
     def test_replaced_config_rehash(self):
         params = default_params(16)
+        # A static schedule, which time stamps need.
+        base = RunConfig(schedule=ScheduleSpec(SchedulePolicy.STATIC_CHUNK))
         seen = {
             run_provenance(params, config).config_hash
             for config in (
-                RunConfig(),
-                dataclasses.replace(RunConfig(), timestamp_bits=4),
-                dataclasses.replace(RunConfig(), per_line_bits=True),
+                base,
+                dataclasses.replace(base, timestamp_bits=4),
+                dataclasses.replace(base, per_line_bits=True),
                 dataclasses.replace(
-                    RunConfig(), schedule=ScheduleSpec(chunk_iterations=8)
+                    base,
+                    schedule=ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 8),
                 ),
             )
         }

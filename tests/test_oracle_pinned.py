@@ -9,7 +9,8 @@ every set unchanged.  This test evaluates the oracle over the
   draws per-line bits rarely), and
 * every static PRIV and PRIV_SIMPLE case with ``timestamp_bits`` 2 and
   3 (epochs; a schedule that cannot carry them raises
-  ``SchedulingError``, recorded by its type name),
+  ``SchedulingError`` when the config is built, recorded by its type
+  name),
 
 and pins a SHA-256 digest over the canonical JSON of every outcome.  A
 dynamic case's ``None`` (declined) is part of the record too.
@@ -35,8 +36,9 @@ PINNED_DIGEST = (
 )
 
 
-def _outcome(case, config):
+def _outcome(case, config, **changes):
     try:
+        config = dataclasses.replace(config, **changes)
         failing = failing_elements(case.loop, case.params, config)
     except SchedulingError as exc:
         return type(exc).__name__
@@ -53,13 +55,11 @@ def _records():
         if case.schedule.policy is SchedulePolicy.DYNAMIC:
             continue
         if case.protocol is ProtocolKind.NONPRIV:
-            yield seed, "per_line", _outcome(
-                case, dataclasses.replace(config, per_line_bits=True)
-            )
+            yield seed, "per_line", _outcome(case, config, per_line_bits=True)
         else:
             for bits in (2, 3):
                 yield seed, f"ts{bits}", _outcome(
-                    case, dataclasses.replace(config, timestamp_bits=bits)
+                    case, config, timestamp_bits=bits
                 )
 
 
