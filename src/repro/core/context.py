@@ -5,8 +5,8 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Callable, Optional
 
+from .. import obs
 from ..address import AddressSpace
-from ..obs.events import ProtocolMessageEvent
 from ..params import MachineParams
 from .controller import SpeculationController
 from .messages import Scheduler
@@ -89,7 +89,7 @@ class ProtocolContext:
         bus = self.bus
         if bus is not None and bus.active:
             bus.emit(
-                ProtocolMessageEvent(time, label, proc, array, index, iteration)
+                obs.ProtocolMessageEvent(time, label, proc, array, index, iteration)
             )
 
     def spec_bus(self):

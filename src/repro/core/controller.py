@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from .. import obs
 from ..errors import SpeculationFailure
 
 
@@ -62,10 +63,8 @@ class SpeculationController:
         if self.failure is None:
             self.failure = failure
         if self.bus is not None and self.bus.active:
-            from ..obs.events import FailureEvent
-
             self.bus.emit(
-                FailureEvent(
+                obs.FailureEvent(
                     detected_at if detected_at is not None else 0.0,
                     reason,
                     element=element,

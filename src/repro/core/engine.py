@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .. import obs
 from ..address import AddressSpace, ArrayDecl
 from ..errors import ConfigurationError
 from ..params import MachineParams
@@ -163,9 +164,7 @@ class SpeculationEngine(SpeculationHooks):
     def _emit_arm(self, armed: bool) -> None:
         bus = self.ctx.bus
         if bus is not None and bus.active:
-            from ..obs.events import SpeculationArmEvent
-
-            bus.emit(SpeculationArmEvent(self.ctx.now(), armed))
+            bus.emit(obs.SpeculationArmEvent(self.ctx.now(), armed))
 
     def epoch_sync(self) -> None:
         """Time-stamp overflow synchronization (§3.3): reset the

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..obs.events import NonPrivDirUpdateEvent
+from .. import obs
 from ..types import AccessKind, FirstState, LineState
 from .accessbits import NO_PROC, NonPrivDirTable, NonPrivTagBits
 from .context import ProtocolContext
@@ -78,7 +78,7 @@ class NonPrivProtocol:
         after = self._dir_snapshot(name, index)
         if after != snap:
             bus.emit(
-                NonPrivDirUpdateEvent(
+                obs.NonPrivDirUpdateEvent(
                     now, name, index, proc, cause,
                     snap[0], snap[1], snap[2], after[0], after[1], after[2],
                 )

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from .. import obs
 from ..address import ArrayDecl
-from ..obs.events import PrivDirUpdateEvent, PrivSimpleDirUpdateEvent
 from ..types import AccessKind
 from .accessbits import (
     NO_ITER,
@@ -114,7 +114,7 @@ class PrivProtocol:
         after = self._shared_snapshot(name, index)
         if after != snap:
             bus.emit(
-                PrivDirUpdateEvent(
+                obs.PrivDirUpdateEvent(
                     now, name, index, proc, iteration, cause,
                     snap[0], snap[1], after[0], after[1],
                 )
@@ -657,7 +657,7 @@ class PrivSimpleProtocol:
             after = (table.any_r1st[index], table.any_w[index])
             if after != snap:
                 bus.emit(
-                    PrivSimpleDirUpdateEvent(
+                    obs.PrivSimpleDirUpdateEvent(
                         now, name, index, proc, iteration,
                         "write" if is_write else "read-first",
                         snap[0], snap[1], after[0], after[1],

@@ -14,8 +14,12 @@ import sys
 import time
 from typing import Callable, Dict, List
 
-from . import bench, charts, claims, doctor, figures, report, serialize, tracerun
-from . import profile as profilerun
+from . import charts, claims, figures, report, serialize
+
+# The side verbs' modules (bench, doctor, tracerun, profile) are
+# imported inside the verbs that use them: bench alone pulls in the
+# process pool, ``multiprocessing`` and ``concurrent.futures``, and a
+# figure or table run needs none of them.
 
 EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {}
 
@@ -95,11 +99,15 @@ def _table2(args) -> str:
 
 @_register("doctor")
 def _doctor(args) -> str:
+    from . import doctor
+
     return doctor.run_doctor(num_processors=args.doctor_processors)
 
 
 @_register("bench")
 def _bench(args) -> str:
+    from . import bench
+
     session = _profile_session(args, "bench")
     text = bench.run_bench(out=args.bench_out, reps=args.bench_reps,
                            jobs=args.jobs, profile=session,
@@ -127,6 +135,8 @@ def _profile_session(args, label: str):
 def _with_profile(args, session, text: str) -> str:
     if session is None:
         return text
+    from . import profile as profilerun
+
     return text + "\n" + profilerun.write_profile_outputs(
         session, args.profile_out
     )
@@ -211,6 +221,8 @@ def _diffsweep(args) -> str:
 
 @_register("trace")
 def _trace(args) -> str:
+    from . import tracerun
+
     return tracerun.run_trace(
         preset=args.preset,
         seed=args.seed,
@@ -222,6 +234,8 @@ def _trace(args) -> str:
 
 @_register("profile")
 def _profile(args) -> str:
+    from . import profile as profilerun
+
     return profilerun.run_profile(
         preset=args.preset,
         seed=args.seed,

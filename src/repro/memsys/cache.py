@@ -62,6 +62,19 @@ class DirectMappedCache:
                     return line
         return None
 
+    def peek(self, line_addr: int) -> Optional[CacheLine]:
+        """Find a resident line without moving it in its set's LRU order."""
+        slot = self._sets.get(line_addr % self._span)
+        if self._max_ways == 1:
+            if slot is not None and slot.line_addr == line_addr:
+                return slot
+            return None
+        if slot:
+            for line in slot:
+                if line.line_addr == line_addr:
+                    return line
+        return None
+
     def insert(self, line: CacheLine) -> Optional[CacheLine]:
         """Install ``line``; return the evicted victim, if any."""
         line_addr = line.line_addr
@@ -142,11 +155,11 @@ class CacheHierarchy:
 
     # ------------------------------------------------------------------
     def probe(self, line_addr: int) -> Tuple[HitLevel, Optional[CacheLine]]:
-        """Find a line without changing any state."""
-        line = self.l1.lookup(line_addr)
+        """Find a line without changing any state (LRU order included)."""
+        line = self.l1.peek(line_addr)
         if line is not None:
             return HitLevel.L1, line
-        line = self.l2.lookup(line_addr)
+        line = self.l2.peek(line_addr)
         if line is not None:
             return HitLevel.L2, line
         return HitLevel.MEMORY, None

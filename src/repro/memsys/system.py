@@ -31,8 +31,8 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Tuple
 
+from .. import obs
 from ..address import AddressSpace
-from ..obs.events import AccessEvent, DirTransitionEvent
 from ..params import MachineParams
 from ..types import AccessKind, DirState, LineState
 from .cache import CacheHierarchy, HitLevel
@@ -382,7 +382,7 @@ class MemorySystem:
     def _trace(self, now, proc, kind, addr, level, stall) -> None:
         # Callers have already checked ``bus.wants_access`` — no event
         # object is allocated unless a subscriber wants it.
-        self.bus.emit(AccessEvent(now, proc, kind, addr, level, 1 + stall))
+        self.bus.emit(obs.AccessEvent(now, proc, kind, addr, level, 1 + stall))
 
     def drain_write_buffer(self, proc: int, now: float) -> float:
         """Cycles until all of ``proc``'s pending writes retire.
@@ -479,7 +479,7 @@ class MemorySystem:
         bus = self.bus
         if bus is not None and bus.wants_dir and entry.state is not prev_state:
             bus.emit(
-                DirTransitionEvent(
+                obs.DirTransitionEvent(
                     now, home_node, line_addr, prev_state, entry.state, proc, kind
                 )
             )
@@ -531,7 +531,7 @@ class MemorySystem:
         bus = self.bus
         if bus is not None and bus.wants_dir and entry.state is not prev_state:
             bus.emit(
-                DirTransitionEvent(
+                obs.DirTransitionEvent(
                     now,
                     home_node,
                     line_addr,
@@ -613,7 +613,7 @@ class MemorySystem:
             bus = self.bus
             if bus is not None and bus.wants_dir:
                 bus.emit(
-                    DirTransitionEvent(
+                    obs.DirTransitionEvent(
                         now,
                         home_node,
                         line_addr,

@@ -17,7 +17,10 @@ details.
 The package re-exports its submodules' public names lazily (PEP 562):
 ``from repro.obs import RunLedger`` imports ``repro.obs.ledger`` on
 first use, so a run that never records, monitors or exports loads none
-of that code.
+of that code.  The simulator's emission sites look their event classes
+up here (``obs.AccessEvent(...)``) behind their ``bus.active`` /
+``wants_*`` guards, so ``repro.obs.events`` loads on the first event
+built, and each later lookup is a plain module attribute read.
 """
 
 import importlib
@@ -28,6 +31,8 @@ _SUBMODULE_NAMES = {
     "bus": ("EventBus", "BoundedLog", "EventRecorder"),
     "events": (
         "Event", "AccessEvent", "DirTransitionEvent", "ProtocolMessageEvent",
+        "NonPrivDirUpdateEvent", "PrivDirUpdateEvent",
+        "PrivSimpleDirUpdateEvent",
         "SpeculationArmEvent", "FailureEvent", "BarrierWaitEvent",
         "EpochSyncEvent", "QuiesceEvent", "RunStartEvent", "RunEndEvent",
         "PhaseBeginEvent", "PhaseEndEvent", "AbortEvent", "RestoreEvent",

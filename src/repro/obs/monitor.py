@@ -39,6 +39,7 @@ import collections
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import ProtocolError
+from ..memsys.directory import legal_transition
 from .bus import EventBus, EventRecorder
 from .events import (
     AbortEvent,
@@ -459,16 +460,8 @@ class CoherenceMonitor(Monitor):
     name = "coherence"
     event_types = (DirTransitionEvent,)
 
-    def __init__(self, history: int = 32, strict: bool = False) -> None:
-        # Deferred import: memsys pulls in obs.events, so importing it at
-        # module load would cycle through a half-initialized package.
-        from ..memsys.directory import legal_transition
-
-        self._legal = legal_transition
-        super().__init__(history=history, strict=strict)
-
     def check(self, event: Event) -> None:
-        if not self._legal(event.prev, event.new, event.kind):
+        if not legal_transition(event.prev, event.new, event.kind):
             kind = event.kind.name if event.kind is not None else "maintenance"
             self._violate(
                 "legal-transition",

@@ -30,14 +30,12 @@ import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from .bus import EventBus, EventRecorder
-
 if TYPE_CHECKING:
     from .metrics import MetricsRegistry
 
-# ``export`` and ``metrics`` are imported inside the functions that use
-# them: every run imports this module for its null-path hooks, and most
-# never build a capture or a merged report.
+# ``bus``, ``export`` and ``metrics`` are imported inside the functions
+# that use them: every run imports this module for its null-path hooks,
+# and most never build a capture or a merged report.
 
 __all__ = [
     "SpanProfiler",
@@ -221,6 +219,7 @@ class WorkerCapture:
     EVENT_CAPACITY = 2048
 
     def __init__(self, label: str = "") -> None:
+        from .bus import EventBus, EventRecorder
         from .metrics import MetricsCollector
 
         self.label = label

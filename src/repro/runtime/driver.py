@@ -15,20 +15,11 @@ import math
 import time
 from typing import Callable, Dict, Iterator, List, Optional
 
-from ..errors import ConfigurationError, SchedulingError, SpeculationFailure
+from .. import obs
+from ..errors import SpeculationFailure
 from ..lrpd.analysis import LRPDOutcome, analyze
 from ..lrpd.shadow import LRPDState
 from ..memsys.system import MemStats
-from ..obs.events import (
-    AbortEvent,
-    LedgerHitEvent,
-    LedgerWriteEvent,
-    PhaseBeginEvent,
-    PhaseEndEvent,
-    RestoreEvent,
-    RunEndEvent,
-    RunStartEvent,
-)
 from ..obs import spans
 from ..obs.provenance import RunProvenance, run_provenance
 from ..params import MachineParams
@@ -39,6 +30,7 @@ from ..trace.loop import Loop
 from ..types import ProtocolKind, Scenario
 from .executor import (
     SWInstrumenter,
+    check_epoch_config,
     global_shadow_name,
     loop_streams,
     private_copy_name,
@@ -61,11 +53,6 @@ from .schedule import (
     cyclic_blocks,
     static_assignment,
 )
-
-#: Widest time stamp a run accepts: no simulable loop overflows a 64-bit
-#: stamp, and a wider one only makes the epoch capacity ``2**bits - 1``
-#: ever more expensive to compute.
-_MAX_TIMESTAMP_BITS = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,27 +103,7 @@ class RunConfig:
     ledger: Optional[object] = None
 
     def __post_init__(self) -> None:
-        bits = self.timestamp_bits
-        if bits is not None and (
-            type(bits) is not int or not 1 <= bits <= _MAX_TIMESTAMP_BITS
-        ):
-            raise ConfigurationError(
-                f"timestamp_bits must be None or an int in "
-                f"1..{_MAX_TIMESTAMP_BITS}, got {bits!r}"
-            )
-        schedule = self.schedule
-        if bits is not None and (
-            schedule.policy is SchedulePolicy.DYNAMIC
-            or schedule.virtual_mode is not VirtualMode.CHUNK
-        ):
-            # Epochs partition a static plan of chunk-numbered blocks
-            # (§3.3): HW cannot run this config, and no other scenario
-            # reads the stamps.
-            raise SchedulingError(
-                "timestamp_bits needs a static schedule with chunk "
-                f"numbering, got {schedule.policy.value}/"
-                f"{schedule.virtual_mode.value}"
-            )
+        check_epoch_config(self.timestamp_bits, self.schedule)
 
 
 def _apply_hook(config: "Optional[RunConfig]", machine: Machine) -> None:
@@ -230,7 +197,7 @@ def _run_phase(
     start = engine.now
     bus = machine.bus
     if bus is not None and bus.active:
-        bus.emit(PhaseBeginEvent(start, name))
+        bus.emit(obs.PhaseBeginEvent(start, name))
     prof = spans.current()
     if prof is not None:
         events0 = engine.events_processed
@@ -254,7 +221,7 @@ def _run_phase(
                "sim.cycles": finish - start},
         )
     if bus is not None and bus.active:
-        bus.emit(PhaseEndEvent(finish, name, finish - start))
+        bus.emit(obs.PhaseEndEvent(finish, name, finish - start))
     return breakdown
 
 
@@ -353,11 +320,11 @@ def _append_failure_tail(
     re-execution at the Serial scenario's cost (paper §6.2)."""
     bus = machine.bus
     if bus is not None and bus.active:
-        bus.emit(AbortEvent(machine.engine.now, reason, detection_cycle=detection))
+        bus.emit(obs.AbortEvent(machine.engine.now, reason, detection_cycle=detection))
     restore_bd = _run_phase(machine, "restore", _restore_streams(machine, loop), phases)
     breakdown.add(restore_bd)
     if bus is not None and bus.active:
-        bus.emit(RestoreEvent(machine.engine.now, phases.get("restore", 0.0)))
+        bus.emit(obs.RestoreEvent(machine.engine.now, phases.get("restore", 0.0)))
     if serial_result is None:
         serial_result = run_serial(loop, params)
     phases["serial-reexec"] = serial_result.wall
@@ -407,7 +374,7 @@ def _ledger_serve(
         return None
     bus = _ambient_bus(config)
     if bus is not None and bus.active:
-        bus.emit(LedgerHitEvent(0.0, key, scenario.value, loop.name))
+        bus.emit(obs.LedgerHitEvent(0.0, key, scenario.value, loop.name))
     return result
 
 
@@ -441,7 +408,7 @@ def _ledger_commit(
     bus = machine.bus
     if bus is not None and bus.active:
         bus.emit(
-            LedgerWriteEvent(
+            obs.LedgerWriteEvent(
                 machine.engine.now, key, "run",
                 passed=result.passed, deduped=deduped,
             )
@@ -465,7 +432,7 @@ def _begin_run(machine: Machine, scenario: Scenario, loop: Loop) -> None:
     bus = machine.bus
     if bus is not None and bus.active:
         bus.emit(
-            RunStartEvent(
+            obs.RunStartEvent(
                 machine.engine.now,
                 scenario.value,
                 loop.name,
@@ -494,7 +461,7 @@ def _finish_run(
         result.metrics = telemetry.metrics_snapshot()
     bus = machine.bus
     if bus is not None and bus.active:
-        bus.emit(RunEndEvent(machine.engine.now, result.passed, result.wall))
+        bus.emit(obs.RunEndEvent(machine.engine.now, result.passed, result.wall))
     prof = spans.current()
     handles = getattr(machine, "_prof_spans", None)
     if prof is not None and handles is not None:
@@ -786,10 +753,6 @@ def run_sw(
     if served is not None:
         return served
     processor_wise = config.schedule.virtual_mode is VirtualMode.PROCESSOR
-    if processor_wise and config.schedule.policy is not SchedulePolicy.STATIC_CHUNK:
-        raise ConfigurationError(
-            "the processor-wise software test requires static chunk scheduling"
-        )
     machine = Machine(params, with_speculation=False)
     _apply_hook(config, machine)
     _begin_run(machine, Scenario.SW, loop)

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 import dataclasses
 
-from ..errors import SchedulingError
+from ..errors import ConfigurationError, SchedulingError
 from ..lrpd.shadow import LRPDState
 from ..params import CostModel
 from ..sim.processor import (
@@ -42,6 +42,40 @@ from .schedule import (
     plan_static,
     virtual_of,
 )
+
+#: Widest time stamp a run accepts: no simulable loop overflows a 64-bit
+#: stamp, and a wider one only makes the epoch capacity ``2**bits - 1``
+#: ever more expensive to compute.
+_MAX_TIMESTAMP_BITS = 64
+
+
+def check_epoch_config(timestamp_bits: Optional[int], spec: ScheduleSpec) -> None:
+    """Reject a time-stamp width the §3.3 epochs cannot run with.
+
+    ``RunConfig`` calls this when it is built and ``loop_streams`` when
+    it partitions a schedule into epochs, so both reject the same
+    configs with the same errors.
+    """
+    bits = timestamp_bits
+    if bits is None:
+        return
+    if type(bits) is not int or not 1 <= bits <= _MAX_TIMESTAMP_BITS:
+        raise ConfigurationError(
+            f"timestamp_bits must be None or an int in "
+            f"1..{_MAX_TIMESTAMP_BITS}, got {bits!r}"
+        )
+    if (
+        spec.policy is SchedulePolicy.DYNAMIC
+        or spec.virtual_mode is not VirtualMode.CHUNK
+    ):
+        # Epochs partition a static plan of chunk-numbered blocks
+        # (§3.3): HW cannot run this config, and no other scenario
+        # reads the stamps.
+        raise SchedulingError(
+            "timestamp_bits needs a static schedule with chunk "
+            f"numbering, got {spec.policy.value}/{spec.virtual_mode.value}"
+        )
+
 
 #: Maps one body access ``(proc, op, virtual iteration)`` to the
 #: sequence of ops actually issued for it.
@@ -267,17 +301,8 @@ def _epoch_streams(
     timestamp_bits: int,
 ) -> Dict[int, Iterator[object]]:
     """Static schedules partitioned into time-stamp epochs (§3.3)."""
-    if spec.policy is SchedulePolicy.DYNAMIC:
-        raise SchedulingError(
-            "time-stamp epoch synchronization requires a static schedule"
-        )
-    if spec.virtual_mode is not VirtualMode.CHUNK:
-        raise SchedulingError(
-            "time-stamp epochs apply to chunk (superiteration) numbering"
-        )
+    check_epoch_config(timestamp_bits, spec)
     capacity = 2 ** timestamp_bits - 1
-    if capacity < 1:
-        raise SchedulingError("timestamp_bits must be >= 1")
     plan = plan_static(spec, loop.num_iterations, num_procs)
     max_ordinal = max(
         (b.ordinal for blocks in plan for b in blocks), default=1

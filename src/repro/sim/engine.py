@@ -6,6 +6,7 @@ import itertools
 from heapq import heappop, heappush
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
+from .. import obs
 from ..address import AddressSpace, ArrayDecl
 from ..core.controller import SpeculationController
 from ..core.engine import SpeculationEngine
@@ -13,7 +14,6 @@ from ..core.messages import Scheduler
 from ..errors import ConfigurationError
 from ..memsys.system import MemorySystem
 from ..obs import spans as obs_spans
-from ..obs.events import EpochSyncEvent, QuiesceEvent
 from ..trace.ops import AccessOp, ComputeOp, LocalOp
 from ..types import AccessKind
 from .processor import (
@@ -137,7 +137,7 @@ class Engine(Scheduler):
             prof.end(self._epoch_span, flushed_messages=flushed)
             self._epoch_span = prof.begin(f"epoch#{epoch}", cat="epoch", epoch=epoch)
         if self.bus is not None and self.bus.active:
-            self.bus.emit(EpochSyncEvent(self.now, epoch, flushed))
+            self.bus.emit(obs.EpochSyncEvent(self.now, epoch, flushed))
 
     # ------------------------------------------------------------------
     # Speculation integration
@@ -225,7 +225,7 @@ class Engine(Scheduler):
         )
         self.now = max(self.now, result.finish)
         if self.bus is not None and self.bus.active:
-            self.bus.emit(QuiesceEvent(self.now, self.events_processed, aborted))
+            self.bus.emit(obs.QuiesceEvent(self.now, self.events_processed, aborted))
         return result
 
     def drain(self) -> None:

@@ -20,6 +20,7 @@ import dataclasses
 import enum
 from typing import Iterator, List, Optional, TYPE_CHECKING
 
+from .. import obs
 from .stats import PerProcStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,10 +62,8 @@ class Barrier:
         for p, arrived in zip(self._waiting, self._arrivals):
             p.stats.sync += release - arrived
         if bus is not None and bus.active:
-            from ..obs.events import BarrierWaitEvent
-
             for p, arrived in zip(self._waiting, self._arrivals):
-                bus.emit(BarrierWaitEvent(release, p.id, release - arrived))
+                bus.emit(obs.BarrierWaitEvent(release, p.id, release - arrived))
         waiting = self._waiting
         self._waiting = []
         self._arrivals = []

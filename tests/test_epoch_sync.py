@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.params import MachineParams
 from repro.runtime import (
     RunConfig,
@@ -11,6 +11,7 @@ from repro.runtime import (
     VirtualMode,
     run_hw,
 )
+from repro.runtime.executor import loop_streams
 from repro.trace import ArraySpec, Loop, compute, read, write
 from repro.types import ProtocolKind
 
@@ -102,6 +103,30 @@ class TestEpochValidation:
                     SchedulePolicy.STATIC_CHUNK, 1, VirtualMode.ITERATION
                 ),
                 timestamp_bits=4,
+            )
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            ScheduleSpec(SchedulePolicy.DYNAMIC, 2, VirtualMode.CHUNK),
+            ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 1, VirtualMode.ITERATION),
+        ],
+    )
+    def test_direct_loop_streams_callers_get_the_same_error(self, schedule):
+        """``loop_streams`` makes the same check as ``RunConfig``."""
+        with pytest.raises(SchedulingError, match="timestamp_bits"):
+            loop_streams(
+                priv_scratch_loop(), schedule, 4, PARAMS.cost, timestamp_bits=4
+            )
+
+    @pytest.mark.parametrize("bits", [0, 65, 2.0])
+    def test_out_of_range_width_rejected(self, bits):
+        chunked = ScheduleSpec(SchedulePolicy.BLOCK_CYCLIC, 1, VirtualMode.CHUNK)
+        with pytest.raises(ConfigurationError, match="timestamp_bits"):
+            RunConfig(schedule=chunked, timestamp_bits=bits)
+        with pytest.raises(ConfigurationError, match="timestamp_bits"):
+            loop_streams(
+                priv_scratch_loop(), chunked, 4, PARAMS.cost, timestamp_bits=bits
             )
 
 

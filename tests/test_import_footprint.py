@@ -1,11 +1,15 @@
-"""The reproduction's runs load no observability or pool code they never
-call.
+"""The reproduction's runs load no observability, oracle or pool code
+they never call.
 
-``repro.obs`` re-exports its submodules lazily, ``obs.spans`` imports
-its exporters and metrics only where it builds a capture or a report,
-and diffcheck imports the process pool only to sweep and ``argparse``
-only in its CLI.  Every process that runs figures or seed verdicts
-therefore skips the ledger, forensics, exporters, monitors, metrics,
+``repro.obs`` re-exports its submodules lazily and the simulator looks
+its event classes up there only when it builds an event; ``obs.spans``
+imports the bus, exporters and metrics only where it builds a capture
+or a report; ``repro.trace`` re-exports the dependence oracle lazily;
+diffcheck imports the process pool only to sweep and ``argparse`` only
+in its CLI; and the experiments CLI imports its side verbs (bench,
+doctor, trace, profile) only when they run.  Every process that runs
+figures or seed verdicts therefore skips the event classes, the bus,
+the ledger, forensics, exporters, monitors, metrics, the oracle,
 ``multiprocessing``, ``concurrent.futures`` and ``argparse``.  Each test
 runs in a fresh interpreter, since this test session has all of them
 loaded already.
@@ -21,6 +25,9 @@ import repro
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 UNUSED = (
+    "repro.obs.events",
+    "repro.obs.bus",
+    "repro.trace.oracle",
     "repro.obs.ledger",
     "repro.obs.forensics",
     "repro.obs.export",
@@ -56,6 +63,59 @@ def test_figures_and_seed_verdicts_load_no_unused_modules():
         assert diffcheck.seed_verdict(0)["conforms"]
         assert len(figures.fig13_failure("quick", workloads=["Track"])) == 3
         print(sorted(m for m in {UNUSED!r} if m in sys.modules))
+        """
+    )
+    assert out.strip() == "[]"
+
+
+def test_figure_verb_loads_no_side_verb_modules():
+    unused = (
+        "repro.experiments.bench",
+        "repro.experiments.pool",
+        "repro.experiments.doctor",
+        "repro.experiments.tracerun",
+        "repro.experiments.profile",
+        "multiprocessing",
+        "concurrent.futures",
+    )
+    out = _run_clean(
+        f"""
+        import runpy
+        import sys
+
+        sys.argv = ["repro.experiments", "table2"]
+        try:
+            runpy.run_module("repro.experiments", run_name="__main__")
+        except SystemExit as done:
+            assert done.code == 0, done.code
+        print(sorted(m for m in {unused!r} if m in sys.modules))
+        """
+    )
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_trace_still_exports_the_oracle():
+    out = _run_clean(
+        """
+        import sys
+
+        import repro.trace
+        assert "repro.trace.oracle" not in sys.modules
+        from repro.trace import DependenceOracle
+        from repro.trace.oracle import DependenceReport, Parallelism
+        assert repro.trace.DependenceReport is DependenceReport
+        assert repro.trace.Parallelism is Parallelism
+        assert "DependenceOracle" in dir(repro.trace)
+        star = {}
+        exec("from repro.trace import *", star)
+        assert star["DependenceOracle"] is DependenceOracle
+        try:
+            repro.trace.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("unknown names must raise AttributeError")
+        print(sorted(set(repro.trace.__all__) - set(star)))
         """
     )
     assert out.strip() == "[]"

@@ -5,9 +5,11 @@ speculation engine attached; deferred protocol messages ride the
 machine's event heap and are delivered with :meth:`Engine.drain`.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.params import small_test_params
+from repro.params import CacheGeometry, small_test_params
 from repro.sim.machine import Machine
 from repro.types import FirstState, ProtocolKind
 
@@ -144,6 +146,36 @@ class TestRaceTransactions:
         assert not m.spec.controller.failed
         table = m.spec.nonpriv.table("A")
         assert bool(table.ronly[0])
+
+    def test_first_update_fail_keeps_set_associative_lru_order(self):
+        """The loser's cache applies a First_update_fail to the line's
+        tag without touching replacement state: on a 2-way L1 the raced
+        line stays least recently used."""
+        params = dataclasses.replace(
+            small_test_params(2), l1=CacheGeometry(256, 64, ways=2)
+        )
+        m = Machine(params)
+        a = m.space.allocate("A", 64, elem_bytes=8, protocol=ProtocolKind.NONPRIV)
+        m.spec.register_nonpriv(a)
+        m.spec.arm()
+        run(m, [(0, 0, "r", 1), (10, 1, "r", 1)])
+        m.memsys.read(0, a.addr_of(0), 1000.0)
+        m.memsys.read(1, a.addr_of(0), 1000.5)
+        # Element 16 is two lines on: same 2-way L1 set, another L2 set.
+        # Reading it makes the raced line the set's LRU way.
+        m.memsys.read(0, a.addr_of(16), 1001.0)
+        m.memsys.read(1, a.addr_of(16), 1001.0)
+
+        def l1_order():
+            return [
+                [line.line_addr for line in hier.l1.resident_lines()]
+                for hier in m.memsys.caches
+            ]
+
+        before = l1_order()
+        m.engine.drain()
+        assert m.spec.stats.first_update_fails == 1
+        assert l1_order() == before
 
     def test_stale_own_update_after_own_write_benign(self):
         """A processor's own First_update arriving after its own write

@@ -1,10 +1,12 @@
 """Tests for the unified telemetry layer (repro.obs)."""
 
+import collections
 import dataclasses
 import json
 
 import pytest
 
+import repro.obs
 from repro.memsys.cache import HitLevel
 from repro.obs import (
     AccessEvent,
@@ -24,9 +26,10 @@ from repro.obs import (
 )
 from repro.obs.bus import BoundedLog
 from repro.params import CacheGeometry, default_params, small_test_params
-from repro.runtime.driver import RunConfig, run_hw, run_serial
+from repro.runtime.driver import RunConfig, run_hw, run_serial, run_sw
 from repro.runtime.schedule import SchedulePolicy, ScheduleSpec, VirtualMode
 from repro.sim.machine import Machine
+from repro.trace import ArraySpec, Loop, compute, read, write
 from repro.types import AccessKind, ProtocolKind
 from repro.workloads import AdmWorkload
 
@@ -136,7 +139,9 @@ class TestGuardedEmissionSites:
     that family exists (``wants_access`` / ``wants_dir`` / ``wants_spec``
     / ``active``).  Each test booby-traps the event class and drives the
     emission site with a bus that is active but does not want that
-    family; the control then subscribes and expects the trap to fire."""
+    family; the control then subscribes and expects the trap to fire.
+    Emission sites look their classes up on the lazy ``repro.obs``
+    package (``obs.AccessEvent(...)``), so that is where the traps go."""
 
     def _machine_with_bus(self, bus):
         m = Machine(small_test_params(2))
@@ -144,9 +149,7 @@ class TestGuardedEmissionSites:
         return m
 
     def test_access_trace_sites_guard_on_wants_access(self, monkeypatch):
-        from repro.memsys import system as memsys_system
-
-        monkeypatch.setattr(memsys_system, "AccessEvent", _Boom)
+        monkeypatch.setattr(repro.obs, "AccessEvent", _Boom)
         bus = EventBus()
         bus.subscribe(PhaseBeginEvent, lambda e: None)  # active, no access
         assert bus.active and not bus.wants_access
@@ -164,9 +167,7 @@ class TestGuardedEmissionSites:
             m.memsys.read(0, a.addr_of(0), 4.0)
 
     def test_dir_transition_sites_guard_on_wants_dir(self, monkeypatch):
-        from repro.memsys import system as memsys_system
-
-        monkeypatch.setattr(memsys_system, "DirTransitionEvent", _Boom)
+        monkeypatch.setattr(repro.obs, "DirTransitionEvent", _Boom)
         bus = EventBus()
         bus.subscribe(AccessEvent, lambda e: None)  # active, no dir
         assert bus.active and not bus.wants_dir
@@ -182,9 +183,7 @@ class TestGuardedEmissionSites:
             m.engine.drain()
 
     def test_spec_dir_update_sites_guard_on_wants_spec(self, monkeypatch):
-        from repro.core import nonpriv as core_nonpriv
-
-        monkeypatch.setattr(core_nonpriv, "NonPrivDirUpdateEvent", _Boom)
+        monkeypatch.setattr(repro.obs, "NonPrivDirUpdateEvent", _Boom)
         bus = EventBus()
         bus.subscribe(AccessEvent, lambda e: None)  # active, no spec
         assert bus.active and not bus.wants_spec
@@ -201,9 +200,7 @@ class TestGuardedEmissionSites:
             m.engine.drain()
 
     def test_protocol_message_guard_on_active(self, monkeypatch):
-        from repro.core import context as core_context
-
-        monkeypatch.setattr(core_context, "ProtocolMessageEvent", _Boom)
+        monkeypatch.setattr(repro.obs, "ProtocolMessageEvent", _Boom)
         bus = EventBus()  # attached but zero subscribers
         m = self._machine_with_bus(bus)
         a = m.space.allocate("A", 64, elem_bytes=8, protocol=ProtocolKind.NONPRIV)
@@ -220,19 +217,118 @@ class TestGuardedEmissionSites:
             m.engine.drain()
 
     def test_failure_event_guard_on_active(self, monkeypatch):
-        import repro.obs.events as obs_events
+        monkeypatch.setattr(repro.obs, "FailureEvent", _Boom)
 
-        monkeypatch.setattr(obs_events, "FailureEvent", _Boom)
-        bus = EventBus()  # attached but zero subscribers
-        m = self._machine_with_bus(bus)
-        a = m.space.allocate("A", 64, elem_bytes=8, protocol=ProtocolKind.NONPRIV)
-        m.spec.register_nonpriv(a)
-        m.spec.arm()
-        m.memsys.read(0, a.addr_of(3), 0.0)
-        m.memsys.write(1, a.addr_of(3), 10.0)
-        m.engine.drain()
+        def fail_on(bus):
+            m = self._machine_with_bus(bus)
+            a = m.space.allocate(
+                "A", 64, elem_bytes=8, protocol=ProtocolKind.NONPRIV
+            )
+            m.spec.register_nonpriv(a)
+            m.spec.arm()
+            m.memsys.read(0, a.addr_of(3), 0.0)
+            m.memsys.write(1, a.addr_of(3), 10.0)
+            m.engine.drain()
+            return m
+
+        m = fail_on(EventBus())  # attached but zero subscribers
         # The failure was detected without constructing a FailureEvent.
         assert m.spec.controller.failed
+        # Control: a subscribed bus builds the event at the same site.
+        bus = EventBus()
+        bus.subscribe(None, lambda e: None)
+        with pytest.raises(AssertionError, match="zero-subscriber"):
+            fail_on(bus)
+
+
+def _priv_loop(dependence: bool) -> Loop:
+    """32 privatizable iterations; with ``dependence``, iteration 5
+    writes an element that iteration 20 reads first."""
+    body = [
+        [write("W", 32 + i % 32), compute(40), read("W", 32 + i % 32)]
+        for i in range(32)
+    ]
+    if dependence:
+        body[4].append(write("W", 0))
+        body[19].insert(0, read("W", 0))
+    return Loop("counts-priv", [ArraySpec("W", 64, 8, ProtocolKind.PRIV)], body)
+
+
+def _counted_run(run, loop, params, config):
+    """(passed, {event class name: count}) under a catch-all subscriber."""
+    counts = collections.Counter()
+    bus = EventBus()
+    bus.subscribe(None, lambda e: counts.update((type(e).__name__,)))
+    result = run(loop, params, dataclasses.replace(config, telemetry=bus))
+    return result.passed, dict(counts)
+
+
+class TestEmissionCounts:
+    """Per-class event counts of four runs that together reach every
+    simulator emission site, recorded before the event classes became
+    lazily loaded.  Moving or re-guarding a site must emit exactly the
+    same events."""
+
+    def _adm(self):
+        workload = AdmWorkload(seed=7, scale=0.25)
+        return workload, next(workload.executions(1))
+
+    def test_sw_run(self):
+        workload, loop = self._adm()
+        assert _counted_run(run_sw, loop, default_params(4), workload.sw_config()) == (
+            True,
+            {
+                "AccessEvent": 12828, "DirTransitionEvent": 609,
+                "PhaseBeginEvent": 3, "PhaseEndEvent": 3, "QuiesceEvent": 3,
+                "RunStartEvent": 1, "RunEndEvent": 1,
+            },
+        )
+
+    def test_passing_hw_run(self):
+        workload, loop = self._adm()
+        assert _counted_run(run_hw, loop, default_params(4), workload.hw_config()) == (
+            True,
+            {
+                "AccessEvent": 5376, "DirTransitionEvent": 528,
+                "NonPrivDirUpdateEvent": 1124, "PrivSimpleDirUpdateEvent": 32,
+                "ProtocolMessageEvent": 288, "SpeculationArmEvent": 2,
+                "PhaseBeginEvent": 2, "PhaseEndEvent": 2, "QuiesceEvent": 2,
+                "RunStartEvent": 1, "RunEndEvent": 1,
+            },
+        )
+
+    def test_failing_hw_run(self):
+        assert _counted_run(
+            run_hw, _priv_loop(True), small_test_params(4), RunConfig()
+        ) == (
+            False,
+            {
+                "AccessEvent": 54, "DirTransitionEvent": 10,
+                "PrivDirUpdateEvent": 24, "ProtocolMessageEvent": 29,
+                "SpeculationArmEvent": 2, "FailureEvent": 1, "AbortEvent": 1,
+                "RestoreEvent": 1, "PhaseBeginEvent": 2, "PhaseEndEvent": 2,
+                "QuiesceEvent": 2, "RunStartEvent": 1, "RunEndEvent": 1,
+            },
+        )
+
+    def test_timestamp_bits_hw_run(self):
+        config = RunConfig(
+            schedule=ScheduleSpec(SchedulePolicy.BLOCK_CYCLIC, 1, VirtualMode.CHUNK),
+            timestamp_bits=2,
+        )
+        assert _counted_run(
+            run_hw, _priv_loop(False), small_test_params(4), config
+        ) == (
+            True,
+            {
+                "AccessEvent": 64, "DirTransitionEvent": 16,
+                "PrivDirUpdateEvent": 32, "ProtocolMessageEvent": 32,
+                "SpeculationArmEvent": 2, "EpochSyncEvent": 10,
+                "BarrierWaitEvent": 40, "PhaseBeginEvent": 1,
+                "PhaseEndEvent": 1, "QuiesceEvent": 1, "RunStartEvent": 1,
+                "RunEndEvent": 1,
+            },
+        )
 
 
 # ----------------------------------------------------------------------
