@@ -1,4 +1,4 @@
-"""The ``bench`` subcommand: simulator-throughput regression harness.
+"""The ``bench`` subcommand: the simulator-throughput microbench.
 
 Measures host wall-clock time of one representative speculative run
 under three instrumentation levels: bare (no bus attached), telemetry
@@ -18,7 +18,6 @@ equally, and the result is a machine-readable JSON document::
         "scalar-fail":    {"bare": {...}},   # scenario rows, bare only
         "scalar-dynamic": {"bare": {...}}
       },
-      "bare": {...}, "telemetry": {...}, "monitors": {...},   # scalar
       "provenance": {"config_hash": ..., "code_version": ...}
     }
 
@@ -27,22 +26,14 @@ path: ``fail`` (the same workload with one injected cross-processor
 flow dependence, so every run aborts and re-executes serially) and
 ``dynamic`` (dynamic self-scheduling on a contention-free machine).
 Scenario rows are bare-level only and keyed as pseudo-engines
-(``scalar-fail`` etc.) so ``benchdiff`` and the ledger's bench history
-read them without a schema change; the ``engines`` key keeps the shape
-of the older multi-engine documents for the same reason.
+(``scalar-fail`` etc.) beside ``scalar`` under ``engines``.
 
-The top-level ``bare``/``telemetry``/``monitors`` keys mirror the
-scalar cells for continuity with the PR3-era document shape.  The CI
-perf job runs this, diffs ``iters_per_s`` per cell against the
-committed baseline (``BENCH_BASELINE.json``) and warns — non-gating — on a
->15% drop; the hard <3% telemetry-off gate lives in
-``benchmarks/bench_simulator_throughput.py`` and is unaffected.
-
-With ``jobs > 1`` the matrix cells fan out across worker processes
-(one task per cell, every repetition timed *inside* its worker, GC
-paused there too).  Parallel cells contend for the host's cores, so
-absolute numbers are noisier than the default interleaved serial
-measurement — use ``jobs=1`` (the default) for baseline documents.
+The CI ``bench`` job runs this, checks the document's shape and
+uploads it (non-gating).  The gates on the null paths — telemetry
+attached but idle, an ambient span profiler, a ledger-enabled run,
+each within 3% of bare — live in
+``benchmarks/bench_simulator_throughput.py``; the reproduction's own
+wall time, memory and start-up are what ``perfbench/`` measures.
 """
 
 from __future__ import annotations
@@ -51,14 +42,13 @@ import dataclasses
 import gc
 import json
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from ..obs import MonitorSuite, Telemetry
 from ..params import ContentionModel, small_test_params
 from ..runtime.driver import RunConfig, run_hw
 from ..runtime.schedule import SchedulePolicy, ScheduleSpec
 from ..workloads.synthetic import failing_loop, parallel_nonpriv_loop
-from .pool import PoolTask, run_tasks
 
 BENCH_ITERATIONS = 48
 BENCH_ELEMENTS = 1024
@@ -100,23 +90,6 @@ def _run_cell(level: str, loop, params) -> None:
         assert result.violations == []
 
 
-def _bench_cell_times(level: str, reps: int) -> List[float]:
-    """Pool task: warm up and time one matrix cell, wholly in-worker."""
-    loop, params = _make_bench_workload()
-    _run_cell(level, loop, params)  # warmup, not measured
-    was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        return [
-            _measure(lambda: _run_cell(level, loop, params))
-            for _ in range(reps)
-        ]
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def _make_scenario_workload(scenario: str):
     """``(loop, params, config, expect_passed)`` for a scenario row."""
     if scenario == "fail":
@@ -155,91 +128,40 @@ def _run_scenario_cell(scenario, loop, params, config, expect_passed):
     assert result.passed is expect_passed, scenario
 
 
-def _bench_scenario_times(scenario: str, reps: int) -> List[float]:
-    """Pool task: warm up and time one scenario row, wholly in-worker."""
-    workload = _make_scenario_workload(scenario)
-    _run_scenario_cell(scenario, *workload)
+def run_bench(out: str = "BENCH_BASELINE.json", reps: int = 7) -> str:
+    """Measure the matrix in this process and write ``out``."""
+    loop, params = _make_bench_workload()
+    times = {cell: [] for cell in LEVELS + SCENARIOS}
+    scenarios = {s: _make_scenario_workload(s) for s in SCENARIOS}
+    for level in LEVELS:  # warmup round, not measured
+        _run_cell(level, loop, params)
+    for scenario in SCENARIOS:
+        _run_scenario_cell(scenario, *scenarios[scenario])
+    # Collector pauses land randomly inside the short timed runs and
+    # dominate rep-to-rep variance; pause collection while measuring
+    # (the simulator allocates heavily but builds no cycles).
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        return [
-            _measure(lambda: _run_scenario_cell(scenario, *workload))
-            for _ in range(reps)
-        ]
+        # Repetitions interleave across cells so host-load drift hits
+        # every cell equally.
+        for _ in range(reps):
+            for level in LEVELS:
+                times[level].append(
+                    _measure(lambda: _run_cell(level, loop, params))
+                )
+            for scenario in SCENARIOS:
+                times[scenario].append(
+                    _measure(
+                        lambda: _run_scenario_cell(
+                            scenario, *scenarios[scenario]
+                        )
+                    )
+                )
     finally:
         if was_enabled:
             gc.enable()
-
-
-def run_bench(
-    out: str = "BENCH_BASELINE.json",
-    reps: int = 7,
-    jobs: int = 1,
-    profile=None,
-    ledger=None,
-) -> str:
-    """Measure the matrix and write ``out``.
-
-    ``profile`` (a ``repro.obs.spans.ProfileSession``) routes every cell
-    through the pool with per-task capture — even at ``jobs=1`` — so a
-    merged trace shows where each cell's wall time goes.  Profiled cells
-    carry the capture's event-bus overhead; never use a profiled run to
-    regenerate a committed baseline document.
-
-    ``ledger`` (a ``repro.obs.RunLedger``) archives the finished
-    document as one bench history point — the timeline behind
-    ``repro ledger trend`` and ``benchdiff --from-ledger``.
-    """
-    loop, params = _make_bench_workload()
-    if (jobs is not None and jobs != 1) or profile is not None:
-        outputs = run_tasks(
-            [
-                PoolTask(_bench_cell_times, (level, reps),
-                         label=f"bench:scalar/{level}")
-                for level in LEVELS
-            ]
-            + [
-                PoolTask(_bench_scenario_times, (scenario, reps),
-                         label=f"bench:scalar-{scenario}")
-                for scenario in SCENARIOS
-            ],
-            jobs=jobs,
-            profile=profile,
-        )
-        times = dict(zip(LEVELS + SCENARIOS, outputs))
-    else:
-        times = {cell: [] for cell in LEVELS + SCENARIOS}
-        scenarios = {s: _make_scenario_workload(s) for s in SCENARIOS}
-        for level in LEVELS:  # warmup round, not measured
-            _run_cell(level, loop, params)
-        for scenario in SCENARIOS:
-            _run_scenario_cell(scenario, *scenarios[scenario])
-        # Collector pauses land randomly inside the short timed runs and
-        # dominate rep-to-rep variance; pause collection while measuring
-        # (the simulator allocates heavily but builds no cycles).
-        was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            # Repetitions interleave across cells so host-load drift
-            # hits every cell equally.
-            for _ in range(reps):
-                for level in LEVELS:
-                    times[level].append(
-                        _measure(lambda: _run_cell(level, loop, params))
-                    )
-                for scenario in SCENARIOS:
-                    times[scenario].append(
-                        _measure(
-                            lambda: _run_scenario_cell(
-                                scenario, *scenarios[scenario]
-                            )
-                        )
-                    )
-        finally:
-            if was_enabled:
-                gc.enable()
 
     best = {cell: min(ts) for cell, ts in times.items()}
 
@@ -271,10 +193,6 @@ def run_bench(
         },
         "reps": reps,
         "engines": engines_doc,
-        # Mirror of the PR3-era top-level shape.
-        "bare": scalar["bare"],
-        "telemetry": scalar["telemetry"],
-        "monitors": scalar["monitors"],
         "provenance": provenance.as_dict() if provenance is not None else None,
     }
     with open(out, "w") as fh:
@@ -290,11 +208,5 @@ def run_bench(
     ]
     for scenario in SCENARIOS:
         lines.append(f"  {scenario:7s} {best[scenario] * 1e3:8.1f} ms")
-    if ledger is not None:
-        key, deduped = ledger.record_bench(doc, label=out)
-        lines.append(
-            f"archived as ledger record {key[:12]}"
-            + (" (already present)" if deduped else "")
-        )
     lines.append(f"wrote {out}")
     return "\n".join(lines)

@@ -17,9 +17,9 @@ from typing import Callable, Dict, List
 from . import charts, claims, figures, report, serialize
 
 # The side verbs' modules (bench, doctor, tracerun, profile) are
-# imported inside the verbs that use them: bench alone pulls in the
-# process pool, ``multiprocessing`` and ``concurrent.futures``, and a
-# figure or table run needs none of them.
+# imported inside the verbs that use them: a figure or table run needs
+# none of them, nor the process pool, ``multiprocessing`` or
+# ``concurrent.futures`` that sweep, diffsweep and profile pull in.
 
 EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {}
 
@@ -108,11 +108,7 @@ def _doctor(args) -> str:
 def _bench(args) -> str:
     from . import bench
 
-    session = _profile_session(args, "bench")
-    text = bench.run_bench(out=args.bench_out, reps=args.bench_reps,
-                           jobs=args.jobs, profile=session,
-                           ledger=_ledger(args))
-    return _with_profile(args, session, text)
+    return bench.run_bench(out=args.bench_out, reps=args.bench_reps)
 
 
 def _ledger(args):
@@ -249,8 +245,8 @@ def main(argv: "List[str] | None" = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "ledger":
         # The ledger verb family has its own subcommand grammar
-        # (list/show/diff/import/trend/regressions); dispatch before the
-        # experiments parser sees it.
+        # (list/show/diff); dispatch before the experiments parser sees
+        # it.
         from . import ledgercli
 
         return ledgercli.main(argv[1:])
@@ -270,7 +266,7 @@ def main(argv: "List[str] | None" = None) -> int:
         nargs="+",
         choices=sorted(EXPERIMENTS) + ["all"],
         help="which tables/figures to regenerate (plus the 'ledger' "
-        "verb family: ledger list/show/diff/import/trend/regressions; "
+        "verb family: ledger list/show/diff; "
         "and 'modelcheck' for exhaustive protocol model checking)",
     )
     parser.add_argument(
@@ -313,14 +309,14 @@ def main(argv: "List[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for sweep/bench/diffsweep/profile (0 = "
+        help="worker processes for sweep/diffsweep/profile (0 = "
         "one per core); results are identical to --jobs 1",
     )
     parser.add_argument(
         "--profile-out", default=None,
         help="write a merged multi-process Chrome trace (spans + "
-        "rollup JSON next to it) for profile/sweep/bench/diffsweep/"
-        "trace; the profile verb defaults to repro-profile.json",
+        "rollup JSON next to it) for profile/sweep/diffsweep/trace; "
+        "the profile verb defaults to repro-profile.json",
     )
     parser.add_argument(
         "--sweep-field", default="num_processors",
@@ -345,11 +341,20 @@ def main(argv: "List[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--ledger-dir", default=None,
-        help="archive bench/sweep/diffsweep results (and serve identical "
+        help="archive sweep/diffsweep results (and serve identical "
         "re-runs) from the run ledger rooted here; query it with the "
         "'ledger' verb family",
     )
     args = parser.parse_args(argv)
+    # A count below its floor would run an empty sweep, or fail deep
+    # inside a run; refuse it as a usage error before anything runs.
+    for name, minimum in (("doctor_processors", 1), ("bench_reps", 1),
+                          ("jobs", 0), ("diff_count", 1)):
+        value = getattr(args, name)
+        if value < minimum:
+            flag = "--" + name.replace("_", "-")
+            parser.error(f"argument {flag}: must be at least {minimum}, "
+                         f"got {value}")
     # One invocation simulates each workload once: fig11, fig12, fig14
     # and verdict read the same figures.RunStore.
     args.runs = {}

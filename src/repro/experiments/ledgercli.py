@@ -5,15 +5,9 @@
     python -m repro.experiments ledger list [--kind run] [--limit 20]
     python -m repro.experiments ledger show <key-prefix>
     python -m repro.experiments ledger diff <key-a> <key-b>
-    python -m repro.experiments ledger import BENCH_PR3.json BENCH_PR4.json ...
-    python -m repro.experiments ledger trend
-    python -m repro.experiments ledger regressions [--window 5]
 
-``trend`` reconstructs the per-engine bare-loop throughput timeline
-from the archived bench records (seed the history by ``import``-ing the
-committed ``BENCH_PR*.json`` snapshots); ``regressions`` generalizes
-:mod:`repro.experiments.benchdiff` from a one-pair compare to the
-newest record against the median of the previous N.
+The archive holds run records (``RunConfig(ledger=...)``, or ``sweep
+--ledger-dir``) and diffsweep summaries (``diffsweep --ledger-dir``).
 """
 
 from __future__ import annotations
@@ -24,22 +18,7 @@ import os
 import sys
 from typing import List, Optional
 
-from ..obs.ledger import (
-    LEDGER_DIR,
-    RunLedger,
-    bench_bare_series,
-    median_bench_baseline,
-)
-from . import benchdiff
-
-#: column order for bench history; documents before the batch engine was
-#: folded into scalar still carry a ``batch`` column.
-ENGINE_ORDER = ("scalar", "batch", "vector")
-
-
-def _engines_sorted(bare: dict) -> List[str]:
-    known = [e for e in ENGINE_ORDER if e in bare]
-    return known + sorted(set(bare) - set(known))
+from ..obs.ledger import LEDGER_DIR, RunLedger
 
 
 def _cmd_list(ledger: RunLedger, args) -> int:
@@ -57,11 +36,6 @@ def _cmd_list(ledger: RunLedger, args) -> int:
                 f"{e.get('scenario')} "
                 f"{e.get('loop')!r} {verdict} "
                 f"wall={e.get('wall_cycles'):.0f}"
-            )
-        elif e["kind"] == "bench":
-            bare = e.get("bare_iters_per_s") or {}
-            extra = e.get("label", "") + "  " + "  ".join(
-                f"{eng} {bare[eng]:,.0f}/s" for eng in _engines_sorted(bare)
             )
         elif e["kind"] == "diffsweep":
             extra = f"{e.get('conforming')}/{e.get('seeds')} conforming"
@@ -110,67 +84,6 @@ def _cmd_diff(ledger: RunLedger, args) -> int:
     return 0
 
 
-def _cmd_import(ledger: RunLedger, args) -> int:
-    for path in args.files:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("benchmark") != "simulator-throughput" and "bare" not in doc:
-            print(f"  {path}: not a bench document, skipped")
-            continue
-        key, deduped = ledger.record_bench(doc, label=os.path.basename(path))
-        status = "already archived" if deduped else "archived"
-        print(f"  {key[:12]}  {status}  {os.path.basename(path)}")
-    return 0
-
-
-def _cmd_trend(ledger: RunLedger, args) -> int:
-    series = bench_bare_series(ledger.bench_history())
-    if not series:
-        print("ledger trend: no bench records (seed with "
-              "'ledger import BENCH_PR*.json')")
-        return 0
-    print("ledger trend: bare-loop iterations/s per engine "
-          "(oldest -> newest)")
-    width = max(len(label) for label, _ in series)
-    for label, bare in series:
-        cells = "  ".join(
-            f"{engine} {bare[engine]:,.0f}" for engine in _engines_sorted(bare)
-        )
-        print(f"  {label:<{width}}  {cells}")
-    first, last = series[0][1], series[-1][1]
-    if first and last:
-        lo = min(first.values())
-        hi = max(last.values())
-        print(f"  best-engine trajectory: {lo:,.0f} -> {hi:,.0f} iters/s "
-              f"({hi / lo:.1f}x over {len(series)} records)")
-    return 0
-
-
-def _cmd_regressions(ledger: RunLedger, args) -> int:
-    history = ledger.bench_history()
-    if len(history) < 2:
-        print("ledger regressions: need at least 2 bench records")
-        return 0
-    window = history[-(args.window + 1):-1]
-    newest = history[-1]
-    baseline = median_bench_baseline(window)
-    report, regressions = benchdiff.compare(
-        baseline, newest["bench"], args.threshold
-    )
-    print(
-        f"ledger regressions: {newest['label'] or newest['key'][:12]} vs "
-        f"median of previous {len(window)} record(s), "
-        f"threshold {args.threshold:.0f}%"
-    )
-    for line in report:
-        print(line)
-    for regression in regressions:
-        print(f"::warning::bench regression: {regression}")
-    if not regressions:
-        print(f"no cell slowed by more than {args.threshold:.0f}%")
-    return 1 if (args.strict and regressions) else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments ledger",
@@ -185,7 +98,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list", help="timeline of archived records")
-    p.add_argument("--kind", choices=("run", "bench", "diffsweep", "sweep"))
+    p.add_argument("--kind", choices=("run", "diffsweep"))
     p.add_argument("--limit", type=int, default=0,
                    help="only the newest N records")
     p.set_defaults(fn=_cmd_list)
@@ -199,28 +112,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("key_b")
     p.set_defaults(fn=_cmd_diff)
 
-    p = sub.add_parser("import",
-                       help="seed bench history from BENCH_PR*.json files")
-    p.add_argument("files", nargs="+")
-    p.set_defaults(fn=_cmd_import)
-
-    p = sub.add_parser("trend",
-                       help="per-engine iters/s timeline from bench records")
-    p.set_defaults(fn=_cmd_trend)
-
-    p = sub.add_parser(
-        "regressions",
-        help="newest bench record vs the median of the previous N",
-    )
-    p.add_argument("--window", type=int, default=5,
-                   help="number of prior records in the median baseline")
-    p.add_argument("--threshold", type=float, default=15.0,
-                   help="warn when a cell slows by more than this pct")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 on regressions instead of only warning")
-    p.set_defaults(fn=_cmd_regressions)
-
     args = parser.parse_args(argv)
+    if getattr(args, "limit", 0) < 0:
+        parser.error(f"argument --limit: must be at least 0, got {args.limit}")
     try:
         return args.fn(RunLedger(args.ledger_dir), args)
     except BrokenPipeError:  # e.g. `ledger list | head`

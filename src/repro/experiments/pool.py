@@ -1,8 +1,8 @@
 """Process-pool execution engine for independent simulation runs.
 
-Every evaluation surface in this repo — parameter sweeps, the bench
-matrix, the differential conformance seed sweep, the paper-figure
-scenarios — is a matrix of *independent, deterministic* simulations.
+Every evaluation surface in this repo — parameter sweeps, the
+differential conformance seed sweep, the paper-figure scenarios — is
+a matrix of *independent, deterministic* simulations.
 This module fans such a task list out across cores while keeping the
 results indistinguishable from serial execution:
 

@@ -10,7 +10,7 @@ pool with per-task profiling capture enabled, then writes:
   utilization, per-tier phase breakdown),
 
 and prints the rollup as text.  The same capture machinery is available
-on ``sweep`` / ``bench`` / ``diffsweep`` / ``trace`` via
+on ``sweep`` / ``diffsweep`` / ``trace`` via
 ``--profile-out``.
 """
 

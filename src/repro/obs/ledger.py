@@ -4,11 +4,10 @@ Every :class:`~repro.runtime.driver.RunResult` already carries a
 SHA-256 provenance manifest (:mod:`repro.obs.provenance`), but results
 evaporate when the process exits.  The :class:`RunLedger` keeps them:
 an on-disk, content-addressed store recording what was simulated, what
-verdict it produced, and how fast it ran — the regression timeline for
-the ``repro ledger`` CLI (``list`` / ``show`` / ``diff`` / ``trend`` /
-``regressions``) and the cache behind ``RunConfig(ledger=...)``, which
-serves an identical re-run bit-identically from the archive instead of
-re-simulating it.
+verdict it produced, and how fast it ran — the timeline the ``repro
+ledger`` CLI (``list`` / ``show`` / ``diff``) reads, and the cache
+behind ``RunConfig(ledger=...)``, which serves an identical re-run
+bit-identically from the archive instead of re-simulating it.
 
 Layout (all under one root directory)::
 
@@ -20,10 +19,9 @@ Layout (all under one root directory)::
 Keys are SHA-256 over the run's identity: the provenance ``config_hash``
 (machine params + the data knobs of the run config), the scenario, the
 package version and an explicit rendering of the workload loop — two
-invocations share a key iff they would simulate the same thing.  Bench
-and diffsweep records are keyed over their whole document, so every
-fresh measurement is a new history point while re-importing the same
-snapshot deduplicates.
+invocations share a key iff they would simulate the same thing.
+Diffsweep records are keyed over their whole summary document, so an
+identical sweep deduplicates.
 
 Write discipline: records land via temp-file + ``os.replace`` (readers
 never see partial JSON) and the existence-check → record write → index
@@ -62,8 +60,6 @@ __all__ = [
     "loop_fingerprint",
     "loop_fingerprint_doc",
     "span_rollup",
-    "bench_bare_series",
-    "median_bench_baseline",
 ]
 
 #: default archive location (relative to the working directory);
@@ -291,24 +287,6 @@ class RunLedger:
         deduped = self._write(key, "run", doc, summary)
         return key, deduped
 
-    def record_bench(self, doc: Dict[str, Any], label: str = "") -> Tuple[str, bool]:
-        """Archive one throughput-bench document (a new history point
-        per fresh measurement; identical snapshots deduplicate)."""
-        key = fingerprint({"kind": "bench", "doc": doc})
-        bare = {}
-        engines = doc.get("engines")
-        if isinstance(engines, dict):
-            for engine, levels in engines.items():
-                cell = levels.get("bare") or {}
-                if "iters_per_s" in cell:
-                    bare[engine] = round(float(cell["iters_per_s"]), 1)
-        elif "bare" in doc and "iters_per_s" in doc["bare"]:
-            bare["scalar"] = round(float(doc["bare"]["iters_per_s"]), 1)
-        summary = {"label": label, "bare_iters_per_s": bare}
-        deduped = self._write(key, "bench", {"label": label, "bench": doc},
-                              summary)
-        return key, deduped
-
     def record_diffsweep(self, doc: Dict[str, Any], label: str = "") -> Tuple[str, bool]:
         """Archive one differential-conformance sweep summary."""
         key = fingerprint({"kind": "diffsweep", "doc": doc})
@@ -319,14 +297,6 @@ class RunLedger:
         }
         deduped = self._write(key, "diffsweep", {"label": label, **doc},
                               summary)
-        return key, deduped
-
-    def record_sweep(self, doc: Dict[str, Any], label: str = "") -> Tuple[str, bool]:
-        """Archive one parameter-sweep summary (the per-point runs are
-        recorded individually when the sweep config carries the ledger)."""
-        key = fingerprint({"kind": "sweep", "doc": doc})
-        summary = {"label": label, "points": doc.get("points")}
-        deduped = self._write(key, "sweep", {"label": label, **doc}, summary)
         return key, deduped
 
     # -- read paths ------------------------------------------------------
@@ -378,22 +348,6 @@ class RunLedger:
             )
         return matches[0]
 
-    def bench_history(self) -> List[Dict[str, Any]]:
-        """Archived bench documents in write order, each as
-        ``{"key", "label", "bench"}``."""
-        out = []
-        for entry in self.records(kind="bench"):
-            record = self.lookup(entry["key"])
-            if record is not None:
-                out.append(
-                    {
-                        "key": entry["key"],
-                        "label": record.get("label", ""),
-                        "bench": record.get("bench", {}),
-                    }
-                )
-        return out
-
 
 def as_ledger(value) -> RunLedger:
     """Coerce a ``RunConfig.ledger`` value: a :class:`RunLedger` passes
@@ -402,50 +356,3 @@ def as_ledger(value) -> RunLedger:
         return value
     return RunLedger(root=os.fspath(value))
 
-
-# ----------------------------------------------------------------------
-# bench-history analysis (trend / regressions / --from-ledger)
-# ----------------------------------------------------------------------
-def bench_bare_series(
-    history: List[Dict[str, Any]],
-) -> List[Tuple[str, Dict[str, float]]]:
-    """``(label, {engine: bare iters/s})`` per archived bench document,
-    oldest first — the throughput trajectory across PRs."""
-    series: List[Tuple[str, Dict[str, float]]] = []
-    for item in history:
-        doc = item["bench"]
-        bare: Dict[str, float] = {}
-        engines = doc.get("engines")
-        if isinstance(engines, dict):
-            for engine, levels in engines.items():
-                cell = levels.get("bare") or {}
-                if "iters_per_s" in cell:
-                    bare[engine] = float(cell["iters_per_s"])
-        elif "bare" in doc and "iters_per_s" in doc.get("bare", {}):
-            bare["scalar"] = float(doc["bare"]["iters_per_s"])
-        series.append((item.get("label") or item["key"][:12], bare))
-    return series
-
-
-def median_bench_baseline(history: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Synthesize a matrix-shape bench baseline whose per-cell ``best_s``
-    is the median over ``history`` — the ``--from-ledger N`` baseline
-    for :mod:`repro.experiments.benchdiff`."""
-    from statistics import median
-
-    from ..experiments.benchdiff import _cells
-
-    samples: Dict[Tuple[str, str], List[float]] = {}
-    for item in history:
-        for cell, best_s in _cells(item["bench"]).items():
-            samples.setdefault(cell, []).append(best_s)
-    engines: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for (engine, level), values in samples.items():
-        engines.setdefault(engine, {})[level] = {
-            "best_s": float(median(values))
-        }
-    return {
-        "benchmark": "simulator-throughput",
-        "source": f"ledger median over {len(history)} records",
-        "engines": engines,
-    }

@@ -515,6 +515,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serial baseline)",
     )
     args = parser.parse_args(argv)
+    # An empty sweep would report "0/0 cases conform" and succeed.
+    for name, minimum in (("count", 1), ("jobs", 0)):
+        value = getattr(args, name)
+        if value < minimum:
+            parser.error(f"argument --{name}: must be at least {minimum}, "
+                         f"got {value}")
 
     seeds = (
         [args.seed]

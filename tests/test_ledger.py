@@ -2,12 +2,10 @@
 
 import dataclasses
 import json
-import os
-from pathlib import Path
 
 import pytest
 
-from repro.experiments import benchdiff, ledgercli
+from repro.experiments import ledgercli
 from repro.experiments.pool import PoolTask, run_tasks
 from repro.experiments.serialize import run_result_from_dict, run_result_to_dict
 from repro.obs import RunLedger, Telemetry, as_ledger, ledger_key
@@ -23,10 +21,6 @@ from repro.workloads.synthetic import (
     privatizable_loop,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-BENCH_SNAPSHOTS = [
-    "BENCH_PR3.json", "BENCH_PR4.json", "BENCH_PR6.json", "BENCH_PR10.json",
-]
 
 def _static(**extra):
     return RunConfig(
@@ -315,92 +309,6 @@ class TestConcurrentAppend:
         results = run_tasks(tasks, jobs=4)
         assert all(doc == results[0] for doc in results)
         assert len(list(RunLedger(root).records())) == 1
-
-
-# ----------------------------------------------------------------------
-# bench history: import / trend / regressions / --from-ledger
-# ----------------------------------------------------------------------
-def _seed_history(root):
-    argv = ["--ledger-dir", str(root), "import"]
-    argv += [str(REPO_ROOT / name) for name in BENCH_SNAPSHOTS]
-    assert ledgercli.main(argv) == 0
-
-
-class TestBenchHistory:
-    def test_import_is_idempotent(self, tmp_path, capsys):
-        _seed_history(tmp_path)
-        _seed_history(tmp_path)
-        out = capsys.readouterr().out
-        assert out.count("already archived") == len(BENCH_SNAPSHOTS)
-        ledger = RunLedger(str(tmp_path))
-        assert len(list(ledger.records(kind="bench"))) == len(BENCH_SNAPSHOTS)
-
-    def test_trend_reproduces_pr_trajectory(self, tmp_path, capsys):
-        _seed_history(tmp_path)
-        capsys.readouterr()
-        assert ledgercli.main(["--ledger-dir", str(tmp_path), "trend"]) == 0
-        out = capsys.readouterr().out
-        lines = [l for l in out.splitlines() if "BENCH_PR" in l]
-        assert len(lines) == len(BENCH_SNAPSHOTS)
-        # The committed history: scalar 1563 -> scalar 2394 / batch 3410
-        # -> vector 8748 -> vector 8991 (+ scenario rows), oldest first.
-        assert "scalar 1,563" in lines[0]
-        assert "scalar 2,394" in lines[1] and "batch 3,410" in lines[1]
-        assert "vector 8,748" in lines[2]
-        assert "vector 8,991" in lines[3] and "vector-dynamic" in lines[3]
-        assert "1,563 ->" in out
-
-    def test_regressions_window(self, tmp_path, capsys):
-        ledger = RunLedger(str(tmp_path))
-        # Synthetic history: stable 10ms cells, newest run 20% slower.
-        cell = lambda s: {"bare": {"best_s": s, "iters_per_s": 48 / s}}
-        for i, best in enumerate((0.010, 0.010, 0.010, 0.012)):
-            ledger.record_bench(
-                {"benchmark": "simulator-throughput", "seq": i,
-                 "engines": {"scalar": cell(best)}},
-                label=f"point-{i}",
-            )
-        rc = ledgercli.main(
-            ["--ledger-dir", str(tmp_path), "regressions",
-             "--window", "3", "--threshold", "15", "--strict"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "scalar/bare slowed +20.0%" in out
-
-    def test_benchdiff_from_ledger_median(self, tmp_path, capsys):
-        ledger = RunLedger(str(tmp_path))
-        for i, best in enumerate((0.010, 0.020, 0.030)):
-            ledger.record_bench(
-                {"benchmark": "simulator-throughput", "seq": i,
-                 "engines": {"scalar": {"bare": {"best_s": best}}}},
-                label=f"p{i}",
-            )
-        current = tmp_path / "now.json"
-        current.write_text(json.dumps(
-            {"engines": {"scalar": {"bare": {"best_s": 0.020}}}}
-        ))
-        rc = benchdiff.main(
-            [str(current), "--from-ledger", "3",
-             "--ledger-dir", str(tmp_path), "--strict"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0  # current == median(10, 20, 30)ms == 20ms
-        assert "+0.0%" in out
-
-    def test_run_bench_archives(self, tmp_path):
-        from repro.experiments.bench import run_bench
-
-        ledger = RunLedger(str(tmp_path))
-        out = tmp_path / "bench.json"
-        text = run_bench(out=str(out), reps=1, ledger=ledger)
-        assert "archived as ledger record" in text
-        (entry,) = ledger.records(kind="bench")
-        doc = ledger.lookup(entry["key"])["bench"]
-        assert doc == json.loads(out.read_text())
-        assert set(entry["bare_iters_per_s"]) == {
-            "scalar", "scalar-fail", "scalar-dynamic",
-        }
 
 
 # ----------------------------------------------------------------------
