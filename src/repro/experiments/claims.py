@@ -46,14 +46,15 @@ class EvaluationData:
 def gather(
     preset: str = "quick", seed: int = 2026, runs: Optional[RunStore] = None
 ) -> EvaluationData:
-    """Build every figure the claims read.  Figs 11, 12 and 14 share one
+    """Build every figure the claims read.  Figs 11–14 share one
     :data:`~.figures.RunStore` (``runs``, or a fresh one), so each
-    workload is simulated once per processor count."""
+    distinct run is simulated once, and not at all when ``runs``
+    already holds it."""
     runs = {} if runs is None else runs
     return EvaluationData(
         fig11=fig11_speedups(preset, seed=seed, runs=runs),
         fig12=fig12_breakdown(preset, seed=seed, runs=runs),
-        fig13=fig13_failure(preset, seed=seed),
+        fig13=fig13_failure(preset, seed=seed, runs=runs),
         fig14=fig14_scalability(preset, seed=seed, runs=runs),
         table2=table2_state(),
     )

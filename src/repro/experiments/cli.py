@@ -23,15 +23,15 @@ from . import charts, claims, figures, report, serialize
 
 EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {}
 
-#: row producers for --json output
+#: row producers: the --json output, and the rows each table verb renders
 ROW_PRODUCERS: Dict[str, Callable[[argparse.Namespace], list]] = {
     "fig11": lambda a: figures.fig11_speedups(a.preset, seed=a.seed, runs=a.runs),
     "fig12": lambda a: figures.fig12_breakdown(a.preset, seed=a.seed, runs=a.runs),
-    "fig13": lambda a: figures.fig13_failure(a.preset, seed=a.seed),
+    "fig13": lambda a: figures.fig13_failure(a.preset, seed=a.seed, runs=a.runs),
     "fig14": lambda a: figures.fig14_scalability(a.preset, seed=a.seed, runs=a.runs),
     "table1": lambda a: figures.table1_workloads(a.preset, seed=a.seed),
     "table2": lambda a: figures.table2_state(),
-    "table3": lambda a: figures.table3_traffic(a.preset, seed=a.seed),
+    "table3": lambda a: figures.table3_traffic(a.preset, seed=a.seed, runs=a.runs),
 }
 
 
@@ -43,46 +43,27 @@ def _register(name: str):
     return wrap
 
 
-@_register("fig11")
-def _fig11(args) -> str:
-    rows = figures.fig11_speedups(args.preset, seed=args.seed, runs=args.runs)
-    text = report.render_fig11(rows)
-    if args.chart:
-        text += "\n\n" + charts.chart_fig11(rows)
-    return text
+def _rows_verb(name: str, render, chart=None) -> None:
+    """Register ``name`` as a verb that renders its ``ROW_PRODUCERS``
+    rows, with an ASCII chart under --chart where one exists."""
+
+    def verb(args) -> str:
+        rows = ROW_PRODUCERS[name](args)
+        text = render(rows)
+        if chart is not None and args.chart:
+            text += "\n\n" + chart(rows)
+        return text
+
+    EXPERIMENTS[name] = verb
 
 
-@_register("fig12")
-def _fig12(args) -> str:
-    rows = figures.fig12_breakdown(args.preset, seed=args.seed, runs=args.runs)
-    text = report.render_fig12(rows)
-    if args.chart:
-        text += "\n\n" + charts.chart_fig12(rows)
-    return text
-
-
-@_register("fig13")
-def _fig13(args) -> str:
-    return report.render_fig13(figures.fig13_failure(args.preset, seed=args.seed))
-
-
-@_register("fig14")
-def _fig14(args) -> str:
-    rows = figures.fig14_scalability(args.preset, seed=args.seed, runs=args.runs)
-    text = report.render_fig14(rows)
-    if args.chart:
-        text += "\n\n" + charts.chart_fig14(rows)
-    return text
-
-
-@_register("table1")
-def _table1(args) -> str:
-    return report.render_table1(figures.table1_workloads(args.preset, seed=args.seed))
-
-
-@_register("table3")
-def _table3(args) -> str:
-    return report.render_table3(figures.table3_traffic(args.preset, seed=args.seed))
+_rows_verb("fig11", report.render_fig11, charts.chart_fig11)
+_rows_verb("fig12", report.render_fig12, charts.chart_fig12)
+_rows_verb("fig13", report.render_fig13)
+_rows_verb("fig14", report.render_fig14, charts.chart_fig14)
+_rows_verb("table1", report.render_table1)
+_rows_verb("table2", report.render_table2)
+_rows_verb("table3", report.render_table3)
 
 
 @_register("verdict")
@@ -90,11 +71,6 @@ def _verdict(args) -> str:
     data = claims.gather(args.preset, args.seed, runs=args.runs)
     results = claims.evaluate_claims(data=data)
     return claims.render_verdict(results)
-
-
-@_register("table2")
-def _table2(args) -> str:
-    return report.render_table2(figures.table2_state())
 
 
 @_register("doctor")
@@ -150,6 +126,15 @@ def _sweep_value(text: str):
     return text
 
 
+def _sweep_values(text: str) -> list:
+    """Parse --sweep-values; naming no value is a usage error, not an
+    empty sweep."""
+    values = [_sweep_value(v) for v in text.split(",") if v]
+    if not values:
+        raise argparse.ArgumentTypeError("must name at least one value")
+    return values
+
+
 @_register("sweep")
 def _sweep(args) -> str:
     from ..params import default_params
@@ -158,7 +143,6 @@ def _sweep(args) -> str:
 
     workload = figures.make_workload(args.workload, args.preset, args.seed)
     loop = next(iter(workload.executions(1)))
-    values = [_sweep_value(v) for v in args.sweep_values.split(",") if v]
     session = _profile_session(args, f"sweep:{args.sweep_field}")
     ledger = _ledger(args)
     config = None
@@ -171,7 +155,7 @@ def _sweep(args) -> str:
     points = sweep_machine(
         loop,
         args.sweep_field,
-        values,
+        args.sweep_values,
         scenario=Scenario[args.sweep_scenario.upper()],
         base_params=default_params(workload.num_processors),
         config=config,
@@ -323,7 +307,7 @@ def main(argv: "List[str] | None" = None) -> int:
         help="sweep: dotted MachineParams field to vary",
     )
     parser.add_argument(
-        "--sweep-values", default="2,4,8",
+        "--sweep-values", default="2,4,8", type=_sweep_values,
         help="sweep: comma-separated values for the swept field",
     )
     parser.add_argument(
@@ -355,8 +339,9 @@ def main(argv: "List[str] | None" = None) -> int:
             flag = "--" + name.replace("_", "-")
             parser.error(f"argument {flag}: must be at least {minimum}, "
                          f"got {value}")
-    # One invocation simulates each workload once: fig11, fig12, fig14
-    # and verdict read the same figures.RunStore.
+    # One invocation simulates each distinct run once: every figure
+    # verb (fig11-fig14, table3, verdict) reads the same
+    # figures.RunStore.
     args.runs = {}
 
     # "all" regenerates every table/figure; trace, bench and profile

@@ -11,11 +11,11 @@ presets; only noise shrinks).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.accessbits import state_bits_per_element
 from ..params import default_params
-from ..runtime.driver import RunConfig, run_hw, run_serial, run_sw
+from ..runtime.driver import RunConfig, RunResult, run_hw, run_serial, run_sw
 from ..runtime.schedule import SchedulePolicy, ScheduleSpec, VirtualMode
 from ..sim.stats import TimeBreakdown
 from ..trace.loop import ArraySpec, Loop
@@ -23,7 +23,7 @@ from ..trace.ops import AccessOp, read
 from ..types import ProtocolKind, Scenario
 from ..workloads import AdmWorkload, OceanWorkload, P3mWorkload, TrackWorkload
 from ..workloads.base import Workload
-from .scenarios import WorkloadResults, run_workload
+from .scenarios import WorkloadResults, execution_runs, run_workload
 
 #: per-preset (scale, executions) for each workload
 PRESETS: Dict[str, Dict[str, Tuple[float, int]]] = {
@@ -49,34 +49,29 @@ def preset_executions(name: str, preset: str) -> int:
     return PRESETS[preset][name][1]
 
 
-#: A caller-owned store of simulated workloads, keyed by
-#: ``(name, preset, seed, num_processors)``.  Figs 11 and 12 plot the
-#: same Serial/Ideal/SW/HW runs, and Fig 14's bars at a workload's own
-#: processor count are those runs again, so builders handed one store
-#: simulate each workload once between them.
-RunStore = Dict[Tuple[str, str, int, int], WorkloadResults]
+#: A caller-owned memo of simulated runs, one ``RunResult`` per
+#: generator coordinate ``(workload, preset, seed, execution, scenario,
+#: num_processors)``: ``execution`` is an execution index or
+#: :data:`FORCED_FAILURE`, and Serial keys use 1 processor.  Builders
+#: handed one store simulate each distinct run once between them (Figs
+#: 12 and 14 and Table 3 mostly re-read Fig 11's runs).  It holds no
+#: loops: a missing run rebuilds its loop.
+RunStore = Dict[Tuple[str, str, int, Union[int, str], Scenario, int], RunResult]
+
+#: the ``execution`` coordinate of Fig 13's forced-failure runs
+FORCED_FAILURE = "fail"
 
 
 def _workload_results(
-    name: str,
-    preset: str,
-    seed: int,
-    num_processors: Optional[int] = None,
+    name: str, preset: str, seed: int, procs: Optional[int] = None,
     runs: Optional[RunStore] = None,
 ) -> WorkloadResults:
-    """All four scenarios of ``name`` at ``num_processors`` (default: the
-    workload's own count), read from ``runs`` or simulated into it."""
-    runs = {} if runs is None else runs
-    workload = make_workload(name, preset, seed)
-    procs = num_processors or workload.num_processors
-    key = (name, preset, seed, procs)
-    if key not in runs:
-        runs[key] = run_workload(
-            workload,
-            executions=preset_executions(name, preset),
-            num_processors=procs,
-        )
-    return runs[key]
+    """All four scenarios of ``name`` on ``procs`` processors (default:
+    the workload's own), each run read from ``runs`` or simulated into it."""
+    return run_workload(
+        make_workload(name, preset, seed), executions=preset_executions(name, preset),
+        num_processors=procs, runs=runs, key=(name, preset, seed),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -169,6 +164,15 @@ class Fig13Row:
     detection_cycle: Optional[float] = None
 
 
+def _failure_execution(name: str, workload: Workload) -> Union[int, str]:
+    """The ``execution`` coordinate of a forced-failure Serial run.
+    Track fails on one of its own executions, unmodified, so its Serial
+    run is that execution's; the other loops are altered."""
+    if name != "Track":
+        return FORCED_FAILURE
+    return next(i for i in range(workload.paper_executions) if workload.is_dependent_execution(i))
+
+
 def _forced_failure_loop(
     name: str, preset: str, seed: int
 ) -> Tuple[Loop, RunConfig, RunConfig]:
@@ -216,11 +220,7 @@ def _forced_failure_loop(
     # that needs processor-wise tests to pass".  For the hardware
     # scheme that means single-iteration cyclic blocks, which split the
     # dependent pairs across processors.
-    dep_index = next(
-        i for i in range(workload.paper_executions)
-        if workload.is_dependent_execution(i)
-    )
-    loop = workload.execution(dep_index)
+    loop = workload.execution(_failure_execution(name, workload))
     hw = RunConfig(schedule=ScheduleSpec(SchedulePolicy.DYNAMIC, 1, VirtualMode.CHUNK))
     sw = RunConfig(
         schedule=ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 1, VirtualMode.ITERATION)
@@ -229,35 +229,50 @@ def _forced_failure_loop(
 
 
 def fig13_failure(
-    preset: str = "quick", workloads: Optional[List[str]] = None, seed: int = 2026
+    preset: str = "quick",
+    workloads: Optional[List[str]] = None,
+    seed: int = 2026,
+    runs: Optional[RunStore] = None,
 ) -> List[Fig13Row]:
     """Figure 13: execution time of one forced-failure instance of each
-    loop under Serial, SW and HW, normalized to Serial."""
+    loop under Serial, SW and HW, normalized to Serial.
+
+    ``runs`` is a :data:`RunStore` shared with other builders; without
+    one, no run outlives its loop's rows."""
     rows: List[Fig13Row] = []
     for name in workloads or ["Ocean", "P3m", "Adm", "Track"]:
-        workload = make_workload(name, preset, seed)
+        rows += _failure_rows(name, preset, seed, {} if runs is None else runs)
+    return rows
+
+
+def _failure_rows(name: str, preset: str, seed: int, runs: RunStore) -> List[Fig13Row]:
+    """Fig 13's rows of one loop, its runs read from ``runs`` or
+    simulated into it."""
+    workload = make_workload(name, preset, seed)
+    execution = _failure_execution(name, workload)
+    serial_key = (name, preset, seed, execution, Scenario.SERIAL, 1)
+    sw_key, hw_key = (
+        (name, preset, seed, FORCED_FAILURE, s, workload.num_processors)
+        for s in (Scenario.SW, Scenario.HW)
+    )
+    if hw_key not in runs:
         loop, hw_cfg, sw_cfg = _forced_failure_loop(name, preset, seed)
         params = default_params(workload.num_processors)
-        serial = run_serial(loop, params)
-        sw = run_sw(loop, params, sw_cfg, serial_result=serial)
-        hw = run_hw(loop, params, hw_cfg, serial_result=serial)
-        rows.append(
-            Fig13Row(
-                name, Scenario.SERIAL, 1.0,
-                serial.breakdown.normalized_to(serial.wall),
-            )
+        if serial_key not in runs:
+            runs[serial_key] = run_serial(loop, params)
+        runs[sw_key] = run_sw(loop, params, sw_cfg, serial_result=runs[serial_key])
+        runs[hw_key] = run_hw(loop, params, hw_cfg, serial_result=runs[serial_key])
+    serial = runs[serial_key]
+    return [Fig13Row(name, Scenario.SERIAL, 1.0, serial.breakdown.normalized_to(serial.wall))] + [
+        Fig13Row(
+            name,
+            run.scenario,
+            run.wall / serial.wall,
+            run.breakdown.normalized_to(serial.wall),
+            detection_cycle=run.detection_cycle,
         )
-        for run in (sw, hw):
-            rows.append(
-                Fig13Row(
-                    name,
-                    run.scenario,
-                    run.wall / serial.wall,
-                    run.breakdown.normalized_to(serial.wall),
-                    detection_cycle=run.detection_cycle,
-                )
-            )
-    return rows
+        for run in (runs[sw_key], runs[hw_key])
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +372,10 @@ class Table3Row:
 
 
 def table3_traffic(
-    preset: str = "quick", workloads: Optional[List[str]] = None, seed: int = 2026
+    preset: str = "quick",
+    workloads: Optional[List[str]] = None,
+    seed: int = 2026,
+    runs: Optional[RunStore] = None,
 ) -> List[Table3Row]:
     """Extra traffic each scheme adds per access to an array under test.
 
@@ -365,26 +383,22 @@ def table3_traffic(
     and first-write signals, read-ins); the software scheme adds real
     *memory accesses* to the shadow arrays.  The paper's design goal is
     that the hardware extensions stay well below one extra transaction
-    per marked access.
+    per marked access.  The runs are one execution's workload runs, so
+    a :data:`RunStore` shared with Fig 11 (``runs``) holds most of them.
     """
-    from ..runtime.driver import run_serial
-
     rows: List[Table3Row] = []
     for name in workloads or ["Ocean", "P3m", "Adm", "Track"]:
         workload = make_workload(name, preset, seed)
         # Pick the execution with the most marked accesses among the
         # first few (Track's fraction varies from 0% upward, §5.2).
-        candidates = list(workload.executions(min(4, workload.paper_executions)))
-        loop = max(
-            candidates,
-            key=lambda l: l.stats().marked_reads + l.stats().marked_writes,
+        stats = [workload.execution(i).stats() for i in range(min(4, workload.paper_executions))]
+        counts = [s.marked_reads + s.marked_writes for s in stats]
+        marked = max(counts)
+        done = execution_runs(
+            workload, counts.index(marked), [Scenario.HW, Scenario.SW],
+            default_params(workload.num_processors), runs, (name, preset, seed),
         )
-        stats = loop.stats()
-        marked = stats.marked_reads + stats.marked_writes
-        params = default_params(workload.num_processors)
-        serial = run_serial(loop, params)
-        hw = run_hw(loop, params, workload.hw_config(), serial_result=serial)
-        sw = run_sw(loop, params, workload.sw_config(), serial_result=serial)
+        hw, sw = done[Scenario.HW], done[Scenario.SW]
         # SW shadow traffic = its total accesses minus the loop's own
         # and minus the HW run's (same data accesses + backup).
         sw_shadow = max(0, sw.mem.accesses - hw.mem.accesses)

@@ -28,10 +28,6 @@ class ScenarioAverages:
     failures: int
     runs: List[RunResult]
 
-    @property
-    def pass_rate(self) -> float:
-        return 1.0 - self.failures / max(1, self.executions)
-
 
 @dataclasses.dataclass
 class WorkloadResults:
@@ -58,44 +54,70 @@ def run_workload(
     scenarios: Optional[List[Scenario]] = None,
     executions: Optional[int] = None,
     num_processors: Optional[int] = None,
+    runs: Optional[Dict[tuple, RunResult]] = None,
+    key: tuple = (),
 ) -> WorkloadResults:
-    """Simulate ``workload`` under each scenario; average per execution."""
+    """Simulate ``workload`` under each scenario; average per execution.
+
+    ``runs`` is a run store (``figures.RunStore``); ``key`` names the
+    workload in it, and :func:`execution_runs` reads or fills each run."""
     chosen = scenarios or [Scenario.SERIAL, Scenario.IDEAL, Scenario.SW, Scenario.HW]
     procs = num_processors or workload.num_processors
     params = default_params(procs)
-    loops = list(workload.executions(executions))
-
-    # Serial results double as the failure-path reference for SW/HW.
-    serial_runs = [run_serial(loop, params) for loop in loops]
+    count = workload.default_executions if executions is None else executions
+    done = [
+        execution_runs(workload, index, chosen, params, runs, key)
+        for index in range(count)
+    ]
     results: Dict[Scenario, ScenarioAverages] = {}
-
     for scenario in chosen:
-        runs: List[RunResult] = []
-        for loop, serial in zip(loops, serial_runs):
-            if scenario is Scenario.SERIAL:
-                runs.append(serial)
-            elif scenario is Scenario.IDEAL:
-                runs.append(run_ideal(loop, params, workload.ideal_config()))
-            elif scenario is Scenario.SW:
-                runs.append(
-                    run_sw(loop, params, workload.sw_config(), serial_result=serial)
-                )
-            else:
-                runs.append(
-                    run_hw(loop, params, workload.hw_config(), serial_result=serial)
-                )
-        n = len(runs)
+        runs_of = [by_scenario[scenario] for by_scenario in done]
+        n = len(runs_of)
         avg_breakdown = TimeBreakdown()
-        for r in runs:
+        for r in runs_of:
             avg_breakdown.add(r.breakdown.scaled(1.0 / n))
         results[scenario] = ScenarioAverages(
             scenario=scenario,
-            wall=sum(r.wall for r in runs) / n,
+            wall=sum(r.wall for r in runs_of) / n,
             breakdown=avg_breakdown,
             executions=n,
-            failures=sum(0 if r.passed else 1 for r in runs),
-            runs=runs,
+            failures=sum(0 if r.passed else 1 for r in runs_of),
+            runs=runs_of,
         )
     return WorkloadResults(
         workload=workload.name, num_processors=procs, scenarios=results
     )
+
+
+def execution_runs(
+    workload: Workload,
+    index: int,
+    scenarios: List[Scenario],
+    params: MachineParams,
+    runs: Optional[Dict[tuple, RunResult]] = None,
+    key: tuple = (),
+) -> Dict[Scenario, RunResult]:
+    """Execution ``index`` of ``workload`` under Serial and ``scenarios``,
+    each run read from ``runs`` under ``key + (index, scenario,
+    processors)`` or simulated into it.  Serial is keyed at 1 processor
+    (``run_serial`` collapses the machine) and is the SW/HW failure-path
+    reference; the loop is built only when a run is missing."""
+    runs = {} if runs is None else runs
+    loop = None
+    out: Dict[Scenario, RunResult] = {}
+    for scenario in [Scenario.SERIAL] + [s for s in scenarios if s is not Scenario.SERIAL]:
+        procs = 1 if scenario is Scenario.SERIAL else params.num_processors
+        run_key = key + (index, scenario, procs)
+        if run_key not in runs:
+            loop = workload.execution(index) if loop is None else loop
+            serial = out.get(Scenario.SERIAL)
+            if scenario is Scenario.SERIAL:
+                runs[run_key] = run_serial(loop, params)
+            elif scenario is Scenario.IDEAL:
+                runs[run_key] = run_ideal(loop, params, workload.ideal_config())
+            elif scenario is Scenario.SW:
+                runs[run_key] = run_sw(loop, params, workload.sw_config(), serial_result=serial)
+            else:
+                runs[run_key] = run_hw(loop, params, workload.hw_config(), serial_result=serial)
+        out[scenario] = runs[run_key]
+    return out

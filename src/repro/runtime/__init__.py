@@ -15,7 +15,6 @@ from .schedule import (
     static_chunks,
 )
 from .driver import (
-    LoopRunner,
     RunConfig,
     RunResult,
     run_hw,
@@ -26,7 +25,6 @@ from .driver import (
 
 __all__ = [
     "ChunkQueue",
-    "LoopRunner",
     "RunConfig",
     "RunResult",
     "SchedulePolicy",

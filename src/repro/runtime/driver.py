@@ -162,10 +162,6 @@ class RunResult:
     #: built when monitors were armed and the speculation failed
     forensics: Optional[object] = None
 
-    @property
-    def speedup_base(self) -> float:
-        return self.wall
-
 
 # ----------------------------------------------------------------------
 # Shared helpers
@@ -917,21 +913,3 @@ def run_sw(
     )
     return _finish_run(machine, config, params, result, loop)
 
-
-class LoopRunner:
-    """Convenience wrapper running one loop under all four scenarios."""
-
-    def __init__(
-        self, params: MachineParams, config: Optional[RunConfig] = None
-    ) -> None:
-        self.params = params
-        self.config = config or RunConfig()
-
-    def run(self, loop: Loop, scenario: Scenario) -> RunResult:
-        if scenario is Scenario.SERIAL:
-            return run_serial(loop, self.params, self.config)
-        if scenario is Scenario.IDEAL:
-            return run_ideal(loop, self.params, self.config)
-        if scenario is Scenario.HW:
-            return run_hw(loop, self.params, self.config)
-        return run_sw(loop, self.params, self.config)

@@ -35,7 +35,7 @@ DRIVERS = ("run_serial", "run_ideal", "run_sw", "run_hw")
 
 def _count_driver_calls(mp, calls, modules=(scenarios, figures)):
     """Count scenario-driver calls, per driver, where ``modules`` look
-    the drivers up (``figures`` holds Fig 13's and Table 3's)."""
+    the drivers up (``figures`` holds Fig 13's)."""
     for module in modules:
         for name in DRIVERS:
             if not hasattr(module, name):
@@ -160,7 +160,7 @@ class TestFig14Shape:
 
 
 class TestRunStore:
-    """Figs 11, 12 and 14 handed one RunStore simulate each workload once."""
+    """Builders handed one RunStore simulate each distinct run once."""
 
     def test_shared_store_rows_equal_unshared_rows(self, monkeypatch):
         fresh12 = fig12_breakdown(preset="quick", workloads=["Adm"])
@@ -170,11 +170,70 @@ class TestRunStore:
         runs = {}
         assert fig12_breakdown(preset="quick", workloads=["Adm"], runs=runs) == fresh12
         assert fig14_scalability(preset="quick", workloads=["Adm"], runs=runs) == fresh14
-        # Adm runs on 16 processors, so Fig 14's 16-processor bars are
-        # read from Fig 12's entry: each (workload, procs) pair runs once.
-        assert set(runs) == {("Adm", "quick", 2026, 8), ("Adm", "quick", 2026, 16)}
+        # One entry per run: Adm runs on 16 processors, so Fig 14's
+        # 16-processor bars are Fig 12's runs, and every Serial run is
+        # keyed at 1 processor, so the 8-processor bars reuse it too.
         per_pair = preset_executions("Adm", "quick")
-        assert calls == {name: 2 * per_pair for name in DRIVERS}
+        assert set(runs) == {
+            ("Adm", "quick", 2026, index, scenario, procs)
+            for index in range(per_pair)
+            for scenario, procs in [(Scenario.SERIAL, 1)] + [
+                (s, p) for s in (Scenario.IDEAL, Scenario.SW, Scenario.HW)
+                for p in (8, 16)
+            ]
+        }
+        assert calls == {
+            "run_serial": per_pair, "run_ideal": 2 * per_pair,
+            "run_sw": 2 * per_pair, "run_hw": 2 * per_pair,
+        }
+
+    def test_table3_and_fig13_read_the_store(self, monkeypatch):
+        fresh13 = fig13_failure(preset="quick", workloads=["Track"])
+        fresh3 = figures.table3_traffic(preset="quick", workloads=["Track"])
+        calls = collections.Counter()
+        _count_driver_calls(monkeypatch, calls)
+        runs = {}
+        assert fig13_failure(preset="quick", workloads=["Track"], runs=runs) == fresh13
+        assert figures.table3_traffic(preset="quick", workloads=["Track"], runs=runs) == fresh3
+        # Track fails on its dependent execution 3, unmodified, and Table
+        # 3 picks that execution too: they share its Serial run.
+        assert ("Track", "quick", 2026, 3, Scenario.SERIAL, 1) in runs
+        assert calls == {"run_serial": 1, "run_sw": 2, "run_hw": 2}
+        calls.clear()
+        assert fig13_failure(preset="quick", workloads=["Track"], runs=runs) == fresh13
+        assert figures.table3_traffic(preset="quick", workloads=["Track"], runs=runs) == fresh3
+        assert not calls
+
+    def test_all_json_simulates_each_distinct_run_once(self, monkeypatch, capsys):
+        """Every driver call of ``all --json`` is a distinct run by
+        content (the run ledger's key; Serial at its uniprocessor)."""
+        from repro.experiments.cli import main
+        from repro.obs.ledger import ledger_key
+        from repro.runtime import driver
+
+        keys = []
+        for module in (scenarios, figures, driver):
+            for name in DRIVERS:
+                if not hasattr(module, name):
+                    continue
+                scenario = Scenario[name[len("run_"):].upper()]
+
+                def keyed(loop, params, config=None, *args, _fn=getattr(module, name),
+                          _scenario=scenario, **kwargs):
+                    machine = params
+                    if _scenario is Scenario.SERIAL:
+                        machine = driver._serial_params(params)
+                    keys.append(ledger_key(_scenario, loop, machine, config))
+                    return _fn(loop, params, config, *args, **kwargs)
+
+                monkeypatch.setattr(module, name, keyed)
+        assert main(["all", "--json", "--preset", "quick"]) == 0
+        capsys.readouterr()
+        repeats = len(keys) - len(set(keys))
+        assert repeats == 0
+        # Fig 11's 32 runs, Fig 13's 12, Fig 14's 8-processor Ideal/SW/HW
+        # (18) and Table 3's Track execution 3 under HW and SW (2).
+        assert len(keys) == 64
 
 
 class TestTables:
@@ -259,6 +318,17 @@ class TestCLI:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {flag}: must be at least {minimum}" in (
+            capsys.readouterr().err
+        )
+
+    def test_cli_rejects_empty_sweep_values(self, capsys):
+        # Naming no value would run an empty sweep and exit 0.
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--workload", "Track", "--sweep-values", ","])
+        assert exc.value.code == 2
+        assert "argument --sweep-values: must name at least one value" in (
             capsys.readouterr().err
         )
 
@@ -455,13 +525,14 @@ class TestClaims:
         # Quick preset: Fig 11 runs 8 loops (Ocean 2, P3m 1, Adm 2,
         # Track 3) under all four scenarios, Fig 13 one forced-failure
         # loop per workload under Serial/SW/HW, and Fig 14 only its
-        # 8-processor P3m/Adm/Track loops (6); Fig 12 and Fig 14's
-        # 16-processor bars reuse Fig 11's runs.
+        # 8-processor P3m/Adm/Track loops (6) under Ideal/SW/HW; Fig 12,
+        # Fig 14's 16-processor bars and every 8-processor Serial reuse
+        # Fig 11's runs.
         _, calls = evaluation
         assert calls == {
-            "run_serial": 18, "run_ideal": 14, "run_sw": 18, "run_hw": 18,
+            "run_serial": 12, "run_ideal": 14, "run_sw": 18, "run_hw": 18,
         }
-        assert sum(calls.values()) == 68
+        assert sum(calls.values()) == 62
 
     def test_all_claims_reproduce_at_quick_preset(self, claim_results):
         failed = [r.claim_id for r in claim_results if not r.passed]

@@ -4,7 +4,7 @@ the independent oracles.
 The figures are only as trustworthy as their pass/FAIL verdicts.  This
 test records every ``run_sw``/``run_hw`` call a quick-preset
 reproduction makes -- the shared :data:`~repro.experiments.figures.RunStore`
-that Figs 11, 12 and 14 read, plus Fig 13's forced failures -- and
+that Figs 11-14 read, Fig 13's forced failures included -- and
 re-derives each verdict from the loop's access trace and the run's
 realized iteration-to-processor assignment:
 
@@ -133,7 +133,7 @@ def sw_oracle_verdict(loop, config, result) -> bool:
 @pytest.fixture(scope="module")
 def recorded_runs():
     """``(source, scenario, loop, config, result, params)`` for every SW
-    and HW run of the quick RunStore and of Fig 13."""
+    and HW run of the quick RunStore that Figs 11, 13 and 14 fill."""
     calls = []
     patch = pytest.MonkeyPatch()
 
@@ -154,7 +154,7 @@ def recorded_runs():
         runs: figures.RunStore = {}
         figures.fig11_speedups(PRESET, seed=SEED, runs=runs)
         figures.fig14_scalability(PRESET, seed=SEED, runs=runs)
-        figures.fig13_failure(PRESET, seed=SEED)
+        figures.fig13_failure(PRESET, seed=SEED, runs=runs)
     finally:
         patch.undo()
     return runs, calls
@@ -164,12 +164,25 @@ def test_every_verdict_is_recorded(recorded_runs):
     runs, calls = recorded_runs
     store = [c for c in calls if c[0] == "store"]
     fig13 = [c for c in calls if c[0] == "fig13"]
+    # (workload, processors) pairs of the workload runs: Fig 11's four
+    # and Fig 14's three at 8 processors.
+    pairs = {
+        (name, procs)
+        for name, _, _, execution, _, procs in runs
+        if execution != figures.FORCED_FAILURE and procs > 1
+    }
     expected = sum(
-        2 * figures.preset_executions(name, PRESET) for name, *_ in runs
+        2 * figures.preset_executions(name, PRESET) for name, _ in pairs
     )
-    assert len(runs) == 7
+    assert len(pairs) == 7
     assert len(store) == expected == 28
     assert len(fig13) == 8
+    # One entry per run: 50 workload runs (8 Serial, 42 Ideal/SW/HW)
+    # and Fig 13's 4 Serial and 8 forced failures; each recorded
+    # verdict is the one the store holds.
+    assert len(runs) == 62
+    held = {id(result) for result in runs.values()}
+    assert all(id(c[4]) in held for c in calls)
     assert all(c[3] is not None for c in calls)
     # Fig 13 forces every speculative run to fail.
     assert not any(c[4].passed for c in fig13)
