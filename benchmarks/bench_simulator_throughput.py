@@ -172,13 +172,13 @@ def _measure_span_run(with_profiler: bool) -> float:
 
 
 def test_span_null_path_overhead_under_3_percent():
-    """Acceptance smoke for the span profiler's null-path promise: a
+    """Acceptance smoke for the span profiler's null-path promise: an
     installed ambient profiler — the ``--profile-out`` configuration —
     costs < 3% over a run with no profiler installed.
 
     With no profiler the instrumented sites reduce to one global read
-    and an is-None test; with one, spans open only per run, tier, phase
-    and epoch, never per access.
+    and an is-None test; with one, spans open only per run, phase and
+    epoch, never per access.
     """
     overhead, bare, profiled = _paired_overhead(
         lambda: _measure_span_run(False), lambda: _measure_span_run(True)

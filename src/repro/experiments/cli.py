@@ -16,10 +16,10 @@ from typing import Callable, Dict, List
 
 from . import charts, claims, figures, report, serialize
 
-# The side verbs' modules (bench, doctor, tracerun, profile) are
-# imported inside the verbs that use them: a figure or table run needs
-# none of them, nor the process pool, ``multiprocessing`` or
-# ``concurrent.futures`` that sweep, diffsweep and profile pull in.
+# The side verbs' modules (bench, doctor, tracerun) are imported inside
+# the verbs that use them: a figure or table run needs none of them,
+# nor the process pool, ``multiprocessing`` or ``concurrent.futures``
+# that sweep and diffsweep pull in.
 
 EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {}
 
@@ -96,24 +96,6 @@ def _ledger(args):
     return RunLedger(args.ledger_dir)
 
 
-def _profile_session(args, label: str):
-    if not getattr(args, "profile_out", None):
-        return None
-    from ..obs.spans import ProfileSession
-
-    return ProfileSession(label=label)
-
-
-def _with_profile(args, session, text: str) -> str:
-    if session is None:
-        return text
-    from . import profile as profilerun
-
-    return text + "\n" + profilerun.write_profile_outputs(
-        session, args.profile_out
-    )
-
-
 def _sweep_value(text: str):
     """Parse one --sweep-values item: int, then float, then bare string."""
     for cast in (int, float):
@@ -137,13 +119,25 @@ def _sweep_values(text: str) -> list:
 
 @_register("sweep")
 def _sweep(args) -> str:
+    from ..errors import ConfigurationError
     from ..params import default_params
     from ..types import Scenario
-    from .sweeps import format_sweep, sweep_machine
+    from .sweeps import _replace_path, format_sweep, sweep_machine
 
     workload = figures.make_workload(args.workload, args.preset, args.seed)
+    base_params = default_params(workload.num_processors)
+    # Build every point's params before any run: a bad field or value
+    # is a usage error, not a traceback from inside the sweep.
+    for value in args.sweep_values:
+        try:
+            _replace_path(base_params, args.sweep_field, value)
+        except AttributeError as exc:
+            raise argparse.ArgumentError(None, f"argument --sweep-field: {exc}")
+        except (ConfigurationError, TypeError, ValueError) as exc:
+            raise argparse.ArgumentError(
+                None, f"argument --sweep-values: "
+                f"{args.sweep_field}={value!r} is rejected: {exc}")
     loop = next(iter(workload.executions(1)))
-    session = _profile_session(args, f"sweep:{args.sweep_field}")
     ledger = _ledger(args)
     config = None
     if ledger is not None:
@@ -157,17 +151,15 @@ def _sweep(args) -> str:
         args.sweep_field,
         args.sweep_values,
         scenario=Scenario[args.sweep_scenario.upper()],
-        base_params=default_params(workload.num_processors),
+        base_params=base_params,
         config=config,
         jobs=args.jobs,
-        profile=session,
     )
     header = (
         f"sweep: {args.sweep_field} over {loop.name!r} "
         f"({args.sweep_scenario}, jobs={args.jobs})"
     )
-    text = header + "\n" + format_sweep(points, label=args.sweep_field)
-    return _with_profile(args, session, text)
+    return header + "\n" + format_sweep(points, label=args.sweep_field)
 
 
 @_register("diffsweep")
@@ -175,8 +167,7 @@ def _diffsweep(args) -> str:
     from ..testing.diffcheck import run_seeds
 
     seeds = list(range(args.diff_start, args.diff_start + args.diff_count))
-    session = _profile_session(args, "diffsweep")
-    verdicts = run_seeds(seeds, jobs=args.jobs, profile=session)
+    verdicts = run_seeds(seeds, jobs=args.jobs)
     lines = [
         f"FAIL {v['message']}" for v in verdicts if not v["conforms"]
     ]
@@ -196,7 +187,7 @@ def _diffsweep(args) -> str:
             label=f"diffsweep:{args.diff_start}+{len(seeds)}",
         )
         lines.append(f"archived as ledger record {key[:12]}")
-    return _with_profile(args, session, "\n".join(lines))
+    return "\n".join(lines)
 
 
 @_register("trace")
@@ -208,21 +199,34 @@ def _trace(args) -> str:
         seed=args.seed,
         workload=args.workload,
         out=args.out,
-        profile_out=args.profile_out or "",
     )
 
 
-@_register("profile")
-def _profile(args) -> str:
-    from . import profile as profilerun
+def _write_profile(prof, root, args, chosen: List[str]) -> None:
+    """Write the --profile-out Chrome trace of ``prof`` and print the
+    span rollup of its ``root`` span to stderr (stdout keeps only the
+    verbs' output, so --json stays parseable)."""
+    import json
 
-    return profilerun.run_profile(
-        preset=args.preset,
-        seed=args.seed,
-        workload=args.workload,
-        out=args.profile_out or "repro-profile.json",
-        jobs=args.jobs,
-    )
+    from ..obs.export import _ensure_parent, span_trace_events
+    from ..obs.ledger import span_rollup
+
+    prof.end(root)
+    snap = prof.snapshot()
+    events = span_trace_events(snap, snap["pid"], snap["t0_wall"])
+    events.sort(key=lambda ev: ev["ts"])
+    doc = {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "metadata": {"verbs": chosen, "preset": args.preset, "seed": args.seed},
+    }
+    _ensure_parent(args.profile_out)
+    with open(args.profile_out, "w") as fp:
+        json.dump(doc, fp)
+    rollup = span_rollup(snap["spans"], root["sid"])
+    print(f"wrote {args.profile_out} ({len(events)} span events) — open in "
+          "https://ui.perfetto.dev; span rollup:", file=sys.stderr)
+    print(json.dumps(rollup, indent=2, sort_keys=True), file=sys.stderr)
 
 
 def main(argv: "List[str] | None" = None) -> int:
@@ -293,14 +297,14 @@ def main(argv: "List[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for sweep/diffsweep/profile (0 = "
-        "one per core); results are identical to --jobs 1",
+        help="worker processes for sweep/diffsweep (0 = one per "
+        "core); results are identical to --jobs 1",
     )
     parser.add_argument(
         "--profile-out", default=None,
-        help="write a merged multi-process Chrome trace (spans + "
-        "rollup JSON next to it) for profile/sweep/diffsweep/trace; "
-        "the profile verb defaults to repro-profile.json",
+        help="profile the chosen verbs' host time: write their "
+        "run/phase/epoch spans here as a Chrome trace and print the "
+        "span rollup to stderr (needs --jobs 1)",
     )
     parser.add_argument(
         "--sweep-field", default="num_processors",
@@ -339,21 +343,25 @@ def main(argv: "List[str] | None" = None) -> int:
             flag = "--" + name.replace("_", "-")
             parser.error(f"argument {flag}: must be at least {minimum}, "
                          f"got {value}")
+    if args.profile_out and args.jobs != 1:
+        # Worker processes would record their spans into profilers
+        # this process never sees.
+        parser.error("argument --profile-out: needs --jobs 1, "
+                     f"got --jobs {args.jobs}")
     # One invocation simulates each distinct run once: every figure
     # verb (fig11-fig14, table3, verdict) reads the same
     # figures.RunStore.
     args.runs = {}
 
-    # "all" regenerates every table/figure; trace, bench and profile
-    # (which write files), doctor (a self-check, not an evaluation
+    # "all" regenerates every table/figure; trace and bench (which
+    # write files), doctor (a self-check, not an evaluation
     # result) and the parameterized explorations (sweep, diffsweep)
     # stay explicit-only.  With --json it means every one with a row
     # format.
     if "all" in args.experiments:
         chosen = sorted(
             n for n in EXPERIMENTS
-            if n not in ("trace", "doctor", "bench", "sweep", "diffsweep",
-                         "profile")
+            if n not in ("trace", "doctor", "bench", "sweep", "diffsweep")
             and (not args.json or n in ROW_PRODUCERS)
         )
     else:
@@ -364,19 +372,40 @@ def main(argv: "List[str] | None" = None) -> int:
         for name in chosen:
             if name not in ROW_PRODUCERS:
                 parser.error(f"{name} has no JSON row format")
-    for name in chosen:
-        # Monotonic clock: time.time() can jump (NTP slew) mid-run and
-        # skew the reported per-experiment timings.
-        start = time.perf_counter()
-        if args.json:
-            text = serialize.rows_to_json(ROW_PRODUCERS[name](args))
-        else:
-            text = EXPERIMENTS[name](args)
-        elapsed = time.perf_counter() - start
-        print(text)
-        if not args.json:
-            print(f"[{name}: {elapsed:.1f}s, preset={args.preset}]")
-            print()
+    prof = None
+    if args.profile_out:
+        from ..obs import spans
+
+        # One profiler for the whole invocation: run -> phase -> epoch
+        # spans nest under one span per verb.
+        prof = spans.install(spans.SpanProfiler(track="repro-experiments"))
+        root = prof.begin("repro-experiments", cat="cli", sample=True)
+    try:
+        for name in chosen:
+            if prof is not None:
+                verb_span = prof.begin(name, cat="verb", sample=True)
+            # Monotonic clock: time.time() can jump (NTP slew) mid-run
+            # and skew the reported per-experiment timings.
+            start = time.perf_counter()
+            if args.json:
+                text = serialize.rows_to_json(ROW_PRODUCERS[name](args))
+            else:
+                text = EXPERIMENTS[name](args)
+            elapsed = time.perf_counter() - start
+            if prof is not None:
+                prof.end(verb_span)
+            print(text)
+            if not args.json:
+                print(f"[{name}: {elapsed:.1f}s, preset={args.preset}]")
+                print()
+    except argparse.ArgumentError as exc:
+        # A verb's argument that parsing alone cannot check (sweep).
+        parser.error(str(exc))
+    finally:
+        if prof is not None:
+            spans.uninstall()
+    if prof is not None:
+        _write_profile(prof, root, args, chosen)
     return 0
 
 

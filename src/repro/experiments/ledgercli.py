@@ -46,8 +46,18 @@ def _cmd_list(ledger: RunLedger, args) -> int:
     return 0
 
 
+def _record(ledger: RunLedger, prefix: str):
+    """The record a key prefix names; an unknown or ambiguous prefix
+    is a usage error (exit 2), not a traceback."""
+    try:
+        return ledger.lookup(ledger.resolve(prefix))
+    except KeyError as exc:
+        print(f"ledger: {exc.args[0]}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _cmd_show(ledger: RunLedger, args) -> int:
-    record = ledger.lookup(ledger.resolve(args.key))
+    record = _record(ledger, args.key)
     print(json.dumps(record, indent=2, sort_keys=True))
     return 0
 
@@ -65,8 +75,8 @@ def _flatten(doc, prefix=""):
 
 
 def _cmd_diff(ledger: RunLedger, args) -> int:
-    a = ledger.lookup(ledger.resolve(args.key_a))
-    b = ledger.lookup(ledger.resolve(args.key_b))
+    a = _record(ledger, args.key_a)
+    b = _record(ledger, args.key_b)
     flat_a = dict(_flatten(a))
     flat_b = dict(_flatten(b))
     differing = sorted(

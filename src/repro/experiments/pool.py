@@ -116,28 +116,6 @@ def _invoke(task: PoolTask) -> Any:
     return task.fn(*task.args, **dict(task.kwargs))
 
 
-def _invoke_captured(task: PoolTask) -> Tuple[Any, Dict[str, Any]]:
-    """Worker-side entry point with profiling capture installed.
-
-    Runs the task under a :class:`~repro.obs.spans.WorkerCapture` (span
-    profiler + event bus + metrics collector) and returns
-    ``(value, capture_snapshot)`` — the snapshot is plain picklable data
-    riding back on the same pickling path as the result, so pooled
-    results stay bit-identical whether or not profiling is on.
-    """
-    from ..obs.spans import WorkerCapture
-
-    if task.seed is not None:
-        _seed_rngs(task.seed)
-    capture = WorkerCapture(label=task.label)
-    capture.install()
-    try:
-        value = task.fn(*task.args, **dict(task.kwargs))
-    finally:
-        capture.uninstall()
-    return value, capture.snapshot()
-
-
 def _invoke_inline(task: PoolTask) -> Any:
     """Run a task in the calling process without perturbing its RNGs."""
     if task.seed is None:
@@ -152,23 +130,6 @@ def _invoke_inline(task: PoolTask) -> Any:
         random.setstate(state)
         if np is not None:
             np.random.set_state(np_state)
-
-
-def _invoke_inline_captured(task: PoolTask) -> Tuple[Any, Dict[str, Any]]:
-    """Inline twin of :func:`_invoke_captured` (RNG state preserved)."""
-    from ..obs.spans import WorkerCapture
-
-    capture = WorkerCapture(label=task.label)
-
-    def wrapped(*args: Any, **kwargs: Any) -> Any:
-        capture.install()
-        try:
-            return task.fn(*args, **kwargs)
-        finally:
-            capture.uninstall()
-
-    value = _invoke_inline(dataclasses.replace(task, fn=wrapped))
-    return value, capture.snapshot()
 
 
 def _picklable(task: PoolTask) -> bool:
@@ -219,7 +180,6 @@ def run_tasks(
     retries: int = DEFAULT_RETRIES,
     backoff: float = DEFAULT_BACKOFF,
     bus: Optional[EventBus] = None,
-    profile: Optional[Any] = None,
 ) -> List[Any]:
     """Run every task; return their results in submission order.
 
@@ -231,13 +191,6 @@ def run_tasks(
     function raises also re-runs inline so the exception propagates
     from the calling process with a clean traceback, exactly as it
     would have under ``jobs=1``.
-
-    ``profile`` (a :class:`~repro.obs.spans.ProfileSession`) turns on
-    per-task profiling capture: every task — pooled or inline — runs
-    under a worker-side span profiler + bounded event/metrics capture
-    whose snapshot ships back with the result, and the session collects
-    them for a merged multi-process trace and rollup.  Results are
-    unchanged; only host wall time is spent on the capture.
     """
     tasks = list(tasks)
     n = len(tasks)
@@ -255,46 +208,14 @@ def run_tasks(
     attempts = [0] * n
     failures = 0
     inline_tasks = 0
-    submit_wall: List[Optional[float]] = [None] * n
-    pool_span = None
-    if profile is not None:
-        pool_span = profile.profiler.begin(
-            "pool", cat="pool", sample=True, jobs=jobs, tasks=n
-        )
 
     # All pool lifecycle events share one monotonic clock anchored at
     # pool start (host seconds, not simulated cycles).
     emit(PoolStartEvent(now(), jobs=jobs, tasks=n))
 
-    def record_profiled(i: int, payload: Tuple[Any, Dict[str, Any]],
-                        inline: bool) -> None:
-        value, capture = payload
-        results[i] = value
-        profile.add_task(
-            index=i, label=tasks[i].label, attempts=attempts[i],
-            inline=inline, submit_wall=submit_wall[i],
-            done_wall=time.time(), capture=capture,
-        )
-
-    def finalize_profile() -> None:
-        if profile is None:
-            return
-        profile.profiler.end(
-            pool_span, failures=failures, inline_tasks=inline_tasks
-        )
-        profile.note_pool(
-            jobs=jobs, tasks=n, wall_s=now(),
-            failures=failures, inline_tasks=inline_tasks,
-        )
-
     def finish_inline(i: int) -> None:
         nonlocal inline_tasks
-        if profile is not None:
-            if submit_wall[i] is None:
-                submit_wall[i] = time.time()
-            record_profiled(i, _invoke_inline_captured(tasks[i]), inline=True)
-        else:
-            results[i] = _invoke_inline(tasks[i])
+        results[i] = _invoke_inline(tasks[i])
         inline_tasks += 1
         emit(PoolTaskEvent(now(), index=i, label=tasks[i].label,
                            attempts=attempts[i], inline=True))
@@ -310,7 +231,6 @@ def run_tasks(
         for i in range(n):
             finish_inline(i)
         emit(PoolEndEvent(now(), completed=n, failures=0, inline_tasks=n))
-        finalize_profile()
         return results
 
     # Tasks that must not (or can no longer) go to a worker.
@@ -349,11 +269,8 @@ def run_tasks(
             executor = concurrent.futures.ProcessPoolExecutor(
                 max_workers=jobs, mp_context=ctx
             )
-        worker_fn = _invoke if profile is None else _invoke_captured
         for i in eligible:
-            if profile is not None and submit_wall[i] is None:
-                submit_wall[i] = time.time()
-            pending[i] = executor.submit(worker_fn, tasks[i])
+            pending[i] = executor.submit(_invoke, tasks[i])
 
     def handle_worker_failure(i: int, kind: str) -> None:
         """Kill the (possibly wedged) pool, back off, rearm.
@@ -403,10 +320,7 @@ def run_tasks(
                     inline_only.add(i)
                 else:
                     pending.pop(i, None)
-                    if profile is not None:
-                        record_profiled(i, value, inline=False)
-                    else:
-                        results[i] = value
+                    results[i] = value
                     emit(PoolTaskEvent(now(), index=i, label=tasks[i].label,
                                        attempts=attempts[i], inline=False))
     finally:
@@ -414,5 +328,4 @@ def run_tasks(
 
     emit(PoolEndEvent(now(), completed=n, failures=failures,
                       inline_tasks=inline_tasks))
-    finalize_profile()
     return results

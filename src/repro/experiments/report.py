@@ -161,50 +161,3 @@ def render_table3(rows: Sequence[Table3Row]) -> str:
             f"{r.sw_shadow_accesses:>10} {r.sw_shadow_per_marked_access:>7.2f}"
         )
     return "\n".join(lines)
-
-
-def _ms(seconds) -> str:
-    return "-" if seconds is None else f"{1e3 * seconds:.1f}ms"
-
-
-def render_profile_rollup(rollup: dict) -> str:
-    """Text view of a ProfileSession rollup (see ``profile`` verb)."""
-    pool = rollup.get("pool", {})
-    wall = rollup.get("task_wall_s", {})
-    wait = rollup.get("queue_wait_s", {})
-    util = rollup.get("worker_utilization")
-    lines = [
-        f"profile rollup — {rollup.get('label', '')}",
-        _rule(),
-        f"tasks: {rollup.get('tasks', 0)}  jobs: {pool.get('jobs', '-')}  "
-        f"pool wall: {_ms(pool.get('wall_s'))}  "
-        f"failures: {pool.get('failures', 0)}  "
-        f"inline: {rollup.get('inline_tasks', 0)}  "
-        f"workers: {len(rollup.get('worker_pids', []))}",
-        f"task wall:  p50={_ms(wall.get('p50'))}  p95={_ms(wall.get('p95'))}"
-        f"  mean={_ms(wall.get('mean'))}  max={_ms(wall.get('max'))}",
-        f"queue wait: p50={_ms(wait.get('p50'))}  p95={_ms(wait.get('p95'))}",
-        f"worker utilization: "
-        + ("-" if util is None else f"{100 * util:.0f}%"),
-    ]
-    breakdown = rollup.get("phase_breakdown_s", {})
-    if breakdown:
-        lines.append(_rule())
-        lines.append(f"{'tier':<8} {'phase':<18} {'total wall':>12}")
-        for tier in sorted(breakdown):
-            for phase, total in sorted(
-                breakdown[tier].items(), key=lambda kv: -kv[1]
-            ):
-                lines.append(f"{tier:<8} {phase:<18} {_ms(total):>12}")
-    counters = rollup.get("counters", {})
-    interesting = {
-        k: v for k, v in sorted(counters.items())
-        if not k.startswith("sim.")
-    }
-    if interesting:
-        lines.append(_rule())
-        lines.append(
-            "counters: "
-            + ", ".join(f"{k}={v:,.0f}" for k, v in interesting.items())
-        )
-    return "\n".join(lines)

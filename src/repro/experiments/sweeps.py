@@ -70,11 +70,19 @@ class SweepPoint:
 def _replace_path(obj: Any, path: str, value: Any) -> Any:
     """dataclasses.replace along a dotted field path (frozen-safe)."""
     head, _, rest = path.partition(".")
-    if not hasattr(obj, head):
+    if not dataclasses.is_dataclass(obj) or head not in {
+        f.name for f in dataclasses.fields(obj)
+    }:
         raise AttributeError(f"{type(obj).__name__} has no field {head!r}")
+    current = getattr(obj, head)
     if rest:
-        inner = _replace_path(getattr(obj, head), rest, value)
+        inner = _replace_path(current, rest, value)
         return dataclasses.replace(obj, **{head: inner})
+    if dataclasses.is_dataclass(current) and not isinstance(value, type(current)):
+        # MachineParams checks no nested model's type; a run would fail
+        # deep inside the simulator instead.
+        raise TypeError(f"{head} takes a {type(current).__name__}, not "
+                        f"{type(value).__name__}; sweep one of its fields")
     return dataclasses.replace(obj, **{head: value})
 
 
@@ -110,7 +118,6 @@ def sweep_machine(
     jobs: int = 1,
     timeout: Optional[float] = None,
     bus: Optional[EventBus] = None,
-    profile: Optional[Any] = None,
 ) -> List[SweepPoint]:
     """Sweep a (possibly nested) MachineParams field.
 
@@ -145,12 +152,7 @@ def sweep_machine(
                  label=f"serial:{key[:12]}")
         for key in serial_order
     )
-    if profile is not None and need_serial:
-        # Points sharing effective serial parameters reuse one memoized
-        # serial baseline run; surface the saving in the rollup.
-        profile.count("sweep.serial_memo_hits", len(values) - len(serial_order))
-    outputs = run_tasks(tasks, jobs=jobs, timeout=timeout, bus=bus,
-                        profile=profile)
+    outputs = run_tasks(tasks, jobs=jobs, timeout=timeout, bus=bus)
 
     serial_walls = {
         key: outputs[len(values) + j].wall for j, key in enumerate(serial_order)
@@ -174,7 +176,6 @@ def sweep_config(
     jobs: int = 1,
     timeout: Optional[float] = None,
     bus: Optional[EventBus] = None,
-    profile: Optional[Any] = None,
 ) -> List[SweepPoint]:
     """Sweep a RunConfig-valued knob (scheduling, chunk size, flags).
 
@@ -191,8 +192,7 @@ def sweep_config(
         PoolTask(_run_point, (Scenario.SERIAL, loop, params, None),
                  label="serial")
     )
-    outputs = run_tasks(tasks, jobs=jobs, timeout=timeout, bus=bus,
-                        profile=profile)
+    outputs = run_tasks(tasks, jobs=jobs, timeout=timeout, bus=bus)
     serial_wall = outputs[-1].wall
     return [
         SweepPoint(value=value, result=outputs[i], serial_wall=serial_wall)

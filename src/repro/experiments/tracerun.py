@@ -30,27 +30,13 @@ def run_trace(
     seed: int = 2026,
     workload: str = "Adm",
     out: str = "repro-trace.json",
-    profile_out: str = "",
 ) -> str:
     w = make_workload(workload, preset, seed)
     loop = next(w.executions(1))
     params = default_params(TRACE_PROCESSORS)
     telemetry = Telemetry()
     config = dataclasses.replace(w.hw_config(), telemetry=telemetry)
-    capture = None
-    if profile_out:
-        # Wall-clock span profile of the same run.  The run's explicit
-        # telemetry keeps the machine's event bus, so the capture
-        # records spans only (the sim-time trace is `out` itself).
-        from ..obs.spans import WorkerCapture
-
-        capture = WorkerCapture(label=f"trace:{workload}")
-        capture.install()
-    try:
-        result = run_hw(loop, params, config)
-    finally:
-        if capture is not None:
-            capture.uninstall()
+    result = run_hw(loop, params, config)
 
     metadata = result.provenance.as_dict() if result.provenance else None
     trace_events = telemetry.write_chrome_trace(out, metadata=metadata)
@@ -78,11 +64,4 @@ def run_trace(
         "https://ui.perfetto.dev",
         f"wrote {jsonl_path} ({jsonl_lines} events)",
     ]
-    if capture is not None:
-        from ..obs.export import write_merged_chrome_trace
-
-        span_events = write_merged_chrome_trace(
-            None, [capture.snapshot()], profile_out, metadata=metadata
-        )
-        lines.append(f"wrote {profile_out} ({span_events} span events)")
     return "\n".join(lines)

@@ -53,10 +53,9 @@ _SUBMODULE_NAMES = {
     ),
     "export": (
         "chrome_trace", "write_chrome_trace", "write_jsonl", "event_to_dict",
-        "phase_report", "span_trace_events", "merged_chrome_trace",
-        "write_merged_chrome_trace",
+        "phase_report", "span_trace_events",
     ),
-    "spans": ("SpanProfiler", "WorkerCapture", "ProfileSession"),
+    "spans": ("SpanProfiler",),
 }
 _EXPORTS = {
     name: module for module, names in _SUBMODULE_NAMES.items() for name in names

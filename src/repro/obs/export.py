@@ -40,8 +40,6 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "span_trace_events",
-    "merged_chrome_trace",
-    "write_merged_chrome_trace",
     "phase_report",
 ]
 
@@ -220,7 +218,7 @@ def write_chrome_trace(
 
 
 # ----------------------------------------------------------------------
-# Span traces and multi-process merge (spans are host wall-clock)
+# Span traces (spans are host wall-clock)
 # ----------------------------------------------------------------------
 def span_trace_events(
     snapshot: Dict[str, Any],
@@ -230,8 +228,7 @@ def span_trace_events(
     """Convert one ``SpanProfiler.snapshot()`` into Chrome "X" slices.
 
     Span times are perf-counter seconds relative to the profiler's
-    start; the profiler's ``t0_wall`` rebases them onto the shared wall
-    clock so snapshots from different processes land on one timeline.
+    start; the profiler's ``t0_wall`` rebases them onto the wall clock.
     Timestamps are microseconds relative to ``anchor_wall``.
     """
     base = snapshot["t0_wall"] - anchor_wall
@@ -256,112 +253,6 @@ def span_trace_events(
             ev["args"] = args
         out.append(ev)
     return out
-
-
-def _rescale_sim_events(
-    trace_events: List[Dict[str, Any]],
-    pid: int,
-    window_us: tuple,
-) -> List[Dict[str, Any]]:
-    """Map sim-time (cycles-as-us) trace events into a wall window.
-
-    The worker records obs events on the simulated clock; in the merged
-    trace they are stretched linearly over the task's wall-clock span so
-    per-processor tracks (tid = proc + 1) line up under the task's
-    spans.  Relative ordering and proportions are preserved; absolute
-    sim cycles stay available in each event's ``args``.
-    """
-    if not trace_events:
-        return []
-    w0, w1 = window_us
-    s0 = min(ev["ts"] for ev in trace_events)
-    s1 = max(ev["ts"] + ev.get("dur", 0.0) for ev in trace_events)
-    scale = (w1 - w0) / (s1 - s0) if s1 > s0 else 0.0
-    out = []
-    for ev in trace_events:
-        mapped = dict(ev)
-        mapped["pid"] = pid
-        mapped["ts"] = w0 + (ev["ts"] - s0) * scale
-        if "dur" in ev:
-            mapped["dur"] = ev["dur"] * scale
-        args = dict(mapped.get("args") or {})
-        args["sim_ts_cycles"] = ev["ts"]
-        mapped["args"] = args
-        out.append(mapped)
-    return out
-
-
-def merged_chrome_trace(
-    parent: Optional[Dict[str, Any]],
-    captures: Iterable[Dict[str, Any]],
-    metadata: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Merge parent spans + worker capture snapshots into one trace.
-
-    ``parent`` is a ``SpanProfiler.snapshot()`` from the coordinating
-    process (may be None); each capture is a ``WorkerCapture.snapshot()``
-    shipped back from a pool worker.  Track layout: ``pid`` is the OS
-    process id (one track group per worker, plus the parent), ``tid`` 0
-    carries that process's spans, and ``tid`` ``proc + 1`` carries the
-    worker's per-simulated-processor obs events rescaled onto the
-    task's wall window.  Opens directly in Perfetto.
-    """
-    anchors = [c["profile"]["t0_wall"] for c in captures if c.get("profile")]
-    if parent is not None:
-        anchors.append(parent["t0_wall"])
-    anchor = min(anchors) if anchors else 0.0
-
-    trace: List[Dict[str, Any]] = []
-    names: Dict[int, str] = {}
-    if parent is not None:
-        parent_pid = parent.get("pid", 0)
-        names[parent_pid] = "parent"
-        trace.extend(span_trace_events(parent, parent_pid, anchor))
-    for capture in captures:
-        prof = capture.get("profile")
-        if not prof:
-            continue
-        pid = capture.get("pid", prof.get("pid", 0))
-        if pid not in names:
-            names[pid] = f"worker-{pid}"
-        spans = span_trace_events(prof, pid, anchor)
-        trace.extend(spans)
-        sim_events = capture.get("trace_events") or []
-        if sim_events and prof["spans"]:
-            roots = [s for s in prof["spans"] if s.get("cat") == "task"]
-            window = roots[0] if roots else prof["spans"][0]
-            base = prof["t0_wall"] - anchor
-            w0 = (base + window["t0"]) * 1e6
-            w1 = (base + (window["t1"] or window["t0"])) * 1e6
-            trace.extend(_rescale_sim_events(sim_events, pid, (w0, w1)))
-
-    meta_events = [
-        {"ph": "M", "pid": pid, "tid": 0, "name": "process_name",
-         "args": {"name": label}}
-        for pid, label in sorted(names.items())
-    ]
-    trace.sort(key=lambda ev: ev["ts"])
-    doc: Dict[str, Any] = {
-        "traceEvents": meta_events + trace,
-        "displayTimeUnit": "ms",
-    }
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
-
-
-def write_merged_chrome_trace(
-    parent: Optional[Dict[str, Any]],
-    captures: Iterable[Dict[str, Any]],
-    path: str,
-    metadata: Optional[Dict[str, Any]] = None,
-) -> int:
-    """Write a merged multi-process trace; returns the event count."""
-    doc = merged_chrome_trace(parent, list(captures), metadata=metadata)
-    _ensure_parent(path)
-    with open(path, "w") as fp:
-        json.dump(doc, fp)
-    return len(doc["traceEvents"])
 
 
 # ----------------------------------------------------------------------

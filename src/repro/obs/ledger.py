@@ -131,40 +131,39 @@ def ledger_key(scenario, loop, params, config=None, provenance=None) -> str:
 
 
 # ----------------------------------------------------------------------
-# span rollup (recorded alongside each run)
+# span rollup (recorded alongside each run, printed by --profile-out)
 # ----------------------------------------------------------------------
-def span_rollup(spans: List[Dict[str, Any]], run_sid: int) -> Dict[str, Any]:
-    """p50/p95 phase stats + per-tier phase breakdown for one run's span
-    subtree (``spans`` as recorded by a ``SpanProfiler``, ``run_sid``
-    the run-root span id)."""
+def span_rollup(spans: List[Dict[str, Any]], root_sid: int) -> Dict[str, Any]:
+    """p50/p95 phase stats + per-phase wall totals for one span subtree
+    (``spans`` as recorded by a ``SpanProfiler``, ``root_sid`` the root
+    span id: one run's span for a ledger record, the CLI's root span
+    under ``--profile-out``)."""
     from .spans import percentile
 
     parents = {s["sid"]: s.get("parent") for s in spans}
 
-    def _in_run(sid: Optional[int]) -> bool:
+    def _under_root(sid: Optional[int]) -> bool:
         while sid is not None:
-            if sid == run_sid:
+            if sid == root_sid:
                 return True
             sid = parents.get(sid)
         return False
 
-    breakdown: Dict[str, Dict[str, float]] = {}
+    breakdown: Dict[str, float] = {}
     durations: List[float] = []
     run_wall = None
     for s in spans:
         if s.get("t1") is None:
             continue
-        if s["sid"] == run_sid:
+        if s["sid"] == root_sid:
             run_wall = s["t1"] - s["t0"]
             continue
-        if not _in_run(s["sid"]):
+        if not _under_root(s["sid"]):
             continue
         if s.get("cat") == "phase":
             dur = s["t1"] - s["t0"]
             durations.append(dur)
-            tier = str(s.get("args", {}).get("engine", "?"))
-            per_tier = breakdown.setdefault(tier, {})
-            per_tier[s["name"]] = round(per_tier.get(s["name"], 0.0) + dur, 9)
+            breakdown[s["name"]] = round(breakdown.get(s["name"], 0.0) + dur, 9)
     return {
         "run_wall_s": round(run_wall, 9) if run_wall is not None else None,
         "phase_s": {

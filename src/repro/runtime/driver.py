@@ -109,13 +109,6 @@ class RunConfig:
 def _apply_hook(config: "Optional[RunConfig]", machine: Machine) -> None:
     if config is not None and config.telemetry is not None:
         config.telemetry.attach(machine)
-    else:
-        # A profiling WorkerCapture installed around this task observes
-        # the run only when no explicit telemetry claimed the machine's
-        # bus — explicit telemetry always wins.
-        capture = spans.capture_current()
-        if capture is not None:
-            capture.attach(machine)
     if config is not None and config.monitors is not None:
         config.monitors.attach(machine)
     if config is not None and config.machine_hook is not None:
@@ -198,8 +191,7 @@ def _run_phase(
     if prof is not None:
         events0 = engine.events_processed
         phase_span = prof.begin(
-            f"phase:{name}", cat="phase", sample=True,
-            phase=name, engine="scalar",
+            f"phase:{name}", cat="phase", sample=True, phase=name,
         )
     result = engine.run_phase(streams, start_time=start, abort_on_failure=abort_on_failure)
     finish = result.finish
@@ -329,16 +321,11 @@ def _append_failure_tail(
 
 
 def _ambient_bus(config: "Optional[RunConfig]"):
-    """Best event bus available before any machine exists: the config's
-    telemetry bus, else the ambient pool-worker capture's bus."""
+    """The config's telemetry bus, before any machine exists."""
     telemetry = config.telemetry if config is not None else None
     bus = getattr(telemetry, "bus", None)
     if bus is None and telemetry is not None and hasattr(telemetry, "emit"):
         bus = telemetry  # a bare EventBus passed as telemetry
-    if bus is None:
-        capture = spans.capture_current()
-        if capture is not None:
-            bus = capture.bus
     return bus
 
 
@@ -381,7 +368,7 @@ def _ledger_commit(
     result: "RunResult",
     loop: Optional[Loop],
     prof,
-    handles,
+    run_span,
 ) -> None:
     """Archive a completed run (the tail of ``_finish_run``)."""
     if loop is None:
@@ -396,8 +383,8 @@ def _ledger_commit(
     t0 = getattr(machine, "_ledger_t0", None)
     host_wall = time.perf_counter() - t0 if t0 is not None else None
     rollup = None
-    if prof is not None and handles is not None:
-        rollup = span_rollup(prof.spans, handles[0]["sid"])
+    if prof is not None and run_span is not None:
+        rollup = span_rollup(prof.spans, run_span["sid"])
     _, deduped = ledger.record_result(
         result, key=key, host_wall_s=host_wall, rollup=rollup, config=config
     )
@@ -414,17 +401,13 @@ def _ledger_commit(
 def _begin_run(machine: Machine, scenario: Scenario, loop: Loop) -> None:
     prof = spans.current()
     if prof is not None:
-        # Hierarchy: run -> engine tier -> phase -> epoch.  The tier
-        # span groups the phase spans under the engine that ran them;
-        # _finish_run closes both (every driver exit goes through it).
-        run_span = prof.begin(
+        # Hierarchy: run -> phase -> epoch; _finish_run closes the run
+        # span (every driver exit goes through it).
+        machine._run_span = prof.begin(
             "run", cat="run", sample=True,
             scenario=scenario.value, loop=loop.name,
-            engine="scalar",
             procs=machine.params.num_processors,
         )
-        tier_span = prof.begin("engine:scalar", cat="tier")
-        machine._prof_spans = (run_span, tier_span)
     bus = machine.bus
     if bus is not None and bus.active:
         bus.emit(
@@ -459,19 +442,17 @@ def _finish_run(
     if bus is not None and bus.active:
         bus.emit(obs.RunEndEvent(machine.engine.now, result.passed, result.wall))
     prof = spans.current()
-    handles = getattr(machine, "_prof_spans", None)
-    if prof is not None and handles is not None:
-        run_span, tier_span = handles
-        prof.end(tier_span)
+    run_span = getattr(machine, "_run_span", None)
+    if prof is not None and run_span is not None:
         prof.end(run_span, **{"sim.wall_cycles": result.wall})
-        machine._prof_spans = None
+        machine._run_span = None
     monitors = config.monitors if config is not None else None
     if monitors is not None and hasattr(monitors, "finalize"):
         monitors.finalize(result, loop)
     # Archive last, after monitors stamped violations/forensics, so the
     # record holds the result exactly as the caller receives it.
     if config is not None and config.ledger is not None:
-        _ledger_commit(machine, config, params, result, loop, prof, handles)
+        _ledger_commit(machine, config, params, result, loop, prof, run_span)
     machine.release()
     return result
 

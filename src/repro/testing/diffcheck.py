@@ -448,14 +448,11 @@ def run_seeds(
     jobs: int = 1,
     timeout: Optional[float] = None,
     bus=None,
-    profile=None,
     variant: str = "baseline",
 ) -> List[Dict[str, object]]:
     """Sweep ``seeds`` through :func:`seed_verdict`, fanning out across
     ``jobs`` worker processes; verdicts come back in seed order and are
-    identical to a serial sweep of the same seeds.  ``profile`` (a
-    ``repro.obs.spans.ProfileSession``) enables per-task profiling
-    capture without changing any verdict."""
+    identical to a serial sweep of the same seeds."""
     # Imported here, not at module level: the pool pulls in
     # multiprocessing, concurrent.futures, logging and socket, which a
     # caller of ``seed_verdict`` alone never needs.
@@ -465,8 +462,7 @@ def run_seeds(
         PoolTask(seed_verdict, (seed, "vector", variant), label=f"seed:{seed}")
         for seed in seeds
     ]
-    return run_tasks(tasks, jobs=jobs, timeout=timeout, bus=bus,
-                     profile=profile)
+    return run_tasks(tasks, jobs=jobs, timeout=timeout, bus=bus)
 
 
 # ----------------------------------------------------------------------

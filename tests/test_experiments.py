@@ -420,47 +420,104 @@ class TestCLI:
         # exploration verbs must stay explicit-only.
         import repro.experiments.cli as cli
 
-        assert {"sweep", "diffsweep", "bench", "trace", "doctor",
-                "profile"} <= set(cli.EXPERIMENTS)
+        assert {"sweep", "diffsweep", "bench", "trace", "doctor"} <= set(
+            cli.EXPERIMENTS
+        )
+
+    @staticmethod
+    def _span_cats(path) -> set:
+        import json
+
+        doc = json.loads(path.read_text())
+        return {e["cat"] for e in doc["traceEvents"]}
 
     def test_cli_profile_smoke(self, tmp_path, capsys):
+        # --profile-out on a reproduction verb: one in-process profiler
+        # records run -> phase -> epoch spans (no engine-tier level)
+        # and changes no row of the output.
+        from repro.experiments.cli import main
+
+        out_path = tmp_path / "spans.json"
+        assert main(["verdict", "--preset", "quick"]) == 0
+        plain = capsys.readouterr()
+        assert main(["verdict", "--preset", "quick",
+                     "--profile-out", str(out_path)]) == 0
+        profiled = capsys.readouterr()
+        rows = lambda out: [l for l in out.splitlines()
+                            if not l.startswith("[verdict:")]
+        assert rows(profiled.out) == rows(plain.out)
+        cats = self._span_cats(out_path)
+        assert {"cli", "verb", "run", "phase", "epoch"} <= cats
+        assert "tier" not in cats
+        assert "wrote" in profiled.err and "phase_breakdown_s" in profiled.err
+
+    def test_cli_json_profile_out_keeps_stdout_rows_only(self, tmp_path, capsys):
         import json
 
         from repro.experiments.cli import main
 
-        out_path = tmp_path / "profile.json"
-        assert main(["profile", "--workload", "Track", "--jobs", "2",
-                     "--profile-out", str(out_path)]) == 0
-        doc = json.loads(out_path.read_text())
-        events = doc["traceEvents"]
-        # Profiled tasks captured in worker processes, merged here.
-        task_spans = [e for e in events if e.get("cat") == "task"]
-        assert task_spans
-        assert len({e["pid"] for e in task_spans}) >= 2
-        rollup = json.loads(
-            (tmp_path / "profile-rollup.json").read_text()
-        )
-        assert rollup["tasks"] == len(task_spans)
-        # Every phase runs on the scalar engine.
-        assert set(rollup["phase_breakdown_s"]) == {"scalar"}
-        out = capsys.readouterr().out
-        assert "wrote" in out and "task wall" in out
+        out_path = tmp_path / "f13.json"
+        assert main(["fig13", "--json", "--profile-out", str(out_path)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)
+        assert "run" in self._span_cats(out_path)
+        assert "run_wall_s" in captured.err
 
     def test_cli_sweep_profile_out(self, tmp_path, capsys):
-        import json
-
         from repro.experiments.cli import main
 
         out_path = tmp_path / "sweep-prof.json"
         assert main(["sweep", "--workload", "Track",
                      "--sweep-field", "num_processors",
-                     "--sweep-values", "2,4", "--jobs", "2",
+                     "--sweep-values", "2,4",
                      "--profile-out", str(out_path)]) == 0
-        doc = json.loads(out_path.read_text())
-        assert any(e.get("cat") == "task" for e in doc["traceEvents"])
-        assert (tmp_path / "sweep-prof-rollup.json").exists()
-        out = capsys.readouterr().out
-        assert "sweep: num_processors" in out and "wrote" in out
+        assert {"verb", "run", "phase"} <= self._span_cats(out_path)
+        assert "sweep: num_processors" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb", ["sweep", "diffsweep"])
+    def test_cli_profile_out_refuses_jobs(self, tmp_path, capsys, verb):
+        # Worker processes would record spans this process never sees.
+        from repro.experiments.cli import main
+
+        out_path = tmp_path / "spans.json"
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--jobs", "2", "--profile-out", str(out_path)])
+        assert exc.value.code == 2
+        assert "argument --profile-out: needs --jobs 1" in (
+            capsys.readouterr().err
+        )
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--sweep-field", "bogus"],
+             "argument --sweep-field: MachineParams has no field 'bogus'"),
+            (["--sweep-field", "contention.bogus"],
+             "argument --sweep-field: ContentionModel has no field 'bogus'"),
+            (["--sweep-values", "4,0"],
+             "argument --sweep-values: num_processors=0 is rejected"),
+            (["--sweep-field", "contention", "--sweep-values", "5"],
+             "argument --sweep-values: contention=5 is rejected: "
+             "contention takes a ContentionModel, not int"),
+        ],
+        ids=["field", "nested-field", "value", "nested-model-value"],
+    )
+    def test_cli_sweep_bad_point_is_a_usage_error(
+        self, monkeypatch, capsys, argv, message
+    ):
+        # Every point's params are built before any run.
+        import repro.experiments.sweeps as sweeps
+        from repro.experiments.cli import main
+
+        monkeypatch.setattr(
+            sweeps, "sweep_machine",
+            lambda *a, **k: pytest.fail("a sweep ran with a bad point"),
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--workload", "Track"] + argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCharts:

@@ -3,12 +3,11 @@ they never call.
 
 ``repro.obs`` re-exports its submodules lazily and the simulator looks
 its event classes up there only when it builds an event; ``obs.spans``
-imports the bus, exporters and metrics only where it builds a capture
-or a report; ``repro.trace`` re-exports the dependence oracle lazily;
-diffcheck imports the process pool only to sweep and ``argparse`` only
-in its CLI; and the experiments CLI imports its side verbs (bench,
-doctor, trace, profile) only when they run.  Every process that runs
-figures or seed verdicts therefore skips the event classes, the bus,
+imports nothing else from ``repro.obs``; ``repro.trace`` re-exports the
+dependence oracle lazily; diffcheck imports the process pool only to
+sweep and ``argparse`` only in its CLI; and the experiments CLI imports
+its side verbs (bench, doctor, trace) only when they run.  Every
+process that runs figures or seed verdicts therefore skips the event classes, the bus,
 the ledger, forensics, exporters, monitors, metrics, the oracle,
 ``multiprocessing``, ``concurrent.futures`` and ``argparse``.  Each test
 runs in a fresh interpreter, since this test session has all of them
@@ -74,7 +73,6 @@ def test_figure_verb_loads_no_side_verb_modules():
         "repro.experiments.pool",
         "repro.experiments.doctor",
         "repro.experiments.tracerun",
-        "repro.experiments.profile",
         "multiprocessing",
         "concurrent.futures",
     )

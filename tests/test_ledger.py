@@ -140,8 +140,11 @@ class TestLedgerStore:
         rollup = ledger.lookup(entry["key"])["span_rollup"]
         assert rollup["run_wall_s"] > 0
         assert rollup["phase_s"]["count"] >= 2  # backup + loop at least
-        assert "scalar" in rollup["phase_breakdown_s"]
-        assert "phase:loop" in rollup["phase_breakdown_s"]["scalar"]
+        # One flat {phase span: seconds} map: the span tree has no
+        # engine-tier level.
+        breakdown = rollup["phase_breakdown_s"]
+        assert "phase:loop" in breakdown
+        assert all(isinstance(v, float) for v in breakdown.values())
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +346,31 @@ class TestLedgerCli:
         # (the sparse_backup knob enters the config hash).
         assert "differing field" in out
         assert "config_hash" in out
+
+    @pytest.mark.parametrize("verb", ["show", "diff"])
+    def test_unknown_key_is_a_usage_error(self, tmp_path, capsys, verb):
+        argv = ["--ledger-dir", str(tmp_path), verb, "abc"]
+        if verb == "diff":
+            argv.append("abd")
+        with pytest.raises(SystemExit) as exc:
+            ledgercli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == "ledger: no ledger record matches 'abc'\n"
+
+    @pytest.mark.parametrize("verb", ["show", "diff"])
+    def test_ambiguous_key_is_a_usage_error(self, tmp_path, capsys, verb):
+        keys = self._record_two_runs(tmp_path)
+        # The empty prefix matches both records.
+        argv = ["--ledger-dir", str(tmp_path), verb, ""]
+        if verb == "diff":
+            argv.append(keys[0])
+        with pytest.raises(SystemExit) as exc:
+            ledgercli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ledger: ambiguous key prefix ''")
+        assert len(err.splitlines()) == 1
 
     def test_experiments_cli_dispatches_ledger_verb(self, tmp_path, capsys):
         from repro.experiments.cli import main

@@ -213,92 +213,3 @@ class TestPoolTimebase:
         (task,) = recorder.of_type(PoolTaskEvent)
         (end,) = recorder.of_type(PoolEndEvent)
         assert start.time <= task.time <= end.time
-
-
-# ----------------------------------------------------------------------
-# Cross-process span capture and trace merging
-# ----------------------------------------------------------------------
-def _sim_task(i: int):
-    """Small speculative run: real phase/epoch spans in the worker."""
-    from repro.params import small_test_params
-    from repro.runtime.driver import RunConfig, run_hw
-    from repro.runtime.schedule import SchedulePolicy, ScheduleSpec
-    from repro.workloads.synthetic import parallel_nonpriv_loop
-
-    loop = parallel_nonpriv_loop(f"pool-sim-{i}", elements=64, iterations=8)
-    config = RunConfig(schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK))
-    result = run_hw(loop, small_test_params(2), config)
-    return (i, result.passed, result.wall)
-
-
-class TestProfiledPool:
-    def _tasks(self):
-        return [PoolTask(_sim_task, (i,), seed=derive_seed(7, i),
-                         label=f"sim{i}") for i in range(8)]
-
-    def test_profiled_pool_matches_unprofiled_inline(self):
-        from repro.obs.spans import ProfileSession
-
-        plain = run_tasks(self._tasks(), jobs=1)
-        session = ProfileSession(label="test")
-        profiled = run_tasks(self._tasks(), jobs=4, profile=session)
-        assert profiled == plain  # capture must not perturb verdicts
-
-    def test_merged_trace_is_union_of_worker_spans(self):
-        from repro.obs.spans import ProfileSession
-
-        session = ProfileSession(label="test")
-        run_tasks(self._tasks(), jobs=4, profile=session)
-        assert len(session.tasks) == 8
-        doc = session.merged_trace()
-        events = doc["traceEvents"]
-
-        # One task root span per pooled task, across >1 worker process.
-        task_spans = [e for e in events if e.get("cat") == "task"]
-        assert len(task_spans) == 8
-        worker_pids = {e["pid"] for e in task_spans}
-        assert len(worker_pids) >= 2
-        assert os.getpid() not in worker_pids
-
-        # The merged span set is the union of the per-worker captures.
-        merged_names = sorted(
-            e["name"] for e in events
-            if e.get("cat") in ("task", "run", "phase")
-        )
-        capture_names = sorted(
-            s["name"]
-            for t in session.tasks
-            for s in t["capture"]["profile"]["spans"]
-            if s["cat"] in ("task", "run", "phase")
-        )
-        assert merged_names == capture_names
-
-        # Worker-side phase spans are present for every worker used.
-        assert {e["pid"] for e in events if e.get("cat") == "phase"} \
-            == worker_pids
-
-        # Distinct pid tracks get process_name metadata, parent included.
-        meta = {e["pid"]: e["args"]["name"]
-                for e in events if e["ph"] == "M"}
-        assert meta[os.getpid()] == "parent"
-        assert all(meta[pid] == f"worker-{pid}" for pid in worker_pids)
-
-        # No timestamp inversions after the wall-clock rebase.
-        ts = [e["ts"] for e in events if e["ph"] != "M"]
-        assert ts == sorted(ts)
-        assert all(t >= 0 for t in ts)
-
-    def test_rollup_reports_pool_and_tiers(self):
-        from repro.obs.spans import ProfileSession
-
-        session = ProfileSession(label="test")
-        run_tasks(self._tasks(), jobs=4, profile=session)
-        rollup = session.rollup()
-        assert rollup["tasks"] == 8
-        assert rollup["pool"]["jobs"] == 4
-        assert rollup["inline_tasks"] == 0
-        assert rollup["task_wall_s"]["p95"] >= rollup["task_wall_s"]["p50"] > 0
-        assert all(q >= 0 for q in rollup["queue_wait_s"].values()
-                   if q is not None)
-        assert 0 < rollup["worker_utilization"] <= 1.0
-        assert "scalar" in rollup["phase_breakdown_s"]
