@@ -14,7 +14,7 @@ watches every access through the cache coherence protocol:
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
+import random
 
 from repro.params import default_params
 from repro.runtime import RunConfig, SchedulePolicy, ScheduleSpec, VirtualMode
@@ -23,7 +23,7 @@ from repro.types import ProtocolKind
 
 
 def main() -> None:
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     n, iterations = 1024, 64
     params = default_params(num_processors=8)
     config = RunConfig(
@@ -33,15 +33,15 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Case 1: f() is a permutation -> the loop is (unknowably) parallel.
     # ------------------------------------------------------------------
-    f = rng.permutation(n)
+    f = rng.sample(range(n), n)
 
     def body(i, arrays):
         for k in range(8):
-            j = int(f[(i * 8 + k) % n])
+            j = f[(i * 8 + k) % n]
             arrays["A"][j] = arrays["A"][j] * 0.5 + float(i)
 
-    a0 = rng.random(n)
-    loop = ConcreteLoop(body, iterations, {"A": a0.copy()},
+    a0 = [rng.random() for _ in range(n)]
+    loop = ConcreteLoop(body, iterations, {"A": list(a0)},
                         protocols={"A": ProtocolKind.NONPRIV})
     out = speculative_run(loop, params, config)
     sim = out.simulation
@@ -53,7 +53,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Case 2: f() has a collision -> a cross-iteration dependence.
     # ------------------------------------------------------------------
-    g = f.copy()
+    g = list(f)
     # Iterations 0 and 2 now touch the same element.  (A collision with
     # an iteration in the same scheduling block would harmlessly stay on
     # one processor — the protocol is processor-wise.)
@@ -61,10 +61,10 @@ def main() -> None:
 
     def body2(i, arrays):
         for k in range(8):
-            j = int(g[(i * 8 + k) % n])
+            j = g[(i * 8 + k) % n]
             arrays["A"][j] = arrays["A"][j] * 0.5 + float(i)
 
-    loop2 = ConcreteLoop(body2, iterations, {"A": a0.copy()},
+    loop2 = ConcreteLoop(body2, iterations, {"A": list(a0)},
                          protocols={"A": ProtocolKind.NONPRIV})
     out2 = speculative_run(loop2, params, config)
     sim2 = out2.simulation
@@ -75,12 +75,12 @@ def main() -> None:
           f"re-executed serially: {out2.reexecuted_serially}")
 
     # Both cases produce exactly the serial results.
-    ref = a0.copy()
+    ref = list(a0)
     for i in range(iterations):
         for k in range(8):
-            j = int(g[(i * 8 + k) % n])
+            j = g[(i * 8 + k) % n]
             ref[j] = ref[j] * 0.5 + float(i)
-    assert np.allclose(out2.arrays["A"], ref)
+    assert out2.arrays["A"] == ref
     print("\nresults verified against serial execution: OK")
 
 

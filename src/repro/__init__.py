@@ -7,8 +7,9 @@ any cross-iteration dependence on the fly.
 
 Typical entry points:
 
-* :func:`repro.semantics.speculative_run` — run a real (numpy-backed)
-  loop speculatively, with detection, recovery and value checking.
+* :func:`repro.semantics.speculative_run` — run a real loop over
+  plain Python sequences speculatively, with detection, recovery and
+  value checking.
 * :mod:`repro.runtime` — the Serial / Ideal / SW / HW scenario drivers
   over address-trace loops.
 * :mod:`repro.experiments` — regenerate the paper's tables and figures

@@ -179,7 +179,10 @@ def _forced_failure_loop(
     """Build the §6.2 forced-failure instance of each loop and the
     (hw_config, sw_config) under which it must fail."""
     workload = make_workload(name, preset, seed)
-    loop = next(workload.executions(1))
+    # Ocean, P3m and Adm alter their first execution; Track fails on one
+    # of its own.
+    execution = _failure_execution(name, workload)
+    loop = workload.execution(0 if execution == FORCED_FAILURE else execution)
     if name == "Ocean":
         # "insert a cross-iteration dependence between iterations 1 and 2".
         # Iterations 1 and 2 must land on different processors for either
@@ -220,7 +223,6 @@ def _forced_failure_loop(
     # that needs processor-wise tests to pass".  For the hardware
     # scheme that means single-iteration cyclic blocks, which split the
     # dependent pairs across processors.
-    loop = workload.execution(_failure_execution(name, workload))
     hw = RunConfig(schedule=ScheduleSpec(SchedulePolicy.DYNAMIC, 1, VirtualMode.CHUNK))
     sw = RunConfig(
         schedule=ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 1, VirtualMode.ITERATION)

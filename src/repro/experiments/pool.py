@@ -12,11 +12,10 @@ results indistinguishable from serial execution:
   output of ``jobs=N`` bit-identical to ``jobs=1`` (pinned by the
   conformance tests).
 * **Deterministic per-task seeding.**  A task with ``seed`` set has
-  ``random`` (and numpy's global RNG, when numpy is already imported)
-  seeded with exactly that value before its function runs — in a
-  worker *or* inline.  The inline path saves and restores the caller's
-  RNG state, so degradation cannot perturb the parent process.  :func:`derive_seed` gives a stable
-  per-index seed from a base seed.
+  ``random`` seeded with exactly that value before its function runs —
+  in a worker *or* inline.  The inline path saves and restores the
+  caller's RNG state, so degradation cannot perturb the parent process.
+  :func:`derive_seed` gives a stable per-index seed from a base seed.
 * **Fault handling.**  Each task gets a per-attempt ``timeout`` and a
   bounded number of ``retries`` with exponential backoff.  A worker
   that dies (``BrokenProcessPool``) or hangs (timeout) is killed, the
@@ -48,7 +47,6 @@ import multiprocessing
 import os
 import pickle
 import random
-import sys
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -88,7 +86,7 @@ class PoolTask:
     """One unit of independent work for :func:`run_tasks`.
 
     ``fn`` must be a module-level callable; ``args``/``kwargs`` plain
-    data.  When ``seed`` is set the RNGs are seeded with it immediately
+    data.  When ``seed`` is set ``random`` is seeded with it immediately
     before ``fn`` runs, wherever it runs.
     """
 
@@ -99,37 +97,23 @@ class PoolTask:
     label: str = ""
 
 
-def _seed_rngs(seed: int) -> None:
-    random.seed(seed)
-    # Seeding never imports numpy, so workers of numpy-free tasks stay
-    # numpy-free.  No code here draws from numpy's global RNG; numpy
-    # users draw from their own ``default_rng(seed)``.
-    np = sys.modules.get("numpy")
-    if np is not None:
-        np.random.seed(seed & 0xFFFF_FFFF)
-
-
 def _invoke(task: PoolTask) -> Any:
     """Worker-side entry point: seed, then run."""
     if task.seed is not None:
-        _seed_rngs(task.seed)
+        random.seed(task.seed)
     return task.fn(*task.args, **dict(task.kwargs))
 
 
 def _invoke_inline(task: PoolTask) -> Any:
-    """Run a task in the calling process without perturbing its RNGs."""
+    """Run a task in the calling process without perturbing its RNG."""
     if task.seed is None:
         return task.fn(*task.args, **dict(task.kwargs))
     state = random.getstate()
-    np = sys.modules.get("numpy")
-    np_state = np.random.get_state() if np is not None else None
     try:
-        _seed_rngs(task.seed)
+        random.seed(task.seed)
         return task.fn(*task.args, **dict(task.kwargs))
     finally:
         random.setstate(state)
-        if np is not None:
-            np.random.set_state(np_state)
 
 
 def _picklable(task: PoolTask) -> bool:

@@ -221,16 +221,22 @@ def _backup_streams(
     num = params.num_processors
     streams: Dict[int, Iterator[object]] = {}
     arrays = loop.modified_arrays()
+    # One walk of the loop per array, shared by every processor's segment.
+    written = (
+        {spec.name: sorted(loop.written_elements(spec.name)) for spec in arrays}
+        if sparse
+        else {}
+    )
     for proc in range(num):
         pieces = []
         for spec in arrays:
             epl = params.elems_per_line(spec.elem_bytes)
             if sparse:
-                written = sorted(loop.written_elements(spec.name))
-                lo, hi = segment_of(len(written), proc, num)
+                elements = written[spec.name]
+                lo, hi = segment_of(len(elements), proc, num)
                 pieces.append(
                     sparse_copy_ops(
-                        spec.name, _backup_name(spec.name), written[lo:hi],
+                        spec.name, _backup_name(spec.name), elements[lo:hi],
                         epl, cost.backup_per_element,
                     )
                 )

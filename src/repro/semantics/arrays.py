@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-import numpy as np
+from typing import Dict, List, MutableSequence
 
 from ..trace.ops import AccessOp, read as read_op, write as write_op
 
@@ -28,14 +26,14 @@ class TraceRecorder:
 
 
 class ArrayProxy:
-    """Wraps a numpy array; element accesses are recorded and performed.
+    """Wraps a mutable sequence; element accesses are recorded and performed.
 
     Only scalar integer indexing is supported — the loop bodies under
     run-time parallelization are exactly the ``A(K(i))`` subscripted-
     subscript kind, which index one element at a time.
     """
 
-    def __init__(self, name: str, data: np.ndarray, recorder: TraceRecorder):
+    def __init__(self, name: str, data: MutableSequence, recorder: TraceRecorder):
         self.name = name
         self.data = data
         self._recorder = recorder
@@ -61,6 +59,6 @@ class ArrayProxy:
 
 
 def make_proxies(
-    arrays: Dict[str, np.ndarray], recorder: TraceRecorder
+    arrays: Dict[str, MutableSequence], recorder: TraceRecorder
 ) -> Dict[str, ArrayProxy]:
     return {name: ArrayProxy(name, data, recorder) for name, data in arrays.items()}

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Mapping, MutableSequence, Optional, Tuple
 
 from ..errors import ReproError
 from ..params import MachineParams, default_params
@@ -48,7 +46,10 @@ class ConcreteLoop:
         body: called as ``body(i, arrays)`` for 0-based iteration ``i``;
             must access arrays only through the provided proxies.
         iterations: trip count.
-        arrays: name -> numpy array (modified in place by ``run``).
+        arrays: name -> mutable sequence (a list, an ``array.array``,
+            ...), modified in place by :func:`speculative_run`.  An
+            array's simulated element size is its ``itemsize`` (8 bytes
+            when it has none, as for a list).
         protocols: name -> dependence-test protocol for arrays the
             compiler could not analyze (others default to ``PLAIN``).
         live_out: names of privatized arrays whose values are needed
@@ -59,14 +60,14 @@ class ConcreteLoop:
 
     body: Body
     iterations: int
-    arrays: Dict[str, np.ndarray]
+    arrays: Dict[str, MutableSequence]
     protocols: Dict[str, ProtocolKind] = dataclasses.field(default_factory=dict)
     live_out: Tuple[str, ...] = ()
     work_cycles: int = 30
 
     def trace(self) -> Loop:
         """Record the access stream (on scratch copies of the arrays)."""
-        scratch = {k: v.copy() for k, v in self.arrays.items()}
+        scratch = {k: copy.copy(v) for k, v in self.arrays.items()}
         recorder = TraceRecorder()
         proxies = make_proxies(scratch, recorder)
         body_ops: List[List[object]] = []
@@ -87,7 +88,7 @@ class ConcreteLoop:
                 ArraySpec(
                     name,
                     len(data),
-                    int(data.dtype.itemsize),
+                    int(getattr(data, "itemsize", 8)),
                     protocol,
                     modified=written.get(name, False),
                     live_out=name in self.live_out,
@@ -101,7 +102,7 @@ class ConcreteOutcome:
     """Result of a value-level speculative run."""
 
     passed: bool
-    arrays: Dict[str, np.ndarray]
+    arrays: Dict[str, MutableSequence]
     #: simulated timing; None when the speculative attempt died on an
     #: exception before a simulation could complete
     simulation: Optional[RunResult]
@@ -164,36 +165,33 @@ def _execute_parallel(
         assignment = [[it - 1 for it in its] for its in assignment]
     else:
         assignment = _assignment(schedule, loop.iterations, num_procs)
-    # Per-array write columns (index, iteration, value-at-iteration-end),
+    # Per-array writes (iteration, index, value-at-iteration-end),
     # appended in program order and committed in one batch below.
-    writes: Dict[str, Tuple[List[int], List[int], List[object]]] = {}
+    writes: Dict[str, List[Tuple[int, int, object]]] = {}
     for proc, iterations in enumerate(assignment):
         if not iterations:
             continue
-        views: Dict[str, np.ndarray] = {}
+        views: Dict[str, MutableSequence] = {}
         for name, data in loop.arrays.items():
-            views[name] = data.copy() if name in privatized else data
+            views[name] = copy.copy(data) if name in privatized else data
         recorder = TraceRecorder()
         proxies = make_proxies(views, recorder)
         for i in iterations:
             loop.body(i, proxies)
             for op in recorder.take():
                 if op.is_write and op.array in privatized:
-                    idxs, iters, vals = writes.setdefault(op.array, ([], [], []))
-                    idxs.append(op.index)
-                    iters.append(i)
-                    vals.append(views[op.array][op.index])
+                    writes.setdefault(op.array, []).append(
+                        (i, op.index, views[op.array][op.index])
+                    )
     # Copy-out: each element's final value comes from its highest-
-    # numbered writing iteration.  One stable argsort by iteration plus
-    # a fancy-index store per array — positions are assigned ascending
-    # by iteration, so the last write wins; the stable sort keeps
-    # program order for same-iteration writes (whose recorded values
-    # are identical anyway: they are read at iteration end).
-    for name, (idxs, iters, vals) in writes.items():
+    # numbered writing iteration.  Stores run in a stable sort by
+    # iteration, so the last write wins; the stable sort keeps program
+    # order for same-iteration writes (whose recorded values are
+    # identical anyway: they are read at iteration end).
+    for name, entries in writes.items():
         target = loop.arrays[name]
-        order = np.argsort(np.asarray(iters), kind="stable")
-        values = np.asarray(vals, dtype=target.dtype)
-        target[np.asarray(idxs)[order]] = values[order]
+        for _, index, value in sorted(entries, key=lambda entry: entry[0]):
+            target[index] = value
 
 
 def speculative_run(
@@ -212,7 +210,7 @@ def speculative_run(
     """
     params = params or default_params()
     config = config or RunConfig()
-    backup = {k: v.copy() for k, v in loop.arrays.items()}
+    backup = {k: copy.copy(v) for k, v in loop.arrays.items()}
     speculative_exc: Optional[BaseException] = None
     try:
         traced = loop.trace()

@@ -1,4 +1,4 @@
-"""Value-level (numpy-backed) versions of the paper's loop patterns.
+"""Value-level versions of the paper's loop patterns.
 
 The trace-level surrogates in this package drive the timing
 simulation; these :class:`~repro.semantics.ConcreteLoop` builders drive
@@ -10,9 +10,8 @@ demonstrations and tests, not timing studies.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+import random
+from typing import List, Tuple
 
 from ..semantics.executor import ConcreteLoop
 from ..types import ProtocolKind
@@ -20,13 +19,13 @@ from ..types import ProtocolKind
 
 def ocean_like(
     elements: int = 512, iterations: int = 16, stride: int = 2, seed: int = 0
-) -> Tuple[ConcreteLoop, np.ndarray]:
+) -> Tuple[ConcreteLoop, List[float]]:
     """An in-place strided butterfly update (Ocean's pattern).
 
     Returns the loop and the expected (serial) result.
     """
-    rng = np.random.default_rng(seed)
-    initial = rng.random(elements)
+    rng = random.Random(seed)
+    initial = [rng.random() for _ in range(elements)]
     block = elements // iterations
     rows = max(1, block // stride)
 
@@ -36,7 +35,7 @@ def ocean_like(
             j = base + (k % rows) * stride + k // rows
             arrays["FT"][j] = arrays["FT"][j] * 0.5 + 1.0
 
-    expected = initial.copy()
+    expected = list(initial)
     for i in range(iterations):
         base = i * block
         for k in range(block):
@@ -52,38 +51,40 @@ def ocean_like(
 
 def p3m_like(
     particles: int = 24, positions: int = 256, seed: int = 1
-) -> Tuple[ConcreteLoop, np.ndarray]:
+) -> Tuple[ConcreteLoop, List[float]]:
     """A privatized-scratch force loop (P3m's pattern).
 
     Each iteration accumulates neighbor interactions into a scratch
     array (written before read) and stores a per-particle force.
     Returns the loop and the expected FORCE array.
     """
-    rng = np.random.default_rng(seed)
-    pos = rng.random(positions)
-    neighbor_count = rng.integers(2, 8, size=particles)
-    neighbor_idx = rng.integers(0, positions, size=(particles, 8))
+    rng = random.Random(seed)
+    pos = [rng.random() for _ in range(positions)]
+    neighbor_count = [rng.randint(2, 7) for _ in range(particles)]
+    neighbor_idx = [
+        [rng.randrange(positions) for _ in range(8)] for _ in range(particles)
+    ]
 
     def body(i, arrays):
         total = 0.0
-        for k in range(int(neighbor_count[i])):
-            arrays["XI"][k] = arrays["POS"][int(neighbor_idx[i, k])] * 2.0
+        for k in range(neighbor_count[i]):
+            arrays["XI"][k] = arrays["POS"][neighbor_idx[i][k]] * 2.0
             total += arrays["XI"][k]
         arrays["FORCE"][i] = total
 
-    expected = np.zeros(particles)
+    expected = [0.0] * particles
     for i in range(particles):
         total = 0.0
-        for k in range(int(neighbor_count[i])):
-            total += pos[int(neighbor_idx[i, k])] * 2.0
+        for k in range(neighbor_count[i]):
+            total += pos[neighbor_idx[i][k]] * 2.0
         expected[i] = total
 
     loop = ConcreteLoop(
         body, particles,
         {
             "POS": pos,
-            "XI": np.zeros(8),
-            "FORCE": np.zeros(particles),
+            "XI": [0.0] * 8,
+            "FORCE": [0.0] * particles,
         },
         protocols={
             "XI": ProtocolKind.PRIV_SIMPLE,
@@ -95,14 +96,14 @@ def p3m_like(
 
 def track_like(
     iterations: int = 24, tested: int = 128, dependent: bool = False, seed: int = 2
-) -> Tuple[ConcreteLoop, np.ndarray]:
+) -> Tuple[ConcreteLoop, List[float]]:
     """A filter-update loop (Track's pattern), optionally with the
     adjacent-iteration dependences of its non-parallel executions.
 
     Returns the loop and the expected T array.
     """
-    rng = np.random.default_rng(seed)
-    initial = rng.random(tested)
+    rng = random.Random(seed)
+    initial = [rng.random() for _ in range(tested)]
     half = tested // 2
 
     def body(i, arrays):
@@ -113,7 +114,7 @@ def track_like(
         if dependent and i % 4 == 1:
             _ = arrays["T"][half + (i - 1) % half]
 
-    expected = initial.copy()
+    expected = list(initial)
     for i in range(iterations):
         j = i % half
         expected[j] = expected[j] * 0.9 + 0.1

@@ -1,6 +1,5 @@
 """End-to-end value checks of the paper's loop patterns."""
 
-import numpy as np
 import pytest
 
 from repro.params import MachineParams
@@ -19,7 +18,7 @@ class TestOceanPattern:
         loop, expected = ocean_like(stride=stride)
         out = speculative_run(loop, PARAMS, DYN)
         assert out.passed
-        np.testing.assert_allclose(out.arrays["FT"], expected)
+        assert out.arrays["FT"] == expected
 
 
 class TestP3mPattern:
@@ -27,7 +26,7 @@ class TestP3mPattern:
         loop, expected = p3m_like()
         out = speculative_run(loop, PARAMS, DYN)
         assert out.passed
-        np.testing.assert_allclose(out.arrays["FORCE"], expected)
+        assert out.arrays["FORCE"] == expected
 
 
 class TestTrackPattern:
@@ -35,7 +34,7 @@ class TestTrackPattern:
         loop, expected = track_like(dependent=False)
         out = speculative_run(loop, PARAMS, FINE)
         assert out.passed
-        np.testing.assert_allclose(out.arrays["T"], expected)
+        assert out.arrays["T"] == expected
 
     def test_dependent_execution_recovers(self):
         # Fine-grained dynamic blocks split the dependent pairs, so the
@@ -43,7 +42,7 @@ class TestTrackPattern:
         # values.
         loop, expected = track_like(dependent=True)
         out = speculative_run(loop, PARAMS, FINE)
-        np.testing.assert_allclose(out.arrays["T"], expected)
+        assert out.arrays["T"] == expected
         assert not out.passed and out.reexecuted_serially
 
     def test_dependent_execution_passes_with_blocks(self):
@@ -55,4 +54,4 @@ class TestTrackPattern:
         )
         out = speculative_run(loop, PARAMS, cfg)
         assert out.passed
-        np.testing.assert_allclose(out.arrays["T"], expected)
+        assert out.arrays["T"] == expected

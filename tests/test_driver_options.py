@@ -1,5 +1,7 @@
 """Tests for the runtime driver's configuration options."""
 
+import hashlib
+
 import pytest
 
 from repro.params import MachineParams
@@ -12,6 +14,8 @@ from repro.runtime import (
     run_serial,
     run_sw,
 )
+from repro.runtime import driver
+from repro.sim.machine import Machine
 from repro.trace import ArraySpec, Loop, compute, read, write
 from repro.types import ProtocolKind
 
@@ -57,6 +61,41 @@ class TestSparseBackup:
         for sparse in (False, True):
             r = run_hw(loop, PARAMS, RunConfig(schedule=STATIC, sparse_backup=sparse))
             assert r.passed
+
+    def test_sparse_backup_walks_the_loop_once_per_array(self, monkeypatch):
+        """Every processor's backup segment comes from one walk of the
+        loop per modified array, and the ops are unchanged (pinned)."""
+        walks = []
+        written_elements = Loop.written_elements
+
+        def counting(loop, array):
+            walks.append(array)
+            return written_elements(loop, array)
+
+        monkeypatch.setattr(Loop, "written_elements", counting)
+        loop = Loop(
+            "sparse-two",
+            [
+                ArraySpec("A", 4096, 8, ProtocolKind.NONPRIV),
+                ArraySpec("D", 1024, 4, ProtocolKind.NONPRIV),
+                ArraySpec("P", 256, 8, ProtocolKind.PRIV),  # never backed up
+                ArraySpec("C", 512, 8, modified=False),  # read-only
+            ],
+            [
+                [
+                    read("C", i), write("A", (i * 97) % 4096), compute(5),
+                    write("D", (i * 31) % 1024), write("P", i % 256),
+                ]
+                for i in range(48)
+            ],
+        )
+        streams = driver._backup_streams(Machine(PARAMS), loop, True)
+        ops = sorted((proc, list(stream)) for proc, stream in streams.items())
+        assert sorted(walks) == ["A", "D"]
+        assert [len(proc_ops) for _, proc_ops in ops] == [57, 57, 66, 72]
+        assert hashlib.sha256(repr(ops).encode()).hexdigest() == (
+            "88164e309c556962b36dcc92480b7c4deaa6112ecd4818caeec272f5b41f7646"
+        )
 
 
 class TestSwReadIn:

@@ -204,6 +204,19 @@ class TestRunStore:
         assert figures.table3_traffic(preset="quick", workloads=["Track"], runs=runs) == fresh3
         assert not calls
 
+    def test_fig13_builds_one_loop_per_workload(self, monkeypatch):
+        """Each forced-failure instance is built from exactly one
+        execution; Track's is its dependent one, not execution 0."""
+        built = []
+        for name, cls in figures.WORKLOAD_CLASSES.items():
+            def counting(self, index, rng, _name=name, _build=cls.build_execution):
+                built.append((_name, index))
+                return _build(self, index, rng)
+
+            monkeypatch.setattr(cls, "build_execution", counting)
+        fig13_failure(preset="quick")
+        assert built == [("Ocean", 0), ("P3m", 0), ("Adm", 0), ("Track", 3)]
+
     def test_all_json_simulates_each_distinct_run_once(self, monkeypatch, capsys):
         """Every driver call of ``all --json`` is a distinct run by
         content (the run ledger's key; Serial at its uniprocessor)."""
