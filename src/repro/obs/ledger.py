@@ -247,28 +247,19 @@ class RunLedger:
     def record_result(
         self,
         result,
-        key: Optional[str] = None,
+        key: str,
         host_wall_s: Optional[float] = None,
         rollup: Optional[Dict[str, Any]] = None,
-        params=None,
-        config=None,
-        loop=None,
-    ) -> Tuple[str, bool]:
-        """Archive one ``RunResult``; returns ``(key, deduped)``.
-
-        The key is computed from ``(params, config, loop)`` when not
-        given — the same content address the cache-read path looks up.
-        """
+    ) -> bool:
+        """Archive one ``RunResult`` under ``key`` (its :func:`ledger_key`);
+        returns whether it was a dedupe."""
         from ..experiments.serialize import run_result_to_dict
 
-        if key is None:
-            key = ledger_key(result.scenario, loop, params, config,
-                             provenance=getattr(result, "provenance", None))
         # Records are content-addressed and never rewritten, so one that
         # exists already is a dedupe: skip serializing the result and
         # taking the lock.  ``_write`` checks again under the lock.
         if os.path.exists(self.record_path(key)):
-            return key, True
+            return True
         doc = {
             "result": run_result_to_dict(result),
             "host_wall_s": (
@@ -283,8 +274,7 @@ class RunLedger:
             "wall_cycles": result.wall,
             "host_wall_s": doc["host_wall_s"],
         }
-        deduped = self._write(key, "run", doc, summary)
-        return key, deduped
+        return self._write(key, "run", doc, summary)
 
     def record_diffsweep(self, doc: Dict[str, Any], label: str = "") -> Tuple[str, bool]:
         """Archive one differential-conformance sweep summary."""

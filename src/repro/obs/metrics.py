@@ -41,14 +41,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def snapshot(self) -> int:
-        """Plain picklable state (round-trips through :meth:`merge`)."""
-        return self.value
-
-    def merge(self, snap: int) -> None:
-        """Fold a :meth:`snapshot` from another process into this one."""
-        self.value += snap
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.value})"
 
@@ -93,28 +85,6 @@ class Histogram:
             "max": self.max if self.count else None,
             "buckets": dict(sorted(self.buckets.items())),
         }
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Plain picklable state (round-trips through :meth:`merge`)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "buckets": dict(self.buckets),
-        }
-
-    def merge(self, snap: Dict[str, Any]) -> None:
-        """Fold a :meth:`snapshot` from another process into this one."""
-        self.count += snap["count"]
-        self.total += snap["total"]
-        if snap["min"] is not None and snap["min"] < self.min:
-            self.min = snap["min"]
-        if snap["max"] is not None and snap["max"] > self.max:
-            self.max = snap["max"]
-        for bucket, n in snap["buckets"].items():
-            bucket = int(bucket)
-            self.buckets[bucket] = self.buckets.get(bucket, 0) + n
 
 
 def _key(labels: Dict[str, Any]) -> LabelKey:
@@ -175,47 +145,6 @@ class MetricsRegistry:
     def clear(self) -> None:
         self._counters.clear()
         self._histograms.clear()
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Full registry state as plain picklable data.
-
-        Unlike :meth:`as_dict` (which flattens labels to display
-        strings), the snapshot preserves label structure so it can be
-        merged back into a live registry in another process:
-        ``{"counters": {name: [[[k, v], ...], value], ...}, ...}``.
-        """
-        return {
-            "counters": {
-                name: [
-                    [[list(pair) for pair in key], c.snapshot()]
-                    for key, c in series.items()
-                ]
-                for name, series in self._counters.items()
-            },
-            "histograms": {
-                name: [
-                    [[list(pair) for pair in key], h.snapshot()]
-                    for key, h in series.items()
-                ]
-                for name, series in self._histograms.items()
-            },
-        }
-
-    def merge(self, snap: Dict[str, Any]) -> "MetricsRegistry":
-        """Fold a :meth:`snapshot` (e.g. from a pool worker) into this
-        registry, get-or-creating each labeled series."""
-        for name, entries in snap.get("counters", {}).items():
-            for key, value in entries:
-                self.counter(name, **{k: v for k, v in key}).merge(value)
-        for name, entries in snap.get("histograms", {}).items():
-            for key, state in entries:
-                self.histogram(name, **{k: v for k, v in key}).merge(state)
-        return self
-
-    @classmethod
-    def from_snapshot(cls, snap: Dict[str, Any]) -> "MetricsRegistry":
-        return cls().merge(snap)
 
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:

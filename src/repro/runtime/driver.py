@@ -6,6 +6,11 @@ the Busy/Sync/Mem breakdown (Figure 12), per-phase times, and the test
 outcome.  The failure path follows the paper's accounting (§6.2): the
 execution time of a failed speculation is the parallel execution up to
 detection (including backup), plus the restore, plus the Serial time.
+
+The scenarios differ only in their phases.  ``_simulate`` owns the
+lifecycle they share: serve from the ledger, build and instrument the
+machine, allocate the loop's arrays (and SW's and HW's backups), run
+the scenario's phases, then stamp, archive and release.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from ..params import MachineParams
 from ..sim.machine import Machine
 from ..sim.processor import Mutex
 from ..sim.stats import TimeBreakdown
-from ..trace.loop import Loop
+from ..trace.loop import ArraySpec, Loop
 from ..types import ProtocolKind, Scenario
 from .executor import (
     SWInstrumenter,
@@ -106,18 +111,6 @@ class RunConfig:
         check_epoch_config(self.timestamp_bits, self.schedule)
 
 
-def _apply_hook(config: "Optional[RunConfig]", machine: Machine) -> None:
-    if config is not None and config.telemetry is not None:
-        config.telemetry.attach(machine)
-    if config is not None and config.monitors is not None:
-        config.monitors.attach(machine)
-    if config is not None and config.machine_hook is not None:
-        config.machine_hook(machine)
-    if config is not None and config.ledger is not None:
-        # Host-wall anchor for the ledger record, kept per machine.
-        machine._ledger_t0 = time.perf_counter()
-
-
 @dataclasses.dataclass
 class RunResult:
     """Outcome and timing of one simulated loop execution."""
@@ -159,7 +152,11 @@ class RunResult:
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-def _allocate_loop_arrays(machine: Machine, loop: Loop, local: bool) -> None:
+def _allocate_loop_arrays(machine: Machine, loop: Loop, scenario: Scenario) -> None:
+    """The loop's arrays (all in node 0's memory for Serial, spread
+    round-robin otherwise), then the backup copies of the arrays a
+    speculative scenario must be able to restore."""
+    local = scenario is Scenario.SERIAL
     for spec in loop.arrays:
         machine.space.allocate(
             spec.name,
@@ -169,10 +166,31 @@ def _allocate_loop_arrays(machine: Machine, loop: Loop, local: bool) -> None:
             home_policy="local" if local else "round_robin",
             local_node=0,
         )
+    if scenario in (Scenario.SW, Scenario.HW):
+        for spec in loop.modified_arrays():
+            machine.space.allocate(
+                _backup_name(spec.name), spec.length, spec.elem_bytes,
+                home_policy="round_robin",
+            )
 
 
 def _backup_name(array: str) -> str:
     return f"{array}#bak"
+
+
+def _allocate_private_copies(
+    machine: Machine, spec: ArraySpec, protocol: ProtocolKind = ProtocolKind.PLAIN
+) -> list:
+    """One copy of ``spec`` per processor, in that processor's node."""
+    params = machine.params
+    return [
+        machine.space.allocate(
+            private_copy_name(spec.name, proc), spec.length, spec.elem_bytes,
+            protocol=protocol,
+            home_policy="local", local_node=params.node_of_processor(proc),
+        )
+        for proc in range(params.num_processors)
+    ]
 
 
 def _run_phase(
@@ -307,9 +325,9 @@ def _append_failure_tail(
     breakdown: TimeBreakdown,
     serial_result: Optional["RunResult"],
     params: MachineParams,
-    reason: str = "speculation-failed",
+    reason: str,
     detection: Optional[float] = None,
-) -> "TimeBreakdown":
+) -> None:
     """Failure path: restore the arrays, then account the serial
     re-execution at the Serial scenario's cost (paper §6.2)."""
     bus = machine.bus
@@ -323,7 +341,6 @@ def _append_failure_tail(
         serial_result = run_serial(loop, params)
     phases["serial-reexec"] = serial_result.wall
     breakdown.add(serial_result.breakdown)
-    return breakdown
 
 
 def _ambient_bus(config: "Optional[RunConfig]"):
@@ -367,32 +384,53 @@ def _ledger_serve(
     return result
 
 
+def _copy_out(
+    machine: Machine,
+    loop: Loop,
+    phases: Dict[str, float],
+    breakdown: TimeBreakdown,
+    indices: Callable[[ArraySpec], List[List[int]]],
+) -> None:
+    """Copy-out of privatized, live-out arrays (§2.2.3): ``indices(spec)``
+    lists, per processor, the elements it copies back from its private
+    copy, in element order."""
+    params = machine.params
+    streams: Dict[int, Iterator[object]] = {}
+    for spec in loop.arrays_under_test():
+        if not (spec.privatized and spec.live_out):
+            continue
+        epl = params.elems_per_line(spec.elem_bytes)
+        for proc, elements in enumerate(indices(spec)):
+            if not elements:
+                continue
+            ops = sparse_copy_ops(
+                private_copy_name(spec.name, proc), spec.name, elements,
+                epl, params.cost.copy_out_per_element,
+            )
+            streams[proc] = chain(streams[proc], ops) if proc in streams else ops
+    if streams:
+        breakdown.add(_run_phase(machine, "copy-out", streams, phases))
+
+
 def _ledger_commit(
     machine: Machine,
     config: "RunConfig",
     params: MachineParams,
     result: "RunResult",
-    loop: Optional[Loop],
-    prof,
-    run_span,
+    loop: Loop,
+    host_wall: float,
+    rollup: Optional[dict],
 ) -> None:
-    """Archive a completed run (the tail of ``_finish_run``)."""
-    if loop is None:
-        return
-    from ..obs.ledger import as_ledger, ledger_key, span_rollup
+    """Archive a completed run (the last step of ``_simulate``)."""
+    from ..obs.ledger import as_ledger, ledger_key
 
     ledger = as_ledger(config.ledger)
     # The result's provenance was stamped moments ago for exactly this
     # (params, config, scenario) — reuse it rather than rehashing.
     key = ledger_key(result.scenario, loop, params, config,
                      provenance=result.provenance)
-    t0 = getattr(machine, "_ledger_t0", None)
-    host_wall = time.perf_counter() - t0 if t0 is not None else None
-    rollup = None
-    if prof is not None and run_span is not None:
-        rollup = span_rollup(prof.spans, run_span["sid"])
-    _, deduped = ledger.record_result(
-        result, key=key, host_wall_s=host_wall, rollup=rollup, config=config
+    deduped = ledger.record_result(
+        result, key, host_wall_s=host_wall, rollup=rollup
     )
     bus = machine.bus
     if bus is not None and bus.active:
@@ -404,61 +442,82 @@ def _ledger_commit(
         )
 
 
-def _begin_run(machine: Machine, scenario: Scenario, loop: Loop) -> None:
+def _simulate(
+    scenario: Scenario,
+    loop: Loop,
+    params: MachineParams,
+    config: "Optional[RunConfig]",
+    phases: Callable[[Machine, Dict[str, float]], dict],
+) -> "RunResult":
+    """The lifecycle every run shares.  ``phases(machine, times)`` runs
+    the scenario's phases on the built machine, recording each phase's
+    duration in ``times``, and returns the :class:`RunResult` fields only
+    it knows (``passed``, ``breakdown`` and any of ``failure``,
+    ``detection_cycle``, ``lrpd``, ``spec_messages``, ``assignment``)."""
+    served = _ledger_serve(config, scenario, loop, params)
+    if served is not None:
+        return served
+    machine = Machine(
+        _serial_params(params) if scenario is Scenario.SERIAL else params,
+        with_speculation=scenario is Scenario.HW,
+    )
+    if config is not None:
+        if config.telemetry is not None:
+            config.telemetry.attach(machine)
+        if config.monitors is not None:
+            config.monitors.attach(machine)
+        if config.machine_hook is not None:
+            config.machine_hook(machine)
+    t0 = time.perf_counter()  # host-wall anchor of the ledger record
+    engine = machine.engine
+    num = machine.params.num_processors
+    bus = machine.bus
     prof = spans.current()
     if prof is not None:
-        # Hierarchy: run -> phase -> epoch; _finish_run closes the run
-        # span (every driver exit goes through it).
-        machine._run_span = prof.begin(
+        # Hierarchy: run -> phase -> epoch.
+        run_span = prof.begin(
             "run", cat="run", sample=True,
-            scenario=scenario.value, loop=loop.name,
-            procs=machine.params.num_processors,
+            scenario=scenario.value, loop=loop.name, procs=num,
         )
-    bus = machine.bus
     if bus is not None and bus.active:
-        bus.emit(
-            obs.RunStartEvent(
-                machine.engine.now,
-                scenario.value,
-                loop.name,
-                machine.params.num_processors,
-            )
-        )
-
-
-def _finish_run(
-    machine: Machine,
-    config: "Optional[RunConfig]",
-    params: MachineParams,
-    result: "RunResult",
-    loop: Optional[Loop] = None,
-) -> "RunResult":
-    """Stamp provenance/metrics into a result, close out telemetry, and
-    release the machine (its run is over)."""
+        bus.emit(obs.RunStartEvent(engine.now, scenario.value, loop.name, num))
+    _allocate_loop_arrays(machine, loop, scenario)
+    times: Dict[str, float] = {}
+    fields = phases(machine, times)
+    result = RunResult(
+        scenario=scenario,
+        loop_name=loop.name,
+        num_processors=num,
+        wall=engine.now + times.get("serial-reexec", 0),
+        phases=times,
+        mem=machine.memsys.stats,
+        **fields,
+    )
     result.provenance = run_provenance(
-        params,
-        config,
-        scenario=result.scenario.value,
-        loop_name=result.loop_name,
+        params, config, scenario=scenario.value, loop_name=loop.name
     )
     telemetry = config.telemetry if config is not None else None
     if telemetry is not None and hasattr(telemetry, "metrics_snapshot"):
         result.metrics = telemetry.metrics_snapshot()
-    bus = machine.bus
     if bus is not None and bus.active:
-        bus.emit(obs.RunEndEvent(machine.engine.now, result.passed, result.wall))
-    prof = spans.current()
-    run_span = getattr(machine, "_run_span", None)
-    if prof is not None and run_span is not None:
+        bus.emit(obs.RunEndEvent(engine.now, result.passed, result.wall))
+    if prof is not None:
         prof.end(run_span, **{"sim.wall_cycles": result.wall})
-        machine._run_span = None
     monitors = config.monitors if config is not None else None
     if monitors is not None and hasattr(monitors, "finalize"):
         monitors.finalize(result, loop)
     # Archive last, after monitors stamped violations/forensics, so the
     # record holds the result exactly as the caller receives it.
     if config is not None and config.ledger is not None:
-        _ledger_commit(machine, config, params, result, loop, prof, run_span)
+        rollup = None
+        if prof is not None:
+            from ..obs.ledger import span_rollup
+
+            rollup = span_rollup(prof.spans, run_span["sid"])
+        _ledger_commit(
+            machine, config, params, result, loop,
+            time.perf_counter() - t0, rollup,
+        )
     machine.release()
     return result
 
@@ -470,28 +529,12 @@ def run_serial(
     loop: Loop, params: MachineParams, config: Optional[RunConfig] = None
 ) -> RunResult:
     """Uniprocessor execution with all data local (§6)."""
-    served = _ledger_serve(config, Scenario.SERIAL, loop, params)
-    if served is not None:
-        return served
-    machine = Machine(_serial_params(params), with_speculation=False)
-    _apply_hook(config, machine)
-    _begin_run(machine, Scenario.SERIAL, loop)
-    _allocate_loop_arrays(machine, loop, local=True)
-    phases: Dict[str, float] = {}
-    breakdown = _run_phase(
-        machine, "loop", {0: serial_stream(loop, params.cost)}, phases
-    )
-    result = RunResult(
-        scenario=Scenario.SERIAL,
-        loop_name=loop.name,
-        num_processors=1,
-        passed=True,
-        wall=machine.engine.now,
-        breakdown=breakdown,
-        phases=phases,
-        mem=machine.memsys.stats,
-    )
-    return _finish_run(machine, config, params, result, loop)
+
+    def phases(machine: Machine, times: Dict[str, float]) -> dict:
+        stream = {0: serial_stream(loop, params.cost)}
+        return {"passed": True, "breakdown": _run_phase(machine, "loop", stream, times)}
+
+    return _simulate(Scenario.SERIAL, loop, params, config, phases)
 
 
 # ----------------------------------------------------------------------
@@ -508,44 +551,26 @@ def run_ideal(
     to them are redirected to per-processor local copies.
     """
     config = config or RunConfig()
-    served = _ledger_serve(config, Scenario.IDEAL, loop, params)
-    if served is not None:
-        return served
-    machine = Machine(params, with_speculation=False)
-    _apply_hook(config, machine)
-    _begin_run(machine, Scenario.IDEAL, loop)
-    _allocate_loop_arrays(machine, loop, local=False)
-    privatized = {a.name for a in loop.arrays if a.privatized}
-    for name in privatized:
-        spec = loop.array(name)
-        for proc in range(params.num_processors):
-            machine.space.allocate(
-                private_copy_name(name, proc), spec.length, spec.elem_bytes,
-                home_policy="local", local_node=params.node_of_processor(proc),
-            )
 
-    def instrument(proc, op, virt):
-        if op.array in privatized:
-            return (type(op)(op.kind, private_copy_name(op.array, proc), op.index),)
-        return (op,)
+    def phases(machine: Machine, times: Dict[str, float]) -> dict:
+        # In declaration order: allocation order fixes every address.
+        privatized = [spec for spec in loop.arrays if spec.privatized]
+        for spec in privatized:
+            _allocate_private_copies(machine, spec)
+        names = {spec.name for spec in privatized}
 
-    phases: Dict[str, float] = {}
-    streams = loop_streams(
-        loop, config.schedule, params.num_processors, params.cost,
-        instrument=instrument if privatized else None,
-    )
-    breakdown = _run_phase(machine, "loop", streams, phases)
-    result = RunResult(
-        scenario=Scenario.IDEAL,
-        loop_name=loop.name,
-        num_processors=params.num_processors,
-        passed=True,
-        wall=machine.engine.now,
-        breakdown=breakdown,
-        phases=phases,
-        mem=machine.memsys.stats,
-    )
-    return _finish_run(machine, config, params, result, loop)
+        def instrument(proc, op, virt):
+            if op.array in names:
+                return (type(op)(op.kind, private_copy_name(op.array, proc), op.index),)
+            return (op,)
+
+        streams = loop_streams(
+            loop, config.schedule, params.num_processors, params.cost,
+            instrument=instrument if names else None,
+        )
+        return {"passed": True, "breakdown": _run_phase(machine, "loop", streams, times)}
+
+    return _simulate(Scenario.IDEAL, loop, params, config, phases)
 
 
 # ----------------------------------------------------------------------
@@ -559,160 +584,104 @@ def run_hw(
 ) -> RunResult:
     """Hardware speculative run-time parallelization (§3/§4)."""
     config = config or RunConfig()
-    served = _ledger_serve(config, Scenario.HW, loop, params)
-    if served is not None:
-        return served
-    machine = Machine(params, with_speculation=True)
-    _apply_hook(config, machine)
-    _begin_run(machine, Scenario.HW, loop)
-    assert machine.spec is not None
-    _allocate_loop_arrays(machine, loop, local=False)
-    for spec in loop.modified_arrays():
-        machine.space.allocate(
-            _backup_name(spec.name), spec.length, spec.elem_bytes,
-            home_policy="round_robin",
-        )
 
-    # Register everything under test with the speculation engine; the
-    # privatization protocols add the per-iteration tag-clear overhead.
-    has_priv = False
-    for spec in loop.arrays_under_test():
-        decl = machine.space.array(spec.name)
-        if spec.protocol is ProtocolKind.NONPRIV:
-            machine.spec.register_nonpriv(
-                decl, per_line_bits=config.per_line_bits
-            )
-        else:
-            has_priv = True
-            privs = [
-                machine.space.allocate(
-                    private_copy_name(spec.name, p), spec.length, spec.elem_bytes,
-                    protocol=spec.protocol,
-                    home_policy="local",
-                    local_node=params.node_of_processor(p),
+    def phases(machine: Machine, times: Dict[str, float]) -> dict:
+        spec_engine = machine.spec
+        # Register everything under test with the speculation engine; the
+        # privatization protocols add the per-iteration tag-clear overhead.
+        has_priv = False
+        for spec in loop.arrays_under_test():
+            decl = machine.space.array(spec.name)
+            if spec.protocol is ProtocolKind.NONPRIV:
+                spec_engine.register_nonpriv(
+                    decl, per_line_bits=config.per_line_bits
                 )
-                for p in range(params.num_processors)
-            ]
-            machine.spec.register_priv(
-                decl, privs, simple=(spec.protocol is ProtocolKind.PRIV_SIMPLE)
+            else:
+                has_priv = True
+                spec_engine.register_priv(
+                    decl, _allocate_private_copies(machine, spec, spec.protocol),
+                    simple=(spec.protocol is ProtocolKind.PRIV_SIMPLE),
+                )
+
+        breakdown = TimeBreakdown()
+        # Phase 1: checkpoint the modifiable shared arrays (§2.2.1).
+        if loop.modified_arrays():
+            breakdown.add(
+                _run_phase(
+                    machine, "backup",
+                    _backup_streams(machine, loop, config.sparse_backup), times,
+                )
             )
 
-    phases: Dict[str, float] = {}
-    breakdown = TimeBreakdown()
-    # Phase 1: checkpoint the modifiable shared arrays (§2.2.1).
-    if loop.modified_arrays():
+        # Phase 2: the speculative doall, aborted on the first FAIL.
+        spec_engine.arm()
+        cost = params.cost
+        iter_overhead = cost.loop_iter_overhead + (
+            cost.hw_iter_tag_clear_cycles if has_priv else 0
+        )
+        queue, mutex = (
+            _make_queue(config.schedule, loop)
+            if config.timestamp_bits is None
+            else (None, None)
+        )
+        streams = loop_streams(
+            loop, config.schedule, params.num_processors, cost,
+            iter_overhead=iter_overhead,
+            setup_cycles=cost.hw_loop_setup_cycles,
+            mutex=mutex,
+            queue=queue,
+            timestamp_bits=config.timestamp_bits,
+        )
+        loop_start = machine.engine.now
         breakdown.add(
-            _run_phase(
-                machine, "backup",
-                _backup_streams(machine, loop, config.sparse_backup), phases,
-            )
+            _run_phase(machine, "loop", streams, times, abort_on_failure=True)
+        )
+        assignment = _realized_assignment(
+            queue, config.schedule, loop, params.num_processors
         )
 
-    # Phase 2: the speculative doall, aborted on the first FAIL.
-    machine.spec.arm()
-    cost = params.cost
-    iter_overhead = cost.loop_iter_overhead + (
-        cost.hw_iter_tag_clear_cycles if has_priv else 0
-    )
-    queue, mutex = (
-        _make_queue(config.schedule, loop)
-        if config.timestamp_bits is None
-        else (None, None)
-    )
-    streams = loop_streams(
-        loop, config.schedule, params.num_processors, cost,
-        iter_overhead=iter_overhead,
-        setup_cycles=cost.hw_loop_setup_cycles,
-        mutex=mutex,
-        queue=queue,
-        timestamp_bits=config.timestamp_bits,
-    )
-    loop_start = machine.engine.now
-    breakdown.add(
-        _run_phase(machine, "loop", streams, phases, abort_on_failure=True)
-    )
-    assignment = _realized_assignment(
-        queue, config.schedule, loop, params.num_processors
-    )
+        # Loop-end commit: dirty lines may hold tag state (writes, read-
+        # firsts) the directories never saw; merge it before the verdict.
+        spec_engine.commit(machine.engine.now)
 
-    # Loop-end commit: dirty lines may hold tag state (writes, read-
-    # firsts) the directories never saw; merge it before the verdict.
-    machine.spec.commit(machine.engine.now)
-
-    failure = machine.spec.controller.failure
-    if failure is not None:
+        failure = spec_engine.controller.failure
         detection = None
-        if failure.detected_at is not None:
-            detection = failure.detected_at - loop_start
-        machine.spec.disarm()
-        breakdown = _append_failure_tail(
-            machine, loop, phases, breakdown, serial_result, params,
-            reason=failure.reason, detection=detection,
-        )
-        wall = machine.engine.now + phases.get("serial-reexec", 0.0)
-        result = RunResult(
-            scenario=Scenario.HW,
-            loop_name=loop.name,
-            num_processors=params.num_processors,
-            passed=False,
-            wall=wall,
-            breakdown=breakdown,
-            phases=phases,
-            failure=failure,
-            detection_cycle=detection,
-            spec_messages=machine.spec.stats.messages,
-            mem=machine.memsys.stats,
-            assignment=assignment,
-        )
-        return _finish_run(machine, config, params, result, loop)
-
-    # Phase 3: copy-out of privatized, live-out arrays (§2.2.3).
-    copyout: Dict[int, Iterator[object]] = {}
-    for spec in loop.arrays_under_test():
-        if not (spec.privatized and spec.live_out):
-            continue
-        epl = params.elems_per_line(spec.elem_bytes)
-        per_proc = _hw_copy_out_indices(
-            machine, spec.name, spec.protocol, params.num_processors
-        )
-        for proc, indices in enumerate(per_proc):
-            if not indices:
-                continue
-            ops = sparse_copy_ops(
-                private_copy_name(spec.name, proc), spec.name, indices,
-                epl, cost.copy_out_per_element,
+        if failure is None:
+            # Phase 3: copy-out of privatized, live-out arrays (§2.2.3).
+            _copy_out(
+                machine, loop, times, breakdown,
+                lambda spec: _hw_copy_out_indices(machine, spec),
             )
-            copyout[proc] = chain(copyout[proc], ops) if proc in copyout else ops
-    if copyout:
-        breakdown.add(_run_phase(machine, "copy-out", copyout, phases))
-    machine.spec.disarm()
+            spec_engine.disarm()
+        else:
+            if failure.detected_at is not None:
+                detection = failure.detected_at - loop_start
+            spec_engine.disarm()
+            _append_failure_tail(
+                machine, loop, times, breakdown, serial_result, params,
+                reason=failure.reason, detection=detection,
+            )
+        return {
+            "passed": failure is None,
+            "breakdown": breakdown,
+            "failure": failure,
+            "detection_cycle": detection,
+            "spec_messages": spec_engine.stats.messages,
+            "assignment": assignment,
+        }
 
-    result = RunResult(
-        scenario=Scenario.HW,
-        loop_name=loop.name,
-        num_processors=params.num_processors,
-        passed=True,
-        wall=machine.engine.now,
-        breakdown=breakdown,
-        phases=phases,
-        spec_messages=machine.spec.stats.messages,
-        mem=machine.memsys.stats,
-        assignment=assignment,
-    )
-    return _finish_run(machine, config, params, result, loop)
+    return _simulate(Scenario.HW, loop, params, config, phases)
 
 
-def _hw_copy_out_indices(
-    machine: Machine, name: str, protocol: ProtocolKind, num_processors: int
-) -> List[List[int]]:
+def _hw_copy_out_indices(machine: Machine, spec: ArraySpec) -> List[List[int]]:
     """Per processor, the elements it copies out, in element order."""
-    assert machine.spec is not None
-    if protocol is ProtocolKind.PRIV:
-        return machine.spec.priv.shared_table(name).last_writers(num_processors)
+    num_processors = machine.params.num_processors
+    if spec.protocol is ProtocolKind.PRIV:
+        return machine.spec.priv.shared_table(spec.name).last_writers(num_processors)
     # PRIV_SIMPLE has no last-writer time stamps: each processor
     # conservatively copies out everything it wrote.
     tables = [
-        machine.spec.priv_simple.private_table(name, proc)
+        machine.spec.priv_simple.private_table(spec.name, proc)
         for proc in range(num_processors)
     ]
     return [
@@ -732,171 +701,124 @@ def run_sw(
 ) -> RunResult:
     """Software speculative run-time parallelization (§2)."""
     config = config or RunConfig()
-    served = _ledger_serve(config, Scenario.SW, loop, params)
-    if served is not None:
-        return served
-    processor_wise = config.schedule.virtual_mode is VirtualMode.PROCESSOR
-    machine = Machine(params, with_speculation=False)
-    _apply_hook(config, machine)
-    _begin_run(machine, Scenario.SW, loop)
-    cost = params.cost
-    num = params.num_processors
-    _allocate_loop_arrays(machine, loop, local=False)
-    for spec in loop.modified_arrays():
-        machine.space.allocate(
-            _backup_name(spec.name), spec.length, spec.elem_bytes,
-            home_policy="round_robin",
-        )
 
-    # Shadow arrays: 2-byte time stamps per element (iteration-wise) or
-    # 64-elements-per-word bitmaps (processor-wise); one private set per
-    # processor in its local memory, plus global merged shadows.
-    state = LRPDState(num, with_awmin=config.sw_read_in)
-    shadow_kinds = ("Ar", "Aw", "Anp") + (("Awmin",) if config.sw_read_in else ())
-    under_test = loop.arrays_under_test()
-    if processor_wise:
-        shadow_elem_bytes = 8
-        shadow_len = lambda n: max(1, math.ceil(n / cost.sw_bitmap_word_elems))
-    else:
-        shadow_elem_bytes = 2
-        shadow_len = lambda n: n
-    for spec in under_test:
-        state.register(spec.name, spec.length, spec.privatized)
-        slen = shadow_len(spec.length)
-        for kind in shadow_kinds:
-            machine.space.allocate(
-                global_shadow_name(spec.name, kind), slen, shadow_elem_bytes,
-                home_policy="round_robin",
-            )
-            for proc in range(num):
-                machine.space.allocate(
-                    shadow_name(spec.name, kind, proc), slen, shadow_elem_bytes,
-                    home_policy="local", local_node=params.node_of_processor(proc),
-                )
-        if spec.privatized:
-            for proc in range(num):
-                machine.space.allocate(
-                    private_copy_name(spec.name, proc), spec.length,
-                    spec.elem_bytes,
-                    home_policy="local", local_node=params.node_of_processor(proc),
-                )
+    def phases(machine: Machine, times: Dict[str, float]) -> dict:
+        processor_wise = config.schedule.virtual_mode is VirtualMode.PROCESSOR
+        cost = params.cost
+        num = params.num_processors
 
-    phases: Dict[str, float] = {}
-    breakdown = TimeBreakdown()
-
-    # Phase 1: zero the private shadows and back up modified arrays.
-    setup: Dict[int, Iterator[object]] = {}
-    backup = _backup_streams(machine, loop, config.sparse_backup)
-    for proc in range(num):
-        pieces = []
+        # Shadow arrays: 2-byte time stamps per element (iteration-wise) or
+        # 64-elements-per-word bitmaps (processor-wise); one private set per
+        # processor in its local memory, plus global merged shadows.
+        state = LRPDState(num, with_awmin=config.sw_read_in)
+        shadow_kinds = ("Ar", "Aw", "Anp") + (("Awmin",) if config.sw_read_in else ())
+        under_test = loop.arrays_under_test()
+        if processor_wise:
+            shadow_elem_bytes = 8
+            shadow_len = lambda n: max(1, math.ceil(n / cost.sw_bitmap_word_elems))
+        else:
+            shadow_elem_bytes = 2
+            shadow_len = lambda n: n
         for spec in under_test:
+            state.register(spec.name, spec.length, spec.privatized)
             slen = shadow_len(spec.length)
-            epl = params.elems_per_line(shadow_elem_bytes)
             for kind in shadow_kinds:
+                machine.space.allocate(
+                    global_shadow_name(spec.name, kind), slen, shadow_elem_bytes,
+                    home_policy="round_robin",
+                )
+                for proc in range(num):
+                    machine.space.allocate(
+                        shadow_name(spec.name, kind, proc), slen, shadow_elem_bytes,
+                        home_policy="local", local_node=params.node_of_processor(proc),
+                    )
+            if spec.privatized:
+                _allocate_private_copies(machine, spec)
+
+        breakdown = TimeBreakdown()
+
+        # Phase 1: zero the private shadows and back up modified arrays.
+        setup: Dict[int, Iterator[object]] = {}
+        backup = _backup_streams(machine, loop, config.sparse_backup)
+        for proc in range(num):
+            pieces = []
+            for spec in under_test:
+                slen = shadow_len(spec.length)
+                epl = params.elems_per_line(shadow_elem_bytes)
+                for kind in shadow_kinds:
+                    pieces.append(
+                        zero_ops(
+                            shadow_name(spec.name, kind, proc), 0, slen,
+                            epl, cost.sw_zero_per_element,
+                        )
+                    )
+            pieces.append(backup[proc])
+            setup[proc] = chain(*pieces)
+        breakdown.add(_run_phase(machine, "setup", setup, times))
+
+        # Phase 2: the speculative doall with marking.
+        instrument = SWInstrumenter(state, loop, cost, processor_wise=processor_wise)
+        queue, mutex = _make_queue(config.schedule, loop)
+        streams = loop_streams(
+            loop, config.schedule, num, cost,
+            instrument=instrument,
+            iter_end_cycles=cost.sw_iter_end_instrs,
+            mutex=mutex,
+            queue=queue,
+        )
+        breakdown.add(_run_phase(machine, "loop", streams, times))
+        assignment = _realized_assignment(queue, config.schedule, loop, num)
+
+        # Phase 3: merging + analysis.  Every processor reads the same
+        # shadow names, so each array's lists are built once, not per
+        # processor (P x kinds names each).
+        merge_names = [
+            (
+                spec,
+                [
+                    shadow_name(spec.name, kind, p)
+                    for p in range(num)
+                    for kind in shadow_kinds
+                ],
+                [global_shadow_name(spec.name, kind) for kind in shadow_kinds],
+            )
+            for spec in under_test
+        ]
+        merge: Dict[int, Iterator[object]] = {}
+        for proc in range(num):
+            pieces = []
+            for spec, privates, globals_ in merge_names:
+                slen = shadow_len(spec.length)
+                epl = params.elems_per_line(shadow_elem_bytes)
+                lo, hi = segment_of(slen, proc, num)
                 pieces.append(
-                    zero_ops(
-                        shadow_name(spec.name, kind, proc), 0, slen,
-                        epl, cost.sw_zero_per_element,
+                    merge_analysis_ops(
+                        privates, globals_, lo, hi, epl, cost.sw_analysis_per_element
                     )
                 )
-        pieces.append(backup[proc])
-        setup[proc] = chain(*pieces)
-    breakdown.add(_run_phase(machine, "setup", setup, phases))
+            merge[proc] = chain(*pieces)
+        breakdown.add(_run_phase(machine, "merge-analysis", merge, times))
 
-    # Phase 2: the speculative doall with marking.
-    instrument = SWInstrumenter(state, loop, cost, processor_wise=processor_wise)
-    queue, mutex = _make_queue(config.schedule, loop)
-    streams = loop_streams(
-        loop, config.schedule, num, cost,
-        instrument=instrument,
-        iter_end_cycles=cost.sw_iter_end_instrs,
-        mutex=mutex,
-        queue=queue,
-    )
-    breakdown.add(_run_phase(machine, "loop", streams, phases))
-    assignment = _realized_assignment(queue, config.schedule, loop, num)
-
-    # Phase 3: merging + analysis.  Every processor reads the same
-    # shadow names, so each array's lists are built once, not per
-    # processor (P x kinds names each).
-    merge_names = [
-        (
-            spec,
-            [
-                shadow_name(spec.name, kind, p)
-                for p in range(num)
-                for kind in shadow_kinds
-            ],
-            [global_shadow_name(spec.name, kind) for kind in shadow_kinds],
-        )
-        for spec in under_test
-    ]
-    merge: Dict[int, Iterator[object]] = {}
-    for proc in range(num):
-        pieces = []
-        for spec, privates, globals_ in merge_names:
-            slen = shadow_len(spec.length)
-            epl = params.elems_per_line(shadow_elem_bytes)
-            lo, hi = segment_of(slen, proc, num)
-            pieces.append(
-                merge_analysis_ops(
-                    privates, globals_, lo, hi, epl, cost.sw_analysis_per_element
-                )
+        outcome = analyze(state)
+        if outcome.passed:
+            # Phase 4: copy-out of privatized live-out arrays.
+            _copy_out(
+                machine, loop, times, breakdown,
+                lambda spec: [
+                    sorted(state.shadow(spec.name, proc).aw) for proc in range(num)
+                ],
             )
-        merge[proc] = chain(*pieces)
-    breakdown.add(_run_phase(machine, "merge-analysis", merge, phases))
-
-    outcome = analyze(state)
-    if not outcome.passed:
-        breakdown = _append_failure_tail(
-            machine, loop, phases, breakdown, serial_result, params,
-            reason="lrpd-test-failed",
-        )
-        result = RunResult(
-            scenario=Scenario.SW,
-            loop_name=loop.name,
-            num_processors=num,
-            passed=False,
-            wall=machine.engine.now + phases.get("serial-reexec", 0.0),
-            breakdown=breakdown,
-            phases=phases,
-            detection_cycle=None,  # only known after the loop completes
-            lrpd=outcome,
-            mem=machine.memsys.stats,
-            assignment=assignment,
-        )
-        return _finish_run(machine, config, params, result, loop)
-
-    # Phase 4: copy-out of privatized live-out arrays.
-    copyout: Dict[int, Iterator[object]] = {}
-    for spec in under_test:
-        if not (spec.privatized and spec.live_out):
-            continue
-        epl = params.elems_per_line(spec.elem_bytes)
-        for proc in range(num):
-            shadow = state.shadow(spec.name, proc)
-            indices = sorted(shadow.aw)
-            if not indices:
-                continue
-            ops = sparse_copy_ops(
-                private_copy_name(spec.name, proc), spec.name, indices,
-                epl, cost.copy_out_per_element,
+        else:
+            # The test runs after the loop, so no detection cycle.
+            _append_failure_tail(
+                machine, loop, times, breakdown, serial_result, params,
+                reason="lrpd-test-failed",
             )
-            copyout[proc] = chain(copyout[proc], ops) if proc in copyout else ops
-    if copyout:
-        breakdown.add(_run_phase(machine, "copy-out", copyout, phases))
+        return {
+            "passed": outcome.passed,
+            "breakdown": breakdown,
+            "lrpd": outcome,
+            "assignment": assignment,
+        }
 
-    result = RunResult(
-        scenario=Scenario.SW,
-        loop_name=loop.name,
-        num_processors=num,
-        passed=True,
-        wall=machine.engine.now,
-        breakdown=breakdown,
-        phases=phases,
-        lrpd=outcome,
-        mem=machine.memsys.stats,
-        assignment=assignment,
-    )
-    return _finish_run(machine, config, params, result, loop)
-
+    return _simulate(Scenario.SW, loop, params, config, phases)

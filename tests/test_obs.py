@@ -502,68 +502,6 @@ class TestMetrics:
         assert stall["A"].total > 0 and stall["B"].count == 1
 
 
-class TestMetricsSnapshot:
-    """Cross-process state transfer: snapshot() -> pickle -> merge()."""
-
-    def test_counter_snapshot_merge(self):
-        from repro.obs.metrics import Counter
-
-        a, b = Counter(), Counter()
-        a.inc(3)
-        b.inc(4)
-        b.merge(a.snapshot())
-        assert b.value == 7
-        assert a.value == 3  # snapshot is a copy, not shared state
-
-    def test_histogram_snapshot_merge(self):
-        from repro.obs.metrics import Histogram
-
-        a, b = Histogram(), Histogram()
-        for v in (1, 2, 9):
-            a.observe(v)
-        b.observe(100)
-        b.merge(a.snapshot())
-        assert b.count == 4
-        assert b.min == 1 and b.max == 100
-        assert b.total == pytest.approx(112.0)
-        assert sum(b.buckets.values()) == 4
-
-    def test_empty_histogram_snapshot_merges_as_noop(self):
-        from repro.obs.metrics import Histogram
-
-        a, b = Histogram(), Histogram()
-        b.observe(5)
-        snap = a.snapshot()
-        assert snap["min"] is None and snap["max"] is None
-        b.merge(snap)
-        assert b.count == 1 and b.min == 5 and b.max == 5
-
-    def test_registry_round_trip_through_pickle(self):
-        import pickle
-
-        reg = MetricsRegistry()
-        reg.counter("mem.accesses", proc=0, kind="rd").inc(3)
-        reg.counter("mem.accesses", proc=1, kind="wr").inc(2)
-        reg.histogram("lat", phase="loop").observe(4.0)
-        snap = pickle.loads(pickle.dumps(reg.snapshot()))
-        rebuilt = MetricsRegistry.from_snapshot(snap)
-        assert rebuilt.as_dict() == reg.as_dict()
-        assert rebuilt.total("mem.accesses") == 5
-        assert rebuilt.value("mem.accesses", proc=0, kind="rd") == 3
-
-    def test_registry_merge_adds_labeled_series(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        parent.counter("mem.accesses", proc=0).inc(1)
-        worker.counter("mem.accesses", proc=0).inc(10)
-        worker.counter("mem.accesses", proc=1).inc(5)
-        worker.histogram("lat").observe(2.0)
-        parent.merge(worker.snapshot())
-        assert parent.value("mem.accesses", proc=0) == 11
-        assert parent.value("mem.accesses", proc=1) == 5
-        assert parent.total("mem.accesses") == 16
-        assert parent.histogram("lat").count == 1
-
-
 # ----------------------------------------------------------------------
 # Provenance
 # ----------------------------------------------------------------------
