@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional
 
 from .. import obs
@@ -43,7 +44,6 @@ from .executor import (
     shadow_name,
 )
 from .phases import (
-    chain,
     copy_ops,
     merge_analysis_ops,
     segment_of,
@@ -648,11 +648,18 @@ def run_hw(
         detection = None
         if failure is None:
             # Phase 3: copy-out of privatized, live-out arrays (§2.2.3).
-            _copy_out(
-                machine, loop, times, breakdown,
-                lambda spec: _hw_copy_out_indices(machine, spec),
-            )
+            # The last writers are read from the protocol tables first;
+            # then speculation ends, so copy-out's accesses are plain
+            # ones that no protocol tests.
+            indices = {
+                spec.name: _hw_copy_out_indices(machine, spec)
+                for spec in loop.arrays_under_test()
+                if spec.privatized and spec.live_out
+            }
             spec_engine.disarm()
+            _copy_out(
+                machine, loop, times, breakdown, lambda spec: indices[spec.name]
+            )
         else:
             if failure.detected_at is not None:
                 detection = failure.detected_at - loop_start

@@ -1,20 +1,22 @@
 """Builds the per-processor op streams for the loop execution itself.
 
-The same generator skeleton serves all scenarios; what differs is the
+The same schedule skeleton serves all scenarios; what differs is the
 *instrumenter*, which maps each body op to the ops actually issued:
 
 * identity for Serial, Ideal and HW (the hardware scheme needs no extra
   instructions inside the loop body — its test logic rides on the
   cache/directory transactions);
-* :class:`SWInstrumenter` for the software scheme, which wraps every
-  access to an array under test with shadow-array marking traffic and
-  redirects accesses to speculatively privatized arrays to the
-  processor's private copy.
+* a per-access callable (Ideal's redirect of privatized arrays to the
+  processor's private copies);
+* :class:`SWInstrumenter` for the software scheme, whose own block
+  stream wraps every access to an array under test with shadow-array
+  marking traffic and redirects accesses to speculatively privatized
+  arrays to the processor's private copy.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 import dataclasses
 
@@ -78,8 +80,9 @@ def check_epoch_config(timestamp_bits: Optional[int], spec: ScheduleSpec) -> Non
 
 
 #: Maps one body access ``(proc, op, virtual iteration)`` to the
-#: sequence of ops actually issued for it.
-Instrumenter = Callable[[int, AccessOp, int], Sequence[object]]
+#: sequence of ops actually issued for it; or a :class:`SWInstrumenter`,
+#: which builds a whole block's ops itself.
+Instrumenter = Union[Callable[[int, AccessOp, int], Sequence[object]], "SWInstrumenter"]
 
 
 def identity_instrument(proc: int, op: AccessOp, virt: int) -> Sequence[object]:
@@ -102,21 +105,22 @@ def private_copy_name(array: str, proc: int) -> str:
 class SWInstrumenter:
     """Marking instrumentation of the software LRPD scheme (§2.2).
 
-    For every access to an array under test it returns the marking
-    instructions (compute cycles) and the shadow-array memory accesses,
-    updates the logical :class:`LRPDState`, and redirects data accesses
-    of privatized arrays to the processor's private copy.  With the
-    processor-wise test, shadow entries are bits packed 64 to a word,
-    so shadow accesses are scaled down accordingly (§2.2.3).
+    :meth:`block_ops` is the op stream of one block of iterations on
+    one processor: for every access to an array under test it yields
+    the marking instructions (compute cycles) and the shadow-array
+    memory accesses, then the data access, redirected to the
+    processor's private copy for privatized arrays; it updates the
+    logical :class:`LRPDState` as it goes.  With the processor-wise
+    test, shadow entries are bits packed 64 to a word, so shadow
+    accesses are scaled down accordingly (§2.2.3).
 
-    A call returns the op sequence for one access (a list, or a
-    1-tuple for an array not under test).  The shadow marks are updated
-    when the call returns, before the processor issues the ops: each
-    shadow belongs to one processor, which consumes its ops in order,
-    so marking eagerly leaves every mark and every op as marking
-    between the ops would.  The two marking ``compute`` ops are built
-    once per instrumenter, and the shadow and private-copy names once
-    per (array, processor).
+    Each mark is set as the op that decides on it is yielded, not when
+    the processor issues the ops after it: each shadow belongs to one
+    processor, which consumes its ops in order, and the marks are only
+    read again by that processor's stream and by the analysis after
+    the loop.  The two marking ``compute`` ops are built once per
+    instrumenter, and the shadow and private-copy names once per
+    (array, processor).
     """
 
     def __init__(
@@ -130,14 +134,16 @@ class SWInstrumenter:
         self.cost = cost
         self.processor_wise = processor_wise
         self.pack = cost.sw_bitmap_word_elems if processor_wise else 1
-        self._under_test: Set[str] = {a.name for a in loop.arrays_under_test()}
         self._privatized: Dict[str, bool] = {
             a.name: a.privatized for a in loop.arrays_under_test()
         }
         self._mark_read = compute(cost.sw_mark_read_instrs)
         self._mark_write = compute(cost.sw_mark_write_instrs)
-        #: (array, proc) -> (shadow, privatized, Aw, Ar, Anp, Awmin, private copy)
-        self._per_proc: Dict[Tuple[str, int], tuple] = {}
+        #: per processor: array -> (shadow, privatized, Aw, Ar, Anp,
+        #: Awmin, private copy)
+        self._bound: List[Dict[str, tuple]] = [
+            {} for _ in range(state.num_processors)
+        ]
 
     def _bind(self, name: str, proc: int) -> tuple:
         names = (
@@ -149,41 +155,67 @@ class SWInstrumenter:
             shadow_name(name, "Awmin", proc) if self.state.with_awmin else None,
             private_copy_name(name, proc),
         )
-        self._per_proc[(name, proc)] = names
+        self._bound[proc][name] = names
         return names
 
-    def __call__(self, proc: int, op: AccessOp, virt: int) -> Sequence[object]:
-        name = op.array
-        if name not in self._under_test:
-            return (op,)
-        names = self._per_proc.get((name, proc)) or self._bind(name, proc)
-        shadow, privatized, aw, ar, anp, awmin, private = names
-        index = op.index
-        sidx = index // self.pack
-        if op.kind is AccessKind.READ:
-            out = [self._mark_read, AccessOp(AccessKind.READ, aw, sidx)]
-            covered = shadow.written_in(index, virt)
-            shadow.markread(index, virt)
-            if not covered:
-                out.append(AccessOp(AccessKind.WRITE, ar, sidx))
-                out.append(AccessOp(AccessKind.WRITE, anp, sidx))
-            if privatized and shadow.ever_written(index):
-                out.append(AccessOp(AccessKind.READ, private, index))
-            else:
-                out.append(op)
-            return out
-        out = [self._mark_write, AccessOp(AccessKind.READ, aw, sidx)]
-        first_in_iter = not shadow.written_in(index, virt)
-        first_in_loop = not shadow.ever_written(index)
-        shadow.markwrite(index, virt)
-        if first_in_iter:
-            out.append(AccessOp(AccessKind.WRITE, aw, sidx))
-            if awmin is not None and first_in_loop:
-                # §2.2.3 extension: record the element's first
-                # writing iteration in the Awmin shadow array.
-                out.append(AccessOp(AccessKind.WRITE, awmin, sidx))
-        out.append(AccessOp(AccessKind.WRITE, private, index) if privatized else op)
-        return out
+    def block_ops(
+        self,
+        proc: int,
+        loop: Loop,
+        block: Block,
+        spec: ScheduleSpec,
+        iter_overhead: int,
+        iter_end_cycles: int = 0,
+    ) -> Iterator[object]:
+        """The instrumented ops of one block of iterations on ``proc``."""
+        mode = spec.virtual_mode
+        iterations = loop.iterations
+        under_test = self._privatized
+        bound = self._bound[proc]
+        pack = self.pack
+        mark_read = self._mark_read
+        mark_write = self._mark_write
+        iter_end = ComputeOp(iter_end_cycles) if iter_end_cycles else None
+        READ = AccessKind.READ
+        WRITE = AccessKind.WRITE
+        for iteration in block.iterations():
+            virt = virtual_of(block, iteration, mode, proc)
+            yield IterBeginOp(iteration, virt, iter_overhead)
+            for op in iterations[iteration - 1]:
+                if op.__class__ is not AccessOp or op.array not in under_test:
+                    yield op
+                    continue
+                shadow, privatized, aw, ar, anp, awmin, private = (
+                    bound.get(op.array) or self._bind(op.array, proc)
+                )
+                index = op.index
+                sidx = index // pack
+                if op.kind is READ:
+                    yield mark_read
+                    yield AccessOp(READ, aw, sidx)
+                    if not shadow.written_in(index, virt):
+                        shadow.markread(index, virt)
+                        yield AccessOp(WRITE, ar, sidx)
+                        yield AccessOp(WRITE, anp, sidx)
+                    if privatized and shadow.ever_written(index):
+                        yield AccessOp(READ, private, index)
+                    else:
+                        yield op
+                    continue
+                yield mark_write
+                yield AccessOp(READ, aw, sidx)
+                first_in_iter = not shadow.written_in(index, virt)
+                first_in_loop = not shadow.ever_written(index)
+                shadow.markwrite(index, virt)
+                if first_in_iter:
+                    yield AccessOp(WRITE, aw, sidx)
+                    if awmin is not None and first_in_loop:
+                        # §2.2.3 extension: record the element's first
+                        # writing iteration in the Awmin shadow array.
+                        yield AccessOp(WRITE, awmin, sidx)
+                yield AccessOp(WRITE, private, index) if privatized else op
+            if iter_end is not None:
+                yield iter_end
 
 
 def block_ops(
@@ -195,22 +227,59 @@ def block_ops(
     instrument: Instrumenter,
     iter_end_cycles: int = 0,
 ) -> Iterator[object]:
-    """Ops for one block of iterations on one processor."""
-    plain = instrument is identity_instrument
+    """Ops for one block of iterations on one processor.
+
+    Returns the generator that fits the instrumenter: the SW scheme's
+    fused marking stream, the plain replay of the iteration op lists
+    (Serial, Ideal without privatized arrays, HW), or a per-access
+    instrumenter's ops.
+    """
+    if instrument.__class__ is SWInstrumenter:
+        return instrument.block_ops(
+            proc, loop, block, spec, iter_overhead, iter_end_cycles
+        )
+    if instrument is identity_instrument:
+        return _plain_block_ops(
+            proc, loop, block, spec, iter_overhead, iter_end_cycles
+        )
+    return _instrumented_block_ops(
+        proc, loop, block, spec, iter_overhead, instrument, iter_end_cycles
+    )
+
+
+def _plain_block_ops(
+    proc: int,
+    loop: Loop,
+    block: Block,
+    spec: ScheduleSpec,
+    iter_overhead: int,
+    iter_end_cycles: int,
+) -> Iterator[object]:
     for iteration in block.iterations():
         virt = virtual_of(block, iteration, spec.virtual_mode, proc)
         yield IterBeginOp(iteration, virt, iter_overhead)
-        if plain:
-            # Uninstrumented execution (the hardware schemes) replays
-            # the iteration's op list as-is; skip the per-access
-            # generator round trip.
-            yield from loop.iterations[iteration - 1]
-        else:
-            for op in loop.iterations[iteration - 1]:
-                if op.__class__ is AccessOp:
-                    yield from instrument(proc, op, virt)
-                else:
-                    yield op
+        yield from loop.iterations[iteration - 1]
+        if iter_end_cycles:
+            yield ComputeOp(iter_end_cycles)
+
+
+def _instrumented_block_ops(
+    proc: int,
+    loop: Loop,
+    block: Block,
+    spec: ScheduleSpec,
+    iter_overhead: int,
+    instrument: Instrumenter,
+    iter_end_cycles: int,
+) -> Iterator[object]:
+    for iteration in block.iterations():
+        virt = virtual_of(block, iteration, spec.virtual_mode, proc)
+        yield IterBeginOp(iteration, virt, iter_overhead)
+        for op in loop.iterations[iteration - 1]:
+            if op.__class__ is AccessOp:
+                yield from instrument(proc, op, virt)
+            else:
+                yield op
         if iter_end_cycles:
             yield ComputeOp(iter_end_cycles)
 

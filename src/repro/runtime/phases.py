@@ -5,14 +5,21 @@ per line touched (the fetch brings the rest of the line), plus compute
 cycles proportional to the number of elements processed.  That keeps
 the simulation cost manageable while preserving the memory behaviour
 that matters (lines touched, local/remote placement, cache conflicts).
+
+Every builder is one generator frame that walks its lines, and every
+full line of one builder shares one ``ComputeOp``: ops are immutable,
+and the engine only reads their cycles.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from ..params import MachineParams
-from ..trace.ops import compute, read, write
+from ..trace.ops import AccessOp, ComputeOp
+from ..types import AccessKind
+
+_READ = AccessKind.READ
+_WRITE = AccessKind.WRITE
 
 
 def segment_of(length: int, proc: int, num_procs: int) -> Tuple[int, int]:
@@ -24,17 +31,31 @@ def segment_of(length: int, proc: int, num_procs: int) -> Tuple[int, int]:
     return start, start + size
 
 
-def line_indices(start: int, end: int, elems_per_line: int) -> Iterator[Tuple[int, int]]:
-    """Yield (first_element, count) per cache line covering [start, end)."""
+def _line_ops(
+    reads: Sequence[str],
+    writes: Sequence[str],
+    start: int,
+    end: int,
+    elems_per_line: int,
+    per_element_cycles: int,
+) -> Iterator[object]:
+    """Per cache line covering ``[start, end)``: a read of each array in
+    ``reads``, then a write of each in ``writes``, at the line's first
+    element in range, then ``per_element_cycles`` per element in range."""
     if start >= end:
         return
-    first = start - (start % elems_per_line)
-    idx = first
-    while idx < end:
-        lo = max(idx, start)
-        hi = min(idx + elems_per_line, end)
-        yield lo, hi - lo
-        idx += elems_per_line
+    full = ComputeOp(per_element_cycles * elems_per_line)
+    line = start - start % elems_per_line
+    while line < end:
+        first = line if line > start else start
+        line += elems_per_line
+        for name in reads:
+            yield AccessOp(_READ, name, first)
+        for name in writes:
+            yield AccessOp(_WRITE, name, first)
+        if per_element_cycles:
+            count = (line if line < end else end) - first
+            yield full if count == elems_per_line else ComputeOp(per_element_cycles * count)
 
 
 def copy_ops(
@@ -46,11 +67,7 @@ def copy_ops(
     per_element_cycles: int,
 ) -> Iterator[object]:
     """Copy ``src[start:end]`` to ``dst[start:end]`` (backup/restore)."""
-    for first, count in line_indices(start, end, elems_per_line):
-        yield read(src, first)
-        yield write(dst, first)
-        if per_element_cycles:
-            yield compute(per_element_cycles * count)
+    return _line_ops((src,), (dst,), start, end, elems_per_line, per_element_cycles)
 
 
 def zero_ops(
@@ -61,10 +78,7 @@ def zero_ops(
     per_element_cycles: int,
 ) -> Iterator[object]:
     """Zero out ``dst[start:end]`` (shadow-array initialization)."""
-    for first, count in line_indices(start, end, elems_per_line):
-        yield write(dst, first)
-        if per_element_cycles:
-            yield compute(per_element_cycles * count)
+    return _line_ops((), (dst,), start, end, elems_per_line, per_element_cycles)
 
 
 def scan_ops(
@@ -75,10 +89,7 @@ def scan_ops(
     per_element_cycles: int,
 ) -> Iterator[object]:
     """Read every line of ``src[start:end]`` and process each element."""
-    for first, count in line_indices(start, end, elems_per_line):
-        yield read(src, first)
-        if per_element_cycles:
-            yield compute(per_element_cycles * count)
+    return _line_ops((src,), (), start, end, elems_per_line, per_element_cycles)
 
 
 def merge_analysis_ops(
@@ -99,13 +110,9 @@ def merge_analysis_ops(
     which is constant as the machine grows — the scalability bottleneck
     the paper calls out in §6.3.
     """
-    for first, count in line_indices(start, end, elems_per_line):
-        for shadow in shadow_names:
-            yield read(shadow, first)
-        for global_name in global_names:
-            yield write(global_name, first)
-        if per_element_cycles:
-            yield compute(per_element_cycles * count)
+    return _line_ops(
+        shadow_names, global_names, start, end, elems_per_line, per_element_cycles
+    )
 
 
 def gather_line_starts(
@@ -125,13 +132,9 @@ def sparse_copy_ops(
 ) -> Iterator[object]:
     """Copy only the lines containing ``indices`` (sparse backup or
     copy-out of written elements)."""
+    full = ComputeOp(per_element_cycles * elems_per_line)
     for first in gather_line_starts(indices, elems_per_line):
-        yield read(src, first)
-        yield write(dst, first)
+        yield AccessOp(_READ, src, first)
+        yield AccessOp(_WRITE, dst, first)
         if per_element_cycles:
-            yield compute(per_element_cycles * elems_per_line)
-
-
-def chain(*streams: Iterable[object]) -> Iterator[object]:
-    for stream in streams:
-        yield from stream
+            yield full

@@ -246,8 +246,12 @@ class Engine(Scheduler):
         # with shared side effects must execute at its true global time,
         # and pure compute yields past BATCH_CYCLES so aborts are
         # noticed promptly), at a mutex or a barrier, or at the end of
-        # its stream.  Compute and accesses are handled here; the rarer
-        # ops go through _control_op.  Ops dispatch on their exact class.
+        # its stream.  When the event it would post after or before an
+        # access is the very next one to be popped, it runs that event
+        # in place instead of a heap round trip; nothing ever runs ahead
+        # of another target's queued event.  Compute, iteration starts
+        # and accesses are handled here; the rarer ops go through
+        # _control_op.  Ops dispatch on their exact class.
         #
         # _abort_on_failure and spec are fixed for the phase, so the
         # abort test is one attribute test per event.
@@ -308,35 +312,59 @@ class Engine(Scheduler):
                         cls = op.__class__
                         if cls is AccessOp:
                             if t > now:
+                                # Run at its true global time: the event
+                                # ends here, the access opens the next.
                                 proc._pending_op = op
-                                heappush(heap, (t, next(seq), proc))
-                                break
-                            # Resolve through the speculation engine's
-                            # comparator while it is armed; otherwise
-                            # probe the decl table (decls are immutable
-                            # and names never reused, so a first lookup
-                            # stays valid for the engine's life).
-                            kind = op.kind
-                            index = op.index
-                            if spec_ctrl is not None and spec_ctrl.armed:
-                                addr = spec.resolve(proc.id, op.array, index, kind)
                             else:
-                                decl = decls.get(op.array)
-                                if decl is None:
-                                    decl = decls[op.array] = self.space.array(op.array)
-                                if 0 <= index < decl.length:
-                                    addr = decl.base + index * decl.elem_bytes
+                                # Resolve through the speculation engine's
+                                # comparator while it is armed; otherwise
+                                # probe the decl table (decls are immutable
+                                # and names never reused, so a first lookup
+                                # stays valid for the engine's life).
+                                kind = op.kind
+                                index = op.index
+                                if spec_ctrl is not None and spec_ctrl.armed:
+                                    addr = spec.resolve(proc.id, op.array, index, kind)
                                 else:
-                                    addr = decl.addr_of(index)  # raises AddressError
-                            if kind is READ:
-                                stall = mem_read(proc.id, addr, t)[0]
-                            else:
-                                stall = mem_write(proc.id, addr, t)[0]
-                            # One issue cycle (Busy) plus the memory
-                            # stall (Mem).
-                            stats.busy += 1
-                            stats.mem += stall
-                            heappush(heap, (t + (1 + stall), next(seq), proc))
+                                    decl = decls.get(op.array)
+                                    if decl is None:
+                                        decl = decls[op.array] = self.space.array(op.array)
+                                    if 0 <= index < decl.length:
+                                        addr = decl.base + index * decl.elem_bytes
+                                    else:
+                                        addr = decl.addr_of(index)  # raises AddressError
+                                if kind is READ:
+                                    stall = mem_read(proc.id, addr, t)[0]
+                                else:
+                                    stall = mem_write(proc.id, addr, t)[0]
+                                # One issue cycle (Busy) plus the memory
+                                # stall (Mem).
+                                stats.busy += 1
+                                stats.mem += stall
+                                t += 1 + stall
+                            # The processor's next event, at t, is the next
+                            # one popped when t is strictly earlier than
+                            # both heap heads (at a tie the queued event
+                            # holds the lower seq) and no FAIL awaits
+                            # handling.  Then it runs in place: it still
+                            # consumes its seq and counts as an event.
+                            if (
+                                (not heap or t < heap[0][0])
+                                and (not msg_heap or t < msg_heap[0][0])
+                                and (ctrl is None or ctrl.failure is None)
+                            ):
+                                next(seq)
+                                processed += 1
+                                if processed > max_events:
+                                    raise ConfigurationError(
+                                        f"simulation exceeded {max_events} "
+                                        "events; suspected livelock"
+                                    )
+                                now = t
+                                if now > self.now:
+                                    self.now = now
+                                continue
+                            heappush(heap, (t, next(seq), proc))
                             break
                         if cls is ComputeOp:
                             if t - now >= batch_cycles:
@@ -345,6 +373,17 @@ class Engine(Scheduler):
                                 break
                             stats.busy += op.cycles
                             t += op.cycles
+                        elif cls is IterBeginOp:
+                            if t - now >= batch_cycles:
+                                proc._pending_op = op
+                                heappush(heap, (t, next(seq), proc))
+                                break
+                            proc.current_iteration = op.iteration
+                            if spec is not None:
+                                spec.set_iteration(proc.id, op.virtual)
+                            if op.overhead_cycles:
+                                stats.busy += op.overhead_cycles
+                                t += op.overhead_cycles
                         else:
                             t = self._control_op(proc, op, t, now)
                             if t is None:
@@ -361,8 +400,9 @@ class Engine(Scheduler):
     def _control_op(
         self, proc: Processor, op: object, t: float, now: float
     ) -> Optional[float]:
-        """Run one op other than compute or a shared access for ``proc``
-        at its local time ``t`` within the event at ``now``.
+        """Run one op other than compute, an iteration start or a shared
+        access for ``proc`` at its local time ``t`` within the event at
+        ``now``.
 
         Returns the processor's new local time, or None when its event
         ends here (it re-posted itself, or blocked at a barrier).  An
@@ -381,14 +421,6 @@ class Engine(Scheduler):
         if cls is LocalOp:
             stats.busy += 1
             return t + 1
-        if cls is IterBeginOp:
-            proc.current_iteration = op.iteration
-            if self.spec is not None:
-                self.spec.set_iteration(proc.id, op.virtual)
-            if op.overhead_cycles:
-                stats.busy += op.overhead_cycles
-                t += op.overhead_cycles
-            return t
         if cls is BusyCostOp:
             stats.busy += op.cycles
             return t + op.cycles

@@ -1,11 +1,14 @@
 """Unit tests for the op-stream executor (loop_streams and friends)."""
 
+import itertools
+
 import pytest
 
 from repro.lrpd.shadow import LRPDState
 from repro.params import CostModel
 from repro.runtime.executor import (
     SWInstrumenter,
+    block_ops,
     global_shadow_name,
     loop_streams,
     private_copy_name,
@@ -13,11 +16,14 @@ from repro.runtime.executor import (
     shadow_name,
 )
 from repro.runtime.schedule import (
+    Block,
     ChunkQueue,
     SchedulePolicy,
     ScheduleSpec,
     VirtualMode,
     cyclic_blocks,
+    plan_static,
+    virtual_of,
 )
 from repro.sim.processor import (
     BarrierOp,
@@ -160,17 +166,33 @@ class TestEpochStreams:
         assert b0 and all(x is y for x, y in zip(b0, b1))
 
 
+#: one iteration per block, numbered by its block's ordinal: a test
+#: picks the virtual iteration an access runs in through the ordinal
+CHUNK_NUMBERED = ScheduleSpec(SchedulePolicy.BLOCK_CYCLIC, 1, VirtualMode.CHUNK)
+
+
 class TestSWInstrumenter:
     def _instrument(self, loop, processor_wise=False, with_awmin=False):
         state = LRPDState(2, with_awmin=with_awmin)
         for spec in loop.arrays_under_test():
             state.register(spec.name, spec.length, spec.privatized)
-        return state, SWInstrumenter(state, loop, COST, processor_wise)
+        inst = SWInstrumenter(state, loop, COST, processor_wise)
+
+        def ops(proc, op, virt):
+            """The fused stream's ops for ``op`` alone in an iteration
+            numbered ``virt`` on ``proc``, after its IterBeginOp."""
+            body = Loop(loop.name, loop.arrays, [[op]])
+            stream = block_ops(proc, body, Block(1, 1, virt), CHUNK_NUMBERED, 0, inst)
+            first, *rest = stream
+            assert first == IterBeginOp(1, virt, 0)
+            return rest
+
+        return state, ops
 
     def test_read_emits_shadow_traffic(self):
         loop = tiny_loop()
         state, inst = self._instrument(loop)
-        ops = list(inst(0, read("A", 3), 1))
+        ops = inst(0, read("A", 3), 1)
         arrays = [op.array for op in ops if isinstance(op, AccessOp)]
         assert shadow_name("A", "Aw", 0) in arrays
         assert shadow_name("A", "Ar", 0) in arrays
@@ -179,8 +201,8 @@ class TestSWInstrumenter:
     def test_covered_read_skips_ar_marks(self):
         loop = tiny_loop()
         state, inst = self._instrument(loop)
-        list(inst(0, write("A", 3), 1))
-        ops = list(inst(0, read("A", 3), 1))
+        inst(0, write("A", 3), 1)
+        ops = inst(0, read("A", 3), 1)
         arrays = [op.array for op in ops if isinstance(op, AccessOp)]
         assert shadow_name("A", "Ar", 0) not in arrays
 
@@ -190,29 +212,29 @@ class TestSWInstrumenter:
             [[read("B", 0), write("A", 0)]],
         )
         state, inst = self._instrument(loop)
-        ops = list(inst(0, read("B", 0), 1))
+        ops = inst(0, read("B", 0), 1)
         assert ops == [read("B", 0)]
 
     def test_privatized_write_redirected(self):
         loop = tiny_loop(protocol=ProtocolKind.PRIV_SIMPLE)
         state, inst = self._instrument(loop)
-        ops = list(inst(1, write("A", 3), 1))
+        ops = inst(1, write("A", 3), 1)
         data = [op for op in ops if isinstance(op, AccessOp)][-1]
         assert data.array == private_copy_name("A", 1)
 
     def test_privatized_read_from_shared_until_written(self):
         loop = tiny_loop(protocol=ProtocolKind.PRIV_SIMPLE)
         state, inst = self._instrument(loop)
-        data = [op for op in list(inst(0, read("A", 3), 1)) if isinstance(op, AccessOp)][-1]
+        data = [op for op in inst(0, read("A", 3), 1) if isinstance(op, AccessOp)][-1]
         assert data.array == "A"
-        list(inst(0, write("A", 3), 1))
-        data = [op for op in list(inst(0, read("A", 3), 2)) if isinstance(op, AccessOp)][-1]
+        inst(0, write("A", 3), 1)
+        data = [op for op in inst(0, read("A", 3), 2) if isinstance(op, AccessOp)][-1]
         assert data.array == private_copy_name("A", 0)
 
     def test_bitmap_indexing_processor_wise(self):
         loop = tiny_loop()
         state, inst = self._instrument(loop, processor_wise=True)
-        ops = list(inst(0, read("A", 63), 1))
+        ops = inst(0, read("A", 63), 1)
         shadow_access = next(
             op for op in ops if isinstance(op, AccessOp) and "#" in op.array
         )
@@ -221,16 +243,31 @@ class TestSWInstrumenter:
     def test_awmin_write_emitted_once(self):
         loop = tiny_loop(protocol=ProtocolKind.PRIV)
         state, inst = self._instrument(loop, with_awmin=True)
-        first = list(inst(0, write("A", 3), 1))
-        second = list(inst(0, write("A", 3), 2))
+        first = inst(0, write("A", 3), 1)
+        second = inst(0, write("A", 3), 2)
         awmin = shadow_name("A", "Awmin", 0)
         assert any(isinstance(o, AccessOp) and o.array == awmin for o in first)
         assert not any(isinstance(o, AccessOp) and o.array == awmin for o in second)
 
+    def test_marks_set_as_ops_are_yielded(self):
+        """A read's Ar mark is set by the time the Ar write is yielded,
+        not only once the whole access has been consumed."""
+        loop = tiny_loop()
+        state = LRPDState(2)
+        state.register("A", 64, False)
+        inst = SWInstrumenter(state, loop, COST)
+        body = Loop(loop.name, loop.arrays, [[read("A", 3)]])
+        stream = block_ops(0, body, Block(1, 1, 1), CHUNK_NUMBERED, 0, inst)
+        shadow = state.shadow("A", 0)
+        for op in stream:
+            if isinstance(op, AccessOp) and op.array == shadow_name("A", "Ar", 0):
+                break
+        assert shadow.ar == {3: 1} and shadow.anp == {3: 1}
+
 
 def _reference_instrument(state, loop, cost, processor_wise, proc, op, virt):
     """The marking sequence as a lazy generator that marks the shadow
-    between ops: the reference the eager SWInstrumenter must match."""
+    between ops: the reference the fused SW stream must match."""
     under_test = {a.name: a.privatized for a in loop.arrays_under_test()}
     name = op.array
     if name not in under_test:
@@ -268,50 +305,94 @@ def _reference_instrument(state, loop, cost, processor_wise, proc, op, virt):
             yield write(name, index)
 
 
+def _reference_block(state, loop, spec, processor_wise, proc, block, overhead, end):
+    """One block's ops with each access expanded by the reference."""
+    for iteration in block.iterations():
+        virt = virtual_of(block, iteration, spec.virtual_mode, proc)
+        yield IterBeginOp(iteration, virt, overhead)
+        for op in loop.iterations[iteration - 1]:
+            if isinstance(op, AccessOp):
+                yield from _reference_instrument(
+                    state, loop, COST, processor_wise, proc, op, virt
+                )
+            else:
+                yield op
+        yield compute(end)
+
+
 @pytest.mark.parametrize(
     "protocol", [ProtocolKind.NONPRIV, ProtocolKind.PRIV, ProtocolKind.PRIV_SIMPLE]
 )
 @pytest.mark.parametrize("with_awmin", [False, True])
 @pytest.mark.parametrize("processor_wise", [False, True])
 def test_sw_instrumenter_matches_reference(protocol, with_awmin, processor_wise):
-    """A random read/write sequence over two processors (plus accesses
-    to an array not under test) yields the reference op lists, Awmin
-    marks and privatized redirects included, and the same shadows."""
+    """A random loop of reads and writes (plus compute and accesses to
+    an array not under test) on two processors yields the reference op
+    streams, Awmin marks and privatized redirects included, and leaves
+    the same shadows, with the two streams consumed in random
+    interleaving.  Processor-wise runs use static chunks numbered by
+    processor; the others blocks of three iterations sharing one
+    number, so a block's iterations see each other's marks."""
     import random
 
-    loop = Loop(
-        "t", [ArraySpec("A", 200, 8, protocol), ArraySpec("B", 16)],
-        [[read("B", 0), write("A", 0)]],
+    rng = random.Random(7)
+    body = []
+    for _ in range(200):
+        ops = []
+        for _ in range(rng.randint(1, 8)):
+            roll = rng.random()
+            if roll < 0.1:
+                ops.append(read("B", rng.randrange(16)))
+            elif roll < 0.15:
+                ops.append(compute(3))
+            else:
+                index = rng.randrange(200)
+                ops.append(read("A", index) if rng.random() < 0.5 else write("A", index))
+        body.append(ops)
+    loop = Loop("t", [ArraySpec("A", 200, 8, protocol), ArraySpec("B", 16)], body)
+    spec = (
+        ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 1, VirtualMode.PROCESSOR)
+        if processor_wise
+        else ScheduleSpec(SchedulePolicy.BLOCK_CYCLIC, 3, VirtualMode.CHUNK)
     )
     states = []
     for _ in range(2):
         state = LRPDState(2, with_awmin=with_awmin)
-        for spec in loop.arrays_under_test():
-            state.register(spec.name, spec.length, spec.privatized)
+        for array in loop.arrays_under_test():
+            state.register(array.name, array.length, array.privatized)
         states.append(state)
     ref_state, state = states
     inst = SWInstrumenter(state, loop, COST, processor_wise)
-    rng = random.Random(7)
-    virt = [1, 1]
-    for _ in range(1500):
-        proc = rng.randrange(2)
-        if rng.random() < 0.15:
-            virt[proc] += 1
-        if rng.random() < 0.1:
-            op = read("B", rng.randrange(16))
-        else:
-            index = rng.randrange(200)
-            op = read("A", index) if rng.random() < 0.5 else write("A", index)
-        want = list(_reference_instrument(
-            ref_state, loop, COST, processor_wise, proc, op, virt[proc]
-        ))
-        assert list(inst(proc, op, virt[proc])) == want
+    plan = plan_static(spec, loop.num_iterations, 2)
+    got = {
+        p: itertools.chain.from_iterable(
+            block_ops(p, loop, block, spec, 5, inst, 8) for block in blocks
+        )
+        for p, blocks in enumerate(plan)
+    }
+    want = {
+        p: itertools.chain.from_iterable(
+            _reference_block(ref_state, loop, spec, processor_wise, p, block, 5, 8)
+            for block in blocks
+        )
+        for p, blocks in enumerate(plan)
+    }
+    live = [0, 1]
+    steps = 0
+    while live:
+        proc = rng.choice(live)
+        op = next(want[proc], None)
+        assert next(got[proc], None) == op
+        if op is None:
+            live.remove(proc)
+        steps += 1
+    assert steps > 2000
     for proc in range(2):
-        got, ref = state.shadow("A", proc), ref_state.shadow("A", proc)
+        got_shadow, ref = state.shadow("A", proc), ref_state.shadow("A", proc)
         for field in ("aw", "ar", "anp", "awmin"):
             if getattr(ref, field) is not None:
-                assert getattr(got, field) == getattr(ref, field)
-        assert got.atw == ref.atw
+                assert getattr(got_shadow, field) == getattr(ref, field)
+        assert got_shadow.atw == ref.atw
 
 
 class TestSerialStream:

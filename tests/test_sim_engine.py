@@ -224,6 +224,102 @@ class TestMessageHeap:
         assert machine.spec.priv.epoch == 2
 
 
+def _machine():
+    machine = Machine(small_test_params(2), with_speculation=False)
+    machine.space.allocate("A", 256, elem_bytes=8)
+    return machine
+
+
+def _resume_time():
+    """When a lone processor's stream resumes after its first read: the
+    time of the event that read posts for the processor."""
+    machine = _machine()
+    seen = []
+
+    def stream():
+        yield read("A", 0)
+        seen.append(machine.engine.now)
+
+    machine.engine.run_phase({0: stream()})
+    return seen[0]
+
+
+class TestEventOrder:
+    """A processor's next event runs in place only when it is strictly
+    the next one by ``(time, seq)``: at a tie the queued event, whose
+    seq is lower, runs first."""
+
+    def _order(self, post):
+        """Run one processor reading ``A[0]`` after ``post(engine, log)``
+        queued events; return the log of events and stream resumptions."""
+        machine = _machine()
+        log = []
+        post(machine.engine, log)
+
+        def stream():
+            yield read("A", 0)
+            log.append(("proc", machine.engine.now))
+
+        machine.engine.run_phase({0: stream()})
+        return log
+
+    def test_processor_event_after_a_queued_event_at_its_time(self):
+        t = _resume_time()
+        log = self._order(
+            lambda engine, log: engine.post(t, lambda now: log.append(("event", now)))
+        )
+        assert log == [("event", t), ("proc", t)]
+
+    def test_processor_event_after_a_message_at_its_time(self):
+        t = _resume_time()
+        log = self._order(
+            lambda engine, log: engine.post_message(
+                t, lambda now: log.append(("msg", now))
+            )
+        )
+        assert log == [("msg", t), ("proc", t)]
+
+    def test_processor_event_before_later_events(self):
+        t = _resume_time()
+
+        def post(engine, log):
+            engine.post(t + 1, lambda now: log.append(("event", now)))
+            engine.post_message(t + 1, lambda now: log.append(("msg", now)))
+
+        log = self._order(post)
+        assert log == [("proc", t), ("event", t + 1), ("msg", t + 1)]
+
+    @pytest.mark.parametrize("message_first", [False, True])
+    def test_one_event_on_each_heap_at_one_time_run_in_seq_order(
+        self, message_first
+    ):
+        engine = _machine().engine
+        log = []
+        posts = [
+            lambda: engine.post(7.0, lambda now: log.append("event")),
+            lambda: engine.post_message(7.0, lambda now: log.append("msg")),
+        ]
+        for post in reversed(posts) if message_first else posts:
+            post()
+        engine.drain()
+        assert log == (["msg", "event"] if message_first else ["event", "msg"])
+
+    def test_events_run_in_place_are_counted(self):
+        """A lone processor runs each access's next event in place, yet
+        every event counts: its start plus one per access."""
+        machine = _machine()
+        reads = [read("A", 8 * i) for i in range(20)]
+        machine.engine.run_phase({0: iter(reads)})
+        assert machine.engine.events_processed == 21
+
+    def test_events_run_in_place_count_against_max_events(self):
+        machine = _machine()
+        machine.engine.max_events = 20
+        with pytest.raises(ConfigurationError, match="exceeded 20 events"):
+            machine.engine.run_phase({0: iter([read("A", 8 * i) for i in range(20)])})
+        assert machine.engine.events_processed == 21
+
+
 class TestSchedulers:
     def test_immediate_scheduler(self):
         from repro.core.messages import ImmediateScheduler

@@ -2,9 +2,10 @@
 
 Host-time work on the engine or the memory system must leave every
 simulated quantity unchanged.  These tests run the quick Fig 13
-forced-failure loops (Serial, SW and HW for each workload) plus one
-passing dynamic-schedule HW run, and compare each run's engine event
-count, every ``MemStats`` field, the speculation message count, the
+forced-failure loops (Serial, SW and HW for each workload) plus four
+passing runs (a dynamic-schedule HW run, a processor-wise SW run, an
+Ideal run with privatized arrays and an HW run split into time-stamp
+epochs), and compare each run's engine event count, every ``MemStats`` field, the speculation message count, the
 wall time and the per-phase cycles against exact recorded values.
 """
 
@@ -15,7 +16,15 @@ import pytest
 from repro.experiments.figures import _forced_failure_loop, make_workload
 from repro.memsys.system import MemStats
 from repro.params import default_params
-from repro.runtime import RunConfig, SchedulePolicy, run_hw, run_serial, run_sw
+from repro.runtime import (
+    RunConfig,
+    SchedulePolicy,
+    VirtualMode,
+    run_hw,
+    run_ideal,
+    run_serial,
+    run_sw,
+)
 
 SEED = 2026
 
@@ -268,3 +277,76 @@ def test_dynamic_schedule_hw_run_is_pinned():
     loop = next(workload.executions(1))
     params = default_params(workload.num_processors)
     assert _run(run_hw, loop, params, config)[1] == PINNED_DYNAMIC_HW
+
+
+#: Adm's first execution under Fig 11's SW config: the processor-wise
+#: test (bitmap shadows) with the privatized TMP array redirected.
+PINNED_PROCESSOR_WISE_SW = Pin(
+    events=18832,
+    mem=MemStats(
+        reads=8448, writes=5976, l1_hits=12496, l2_hits=120, local_misses=236,
+        remote_2hop=1365, remote_3hop=207, invalidations=0, writebacks=207,
+        write_stall_cycles=0, read_stall_cycles=313553,
+    ),
+    spec_messages=0,
+    wall=30756.0,
+    phases={"setup": 2128.0, "loop": 8458.0, "merge-analysis": 20170.0},
+)
+
+#: P3m's second execution under its Ideal config: the XI and FI
+#: scratch arrays go to per-processor private copies.
+PINNED_PRIVATIZED_IDEAL = Pin(
+    events=8603,
+    mem=MemStats(
+        reads=3655, writes=2394, l1_hits=224, l2_hits=4683, local_misses=196,
+        remote_2hop=946, remote_3hop=0, invalidations=0, writebacks=0,
+        write_stall_cycles=0, read_stall_cycles=230153,
+    ),
+    spec_messages=0,
+    wall=31524.0,
+    phases={"loop": 31524.0},
+)
+
+#: Adm's first execution under HW with 2-bit time stamps: 16 chunks in
+#: six epochs, each closed by a barrier and a time-stamp reset (§3.3).
+PINNED_EPOCH_HW = Pin(
+    events=9041,
+    mem=MemStats(
+        reads=3200, writes=2176, l1_hits=4864, l2_hits=0, local_misses=92,
+        remote_2hop=420, remote_3hop=0, invalidations=0, writebacks=0,
+        write_stall_cycles=0, read_stall_cycles=78712,
+    ),
+    spec_messages=1280,
+    wall=42597.0,
+    phases={"backup": 2047.0, "loop": 40550.0},
+)
+
+
+def _first_execution(name):
+    workload = make_workload(name, "quick", SEED)
+    return workload, next(workload.executions(1)), default_params(workload.num_processors)
+
+
+def test_processor_wise_sw_run_is_pinned():
+    workload, loop, params = _first_execution("Adm")
+    config = workload.sw_config()
+    assert config.schedule.virtual_mode is VirtualMode.PROCESSOR
+    assert any(spec.privatized for spec in loop.arrays_under_test())
+    result, pin = _run(run_sw, loop, params, config)
+    assert result.passed
+    assert pin == PINNED_PROCESSOR_WISE_SW
+
+
+def test_privatized_ideal_run_is_pinned():
+    workload, loop, params = _first_execution("P3m")
+    assert any(spec.privatized for spec in loop.arrays)
+    result, pin = _run(run_ideal, loop, params, workload.ideal_config())
+    assert pin == PINNED_PRIVATIZED_IDEAL
+
+
+def test_epoch_hw_run_is_pinned():
+    workload, loop, params = _first_execution("Adm")
+    config = dataclasses.replace(workload.hw_config(), timestamp_bits=2)
+    result, pin = _run(run_hw, loop, params, config)
+    assert result.passed
+    assert pin == PINNED_EPOCH_HW
